@@ -92,13 +92,13 @@ class ScriptBook:
         return ScriptedBehavior.replaying(case)
 
     @classmethod
-    def from_json(cls, obj: dict[str, object]) -> "ScriptBook":
-        raw = obj.get("scripts")
+    def from_json(cls, obj: object) -> "ScriptBook":
+        raw = obj.get("scripts") if isinstance(obj, dict) else None
         if not isinstance(raw, dict):
             raise MalformedInput("script book needs a top-level 'scripts' object")
         return cls(
             scripts={
-                str(key): ScriptedBehavior.from_json(steps)  # type: ignore[arg-type]
+                key: ScriptedBehavior.from_json(steps, f"scripts.{key}")
                 for key, steps in raw.items()
             }
         )

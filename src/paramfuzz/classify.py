@@ -303,17 +303,11 @@ def _arguments_rouge(obs: ObservedInvocation, oracle: OracleInvocation) -> float
 
 
 def classify_invocation(
-    obs: ObservedInvocation, oracle: OracleInvocation, doc: ToolDocument
-) -> FailureLabel:
-    """Run all five detectors against one observed invocation."""
-    return _classify(obs, oracle, doc)
-
-
-def _classify(
     obs: ObservedInvocation, oracle: OracleInvocation | None, doc: ToolDocument
 ) -> FailureLabel:
-    """Classification core; without an oracle only the document-grounded
-    detectors (hallucination, spec mismatch) can run."""
+    """Run all five detectors against one observed invocation; without an
+    oracle only the document-grounded detectors (hallucination, spec
+    mismatch) can run."""
     hn, hn_ev = detect_hallucination_name(obs, doc)
     sm, sm_ev = detect_spec_mismatch(obs, doc)
     if oracle is not None:
@@ -426,12 +420,12 @@ def classify_trajectory(
         if indices:
             oracle_index = indices[min(ordinal, len(indices) - 1)]
             attempted.add(oracle_index)
-            label = _classify(obs, oracle[oracle_index], doc)
+            label = classify_invocation(obs, oracle[oracle_index], doc)
             aligned.append(
                 AlignedLabel(label=label, observed_index=obs_index, oracle_index=oracle_index)
             )
         else:
-            label = _classify(obs, None, doc)
+            label = classify_invocation(obs, None, doc)
             aligned.append(AlignedLabel(label=label, observed_index=obs_index, oracle_index=None))
     for oracle_index, invocation in enumerate(oracle):
         if oracle_index in attempted:

@@ -28,9 +28,12 @@ from paramfuzz.campaign import (
     run_campaign,
 )
 from paramfuzz.corpus import (
+    all_tools,
     filter_cases,
     lint_case,
     load_corpus,
+    query_to_json,
+    return_to_json,
     tool_to_json,
 )
 from paramfuzz.driver import (
@@ -90,8 +93,6 @@ def cmd_perturb(args: argparse.Namespace) -> int:
             f"unknown operator {operator!r}; valid ids: {', '.join(ALL_OPERATORS)}"
         )
     if source == "document":
-        from paramfuzz.corpus import all_tools
-
         donors = all_tools(cases)
         for tool in case.tools:
             try:
@@ -108,23 +109,7 @@ def cmd_perturb(args: argparse.Namespace) -> int:
         except PerturbSkip as exc:
             print(f"skip query: {exc}")
             return EXIT_OK
-        _print_json(
-            {
-                "query": {
-                    "text": perturbed_query.text,
-                    "mentions": [
-                        {
-                            "span": [m.start, m.end],
-                            "param_name": m.param_name,
-                            "tool_name": m.tool_name,
-                            "value_text": m.value_text,
-                        }
-                        for m in perturbed_query.mentions
-                    ],
-                },
-                "record": record.to_json(),
-            }
-        )
+        _print_json({"query": query_to_json(perturbed_query), "record": record.to_json()})
     else:
         if not case.scripted_returns:
             print("skip return: case has no scripted returns")
@@ -135,12 +120,7 @@ def cmd_perturb(args: argparse.Namespace) -> int:
         except PerturbSkip as exc:
             print(f"skip return: {exc}")
             return EXIT_OK
-        shape: dict[str, object]
-        if perturbed_return.raw_text is not None:
-            shape = {"raw_text": perturbed_return.raw_text}
-        else:
-            shape = {"payload": perturbed_return.payload}
-        _print_json({"return": shape, "record": record.to_json()})
+        _print_json({"return": return_to_json(perturbed_return), "record": record.to_json()})
     return EXIT_OK
 
 

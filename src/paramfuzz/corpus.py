@@ -14,6 +14,7 @@ Span offsets are Unicode code points, never bytes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -130,7 +131,15 @@ class ToolDocument:
 
     def __post_init__(self) -> None:
         if not isinstance(self.tool_name, str) or not self.tool_name:
-            raise SchemaViolation("tool_name must be a non-empty string")
+            raise SchemaViolation("tool_name must be a non-empty string", field="tool_name")
+        seen: set[str] = set()
+        for spec in self.parameters:
+            if spec.name in seen:
+                raise SchemaViolation(
+                    f"tool {self.tool_name!r} declares parameter {spec.name!r} more than once",
+                    field="parameters",
+                )
+            seen.add(spec.name)
 
     def param(self, name: str) -> ParameterSpec | None:
         for spec in self.parameters:
@@ -229,7 +238,9 @@ class OracleInvocation:
 
     def __post_init__(self) -> None:
         if not isinstance(self.tool_name, str) or not self.tool_name:
-            raise SchemaViolation("oracle tool_name must be a non-empty string")
+            raise SchemaViolation(
+                "oracle tool_name must be a non-empty string", field="tool_name"
+            )
 
 
 @dataclass(frozen=True)
@@ -305,304 +316,244 @@ class LintFinding:
     message: str
 
 
-def _require_object(value: object, where: str, case_id: str | None = None) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaViolation(
-            f"{where} must be a JSON object, got {json_type_name(value)}",
-            case_id=case_id,
-            field=where,
-        )
+_JSON_TYPES = {
+    "string": (str, "a string"),
+    "boolean": (bool, "a boolean"),
+    "array": (list, "a JSON array"),
+    "object": (dict, "a JSON object"),
+}
+
+
+def _violation(field: str, complaint: str, case_id: str | None) -> SchemaViolation:
+    return SchemaViolation(f"{field} {complaint}", case_id=case_id, field=field)
+
+
+def _expect(jtype: str, value: object, where: str, case_id: str | None = None):
+    """Return a decoded value whose JSON type is jtype; raise naming where."""
+    pytype, noun = _JSON_TYPES[jtype]
+    if type(value) is not pytype:
+        raise _violation(where, f"must be {noun}, got {json_type_name(value)}", case_id)
     return value
 
 
-def _require_list(value: object, where: str, case_id: str | None = None) -> list:
-    if not isinstance(value, list):
-        raise SchemaViolation(
-            f"{where} must be a JSON array, got {json_type_name(value)}",
-            case_id=case_id,
-            field=where,
-        )
-    return value
+_string = functools.partial(_expect, "string")
 
 
-def _require_str(value: object, where: str, case_id: str | None = None) -> str:
-    if not isinstance(value, str):
-        raise SchemaViolation(
-            f"{where} must be a string, got {json_type_name(value)}",
-            case_id=case_id,
-            field=where,
-        )
-    return value
-
-
-def _require_bool(value: object, where: str, case_id: str | None = None) -> bool:
-    if not isinstance(value, bool):
-        raise SchemaViolation(
-            f"{where} must be a boolean, got {json_type_name(value)}",
-            case_id=case_id,
-            field=where,
-        )
-    return value
-
-
-def _check_keys(
-    obj: dict,
-    required: tuple[str, ...],
-    optional: tuple[str, ...],
+def _record(
+    obj: object,
+    keys: tuple[tuple[str, str | None, bool], ...],
     where: str,
     case_id: str | None = None,
-) -> None:
-    for key in required:
-        if key not in obj:
+) -> dict:
+    """Check one record against its key table and return it.
+
+    keys lists (key, JSON type or None for any value, required). The record
+    must be an object that has every required key and no key outside the
+    table, and each key must hold its type. A null optional key counts as
+    absent.
+    """
+    _expect("object", obj, where, case_id)
+    present = 0
+    for key, _, required in keys:
+        if key in obj:
+            present += 1
+        elif required:
             raise SchemaViolation(
-                f"{where} is missing required key {key!r}",
-                case_id=case_id,
-                field=f"{where}.{key}",
+                f"{where} is missing required key {key!r}", case_id=case_id, field=f"{where}.{key}"
             )
-    unknown = sorted(set(obj) - set(required) - set(optional))
-    if unknown:
+    if present != len(obj):
+        unknown = min(set(obj).difference(key for key, _, _ in keys))
         raise SchemaViolation(
-            f"{where} has unknown key {unknown[0]!r}",
-            case_id=case_id,
-            field=f"{where}.{unknown[0]}",
+            f"{where} has unknown key {unknown!r}", case_id=case_id, field=f"{where}.{unknown}"
         )
+    for key, jtype, required in keys:
+        if jtype is not None and (required or obj.get(key) is not None):
+            _expect(jtype, obj[key], f"{where}.{key}", case_id)
+    return obj
 
 
-def _parse_parameter(obj: object, where: str, case_id: str) -> ParameterSpec:
-    obj = _require_object(obj, where, case_id)
-    _check_keys(
-        obj,
-        required=("name", "ptype", "description", "required"),
-        optional=("enum_values", "format", "range", "example"),
-        where=where,
-        case_id=case_id,
-    )
-    name = _require_str(obj["name"], f"{where}.name", case_id)
-    ptype = _require_str(obj["ptype"], f"{where}.ptype", case_id)
-    description = _require_str(obj["description"], f"{where}.description", case_id)
-    required = _require_bool(obj["required"], f"{where}.required", case_id)
-    enum_values: tuple[object, ...] | None = None
-    if obj.get("enum_values") is not None:
-        enum_values = tuple(_require_list(obj["enum_values"], f"{where}.enum_values", case_id))
-    format_pattern: str | None = None
-    if obj.get("format") is not None:
-        format_pattern = _require_str(obj["format"], f"{where}.format", case_id)
-        try:
-            re.compile(format_pattern)
-        except re.error as exc:
-            raise SchemaViolation(
-                f"{where}.format is not a valid regex: {exc}",
-                case_id=case_id,
-                field=f"{where}.format",
-            ) from exc
-    value_range: tuple[float, float] | None = None
-    if obj.get("range") is not None:
-        raw_range = _require_list(obj["range"], f"{where}.range", case_id)
-        if len(raw_range) != 2 or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw_range
-        ):
-            raise SchemaViolation(
-                f"{where}.range must be a [min, max] pair of numbers",
-                case_id=case_id,
-                field=f"{where}.range",
-            )
-        if ptype not in ("integer", "number"):
-            raise SchemaViolation(
-                f"{where}.range is only meaningful for numeric parameters, "
-                f"not ptype {ptype!r}",
-                case_id=case_id,
-                field=f"{where}.range",
-            )
-        value_range = (raw_range[0], raw_range[1])
-    example = obj.get("example")
-    has_example = "example" in obj and obj["example"] is not None
-    if has_example and enum_values is not None:
-        if not any(values_equal(example, member) for member in enum_values):
-            raise SchemaViolation(
-                f"{where}.example {canonical_json(example)} is not an enum member",
-                case_id=case_id,
-                field=f"{where}.example",
-            )
+def _each(items: list, where: str, case_id: str | None, parse) -> tuple:
+    """Parse each item of a checked JSON array, located as where[i]."""
+    return tuple(parse(item, f"{where}[{i}]", case_id) for i, item in enumerate(items))
+
+
+def _build(model, where: str, case_id: str | None, /, **values):
+    """Construct a model, tagging its error with the case.
+
+    A model names its field relative to itself; the reader prefixes the
+    record's location, or gives that location when the model named none.
+    The helper's own parameters are positional-only so that model fields
+    such as TestCase.case_id pass through values.
+    """
     try:
-        return ParameterSpec(
-            name=name,
-            ptype=ptype,
-            description=description,
-            required=required,
-            enum_values=enum_values,
-            format=format_pattern,
-            range=value_range,
-            example=example,
-            has_example=has_example,
-        )
-    except SchemaViolation as exc:
+        return model(**values)
+    except (SchemaViolation, SpanMismatch) as exc:
         exc.case_id = case_id
-        exc.field = where
+        if isinstance(exc, SchemaViolation):
+            exc.field = ".".join(part for part in (where, exc.field) if part) or None
         raise
 
 
-def _parse_tool(obj: object, where: str, case_id: str) -> ToolDocument:
-    obj = _require_object(obj, where, case_id)
-    _check_keys(
-        obj,
-        required=("tool_name", "description", "parameters"),
-        optional=("usage_examples",),
-        where=where,
-        case_id=case_id,
-    )
-    tool_name = _require_str(obj["tool_name"], f"{where}.tool_name", case_id)
-    description = _require_str(obj["description"], f"{where}.description", case_id)
-    raw_params = _require_list(obj["parameters"], f"{where}.parameters", case_id)
-    parameters = tuple(
-        _parse_parameter(raw, f"{where}.parameters[{i}]", case_id)
-        for i, raw in enumerate(raw_params)
-    )
-    names = [p.name for p in parameters]
-    for name in names:
-        if names.count(name) > 1:
-            raise SchemaViolation(
-                f"{where} declares parameter {name!r} more than once",
-                case_id=case_id,
-                field=f"{where}.parameters",
+# Key tables. Most keys are also the field names of the record's model.
+_PARAMETER_KEYS = (
+    ("name", "string", True),
+    ("ptype", "string", True),
+    ("description", "string", True),
+    ("required", "boolean", True),
+    ("enum_values", "array", False),
+    ("format", "string", False),
+    ("range", "array", False),
+    ("example", None, False),
+)
+_TOOL_KEYS = (
+    ("tool_name", "string", True),
+    ("description", "string", True),
+    ("parameters", "array", True),
+    ("usage_examples", "array", False),
+)
+_MENTION_KEYS = (
+    ("span", "array", True),
+    ("param_name", "string", True),
+    ("tool_name", "string", True),
+    ("value_text", "string", True),
+)
+_QUERY_KEYS = (("text", "string", True), ("mentions", "array", True))
+_ORACLE_KEYS = (
+    ("tool_name", "string", True),
+    ("arguments", "object", True),
+    ("needed_params", "array", True),
+)
+_SCRIPTED_RETURN_KEYS = (
+    ("tool_name", "string", True),
+    ("arguments", "object", True),
+    ("return", None, True),
+)
+# The corpus and each case name their values by bare key ("cases",
+# "tools", "solvable"), so the parser checks those types itself.
+_CASE_KEYS = (
+    ("case_id", "string", True),
+    ("query", None, True),
+    ("tools", None, True),
+    ("oracle", None, True),
+    ("solvable", None, True),
+    ("scripted_returns", None, False),
+)
+_CORPUS_KEYS = (("schema_version", None, True), ("cases", None, True))
+
+
+def _parse_parameter(obj: object, where: str, case_id: str) -> ParameterSpec:
+    obj = _record(obj, _PARAMETER_KEYS, where, case_id)
+    if obj.get("format") is not None:
+        try:
+            re.compile(obj["format"])
+        except re.error as exc:
+            raise _violation(f"{where}.format", f"is not a valid regex: {exc}", case_id) from exc
+    value_range = obj.get("range")
+    if value_range is not None:
+        if len(value_range) != 2 or not all(type(v) in (int, float) for v in value_range):
+            raise _violation(f"{where}.range", "must be a [min, max] pair of numbers", case_id)
+        if obj["ptype"] not in ("integer", "number"):
+            raise _violation(
+                f"{where}.range",
+                f"is only meaningful for numeric parameters, not ptype {obj['ptype']!r}",
+                case_id,
             )
-    usage_examples: tuple[str, ...] = ()
-    if obj.get("usage_examples") is not None:
-        usage_examples = tuple(
-            _require_str(raw, f"{where}.usage_examples[{i}]", case_id)
-            for i, raw in enumerate(_require_list(obj["usage_examples"], f"{where}.usage_examples", case_id))
-        )
-    return ToolDocument(
-        tool_name=tool_name,
-        description=description,
-        parameters=parameters,
-        usage_examples=usage_examples,
+        value_range = tuple(value_range)
+    enum_values = obj.get("enum_values")
+    if enum_values is not None:
+        enum_values = tuple(enum_values)
+    example = obj.get("example")
+    if example is not None and enum_values is not None:
+        if not any(values_equal(example, member) for member in enum_values):
+            raise _violation(
+                f"{where}.example", f"{canonical_json(example)} is not an enum member", case_id
+            )
+    has_example = example is not None
+    return _build(
+        ParameterSpec,
+        where,
+        case_id,
+        **{**obj, "enum_values": enum_values, "range": value_range, "has_example": has_example},
+    )
+
+
+def _parse_tool(obj: object, where: str, case_id: str) -> ToolDocument:
+    obj = _record(obj, _TOOL_KEYS, where, case_id)
+    parameters = _each(obj["parameters"], f"{where}.parameters", case_id, _parse_parameter)
+    examples = _each(obj.get("usage_examples") or [], f"{where}.usage_examples", case_id, _string)
+    return _build(
+        ToolDocument, where, case_id, **{**obj, "parameters": parameters, "usage_examples": examples}
     )
 
 
 def _parse_mention(obj: object, where: str, case_id: str) -> Mention:
-    obj = _require_object(obj, where, case_id)
-    _check_keys(
-        obj,
-        required=("span", "param_name", "tool_name", "value_text"),
-        optional=(),
-        where=where,
-        case_id=case_id,
+    obj = _record(obj, _MENTION_KEYS, where, case_id)
+    span = obj["span"]
+    if len(span) != 2 or not all(type(v) is int for v in span):
+        raise _violation(f"{where}.span", "must be a [start, end) pair of integers", case_id)
+    return _build(
+        Mention,
+        where,
+        case_id,
+        start=span[0],
+        end=span[1],
+        param_name=obj["param_name"],
+        tool_name=obj["tool_name"],
+        value_text=obj["value_text"],
     )
-    span = _require_list(obj["span"], f"{where}.span", case_id)
-    if len(span) != 2 or not all(isinstance(v, int) and not isinstance(v, bool) for v in span):
-        raise SchemaViolation(
-            f"{where}.span must be a [start, end) pair of integers",
-            case_id=case_id,
-            field=f"{where}.span",
-        )
-    try:
-        return Mention(
-            start=span[0],
-            end=span[1],
-            param_name=_require_str(obj["param_name"], f"{where}.param_name", case_id),
-            tool_name=_require_str(obj["tool_name"], f"{where}.tool_name", case_id),
-            value_text=_require_str(obj["value_text"], f"{where}.value_text", case_id),
-        )
-    except SpanMismatch as exc:
-        exc.case_id = case_id
-        raise
 
 
 def _parse_query(obj: object, case_id: str) -> AnnotatedQuery:
-    obj = _require_object(obj, "query", case_id)
-    _check_keys(obj, required=("text", "mentions"), optional=(), where="query", case_id=case_id)
-    text = _require_str(obj["text"], "query.text", case_id)
-    mentions = tuple(
-        _parse_mention(raw, f"query.mentions[{i}]", case_id)
-        for i, raw in enumerate(_require_list(obj["mentions"], "query.mentions", case_id))
-    )
-    try:
-        return AnnotatedQuery(text=text, mentions=mentions)
-    except (SpanMismatch, SchemaViolation) as exc:
-        exc.case_id = case_id
-        raise
-
-
-def _parse_arguments(obj: object, where: str, case_id: str) -> dict[str, object]:
-    obj = _require_object(obj, where, case_id)
-    return dict(obj)
+    obj = _record(obj, _QUERY_KEYS, "query", case_id)
+    mentions = _each(obj["mentions"], "query.mentions", case_id, _parse_mention)
+    # Span-order errors concern the mentions as a whole and name no field.
+    return _build(AnnotatedQuery, "", case_id, text=obj["text"], mentions=mentions)
 
 
 def _parse_oracle_invocation(obj: object, where: str, case_id: str) -> OracleInvocation:
-    obj = _require_object(obj, where, case_id)
-    _check_keys(
-        obj,
-        required=("tool_name", "arguments", "needed_params"),
-        optional=(),
-        where=where,
-        case_id=case_id,
-    )
-    needed = _require_list(obj["needed_params"], f"{where}.needed_params", case_id)
-    return OracleInvocation(
-        tool_name=_require_str(obj["tool_name"], f"{where}.tool_name", case_id),
-        arguments=_parse_arguments(obj["arguments"], f"{where}.arguments", case_id),
-        needed_params=frozenset(
-            _require_str(raw, f"{where}.needed_params[{i}]", case_id)
-            for i, raw in enumerate(needed)
-        ),
-    )
+    obj = _record(obj, _ORACLE_KEYS, where, case_id)
+    needed = _each(obj["needed_params"], f"{where}.needed_params", case_id, _string)
+    return _build(OracleInvocation, where, case_id, **{**obj, "needed_params": frozenset(needed)})
 
 
 def _parse_tool_return(obj: object, where: str, case_id: str) -> ToolReturn:
-    obj = _require_object(obj, where, case_id)
-    if set(obj) == {"payload"}:
-        return ToolReturn(payload=obj["payload"])
+    _expect("object", obj, where, case_id)
     if set(obj) == {"raw_text"}:
-        return ToolReturn(raw_text=_require_str(obj["raw_text"], f"{where}.raw_text", case_id))
-    raise SchemaViolation(
-        f"{where} must have exactly one of the keys 'payload' or 'raw_text'",
-        case_id=case_id,
-        field=where,
-    )
+        _expect("string", obj["raw_text"], f"{where}.raw_text", case_id)
+    elif set(obj) != {"payload"}:
+        raise _violation(where, "must have exactly one of the keys 'payload' or 'raw_text'", case_id)
+    return _build(ToolReturn, where, case_id, **obj)
 
 
 def _parse_scripted_return(obj: object, where: str, case_id: str) -> ScriptedReturn:
-    obj = _require_object(obj, where, case_id)
-    _check_keys(
-        obj,
-        required=("tool_name", "arguments", "return"),
-        optional=(),
-        where=where,
-        case_id=case_id,
-    )
-    return ScriptedReturn(
-        tool_name=_require_str(obj["tool_name"], f"{where}.tool_name", case_id),
-        arguments=_parse_arguments(obj["arguments"], f"{where}.arguments", case_id),
-        value=_parse_tool_return(obj["return"], f"{where}.return", case_id),
+    obj = _record(obj, _SCRIPTED_RETURN_KEYS, where, case_id)
+    value = _parse_tool_return(obj["return"], f"{where}.return", case_id)
+    return _build(
+        ScriptedReturn,
+        where,
+        case_id,
+        tool_name=obj["tool_name"],
+        arguments=obj["arguments"],
+        value=value,
     )
 
 
 def _parse_case(obj: object, index: int) -> TestCase:
-    obj = _require_object(obj, f"cases[{index}]")
-    case_id_raw = obj.get("case_id")
-    case_id = case_id_raw if isinstance(case_id_raw, str) and case_id_raw else f"cases[{index}]"
-    _check_keys(
-        obj,
-        required=("case_id", "query", "tools", "oracle", "solvable"),
-        optional=("scripted_returns",),
-        where=f"cases[{index}]",
-        case_id=case_id,
-    )
-    _require_str(obj["case_id"], f"cases[{index}].case_id", case_id)
-    tools = tuple(
-        _parse_tool(raw, f"tools[{i}]", case_id)
-        for i, raw in enumerate(_require_list(obj["tools"], "tools", case_id))
-    )
-    oracle = tuple(
-        _parse_oracle_invocation(raw, f"oracle[{i}]", case_id)
-        for i, raw in enumerate(_require_list(obj["oracle"], "oracle", case_id))
-    )
+    where = f"cases[{index}]"
+    case_id = None
+    if isinstance(obj, dict):
+        raw_id = obj.get("case_id")
+        case_id = raw_id if isinstance(raw_id, str) and raw_id else where
+    obj = _record(obj, _CASE_KEYS, where, case_id)
+
+    def items(key, parse):
+        return _each(_expect("array", obj[key], key, case_id), key, case_id, parse)
+
+    tools = items("tools", _parse_tool)
+    oracle = items("oracle", _parse_oracle_invocation)
     scripted: tuple[ScriptedReturn, ...] = ()
     if obj.get("scripted_returns") is not None:
-        scripted = tuple(
-            _parse_scripted_return(raw, f"scripted_returns[{i}]", case_id)
-            for i, raw in enumerate(_require_list(obj["scripted_returns"], "scripted_returns", case_id))
-        )
+        scripted = items("scripted_returns", _parse_scripted_return)
     seen_scripts: set[tuple[str, str]] = set()
     for entry in scripted:
         key = (entry.tool_name, canonical_args_hash(entry.arguments))
@@ -614,19 +565,18 @@ def _parse_case(obj: object, index: int) -> TestCase:
                 field="scripted_returns",
             )
         seen_scripts.add(key)
-    try:
-        return TestCase(
-            case_id=obj["case_id"],
-            query=_parse_query(obj["query"], case_id),
-            tools=tools,
-            oracle=oracle,
-            scripted_returns=scripted,
-            solvable=_require_bool(obj["solvable"], "solvable", case_id),
-        )
-    except SchemaViolation as exc:
-        if exc.case_id is None:
-            exc.case_id = case_id
-        raise
+    # Case-level errors name their fields relative to the case already.
+    return _build(
+        TestCase,
+        "",
+        case_id,
+        case_id=obj["case_id"],
+        query=_parse_query(obj["query"], case_id),
+        tools=tools,
+        oracle=oracle,
+        scripted_returns=scripted,
+        solvable=_expect("boolean", obj["solvable"], "solvable", case_id),
+    )
 
 
 def parse_corpus(raw: bytes | str) -> list[TestCase]:
@@ -654,8 +604,7 @@ def parse_corpus(raw: bytes | str) -> list[TestCase]:
             f"corpus is not valid JSON at byte {byte_offset}: {exc.msg}",
             byte_offset=byte_offset,
         ) from exc
-    document = _require_object(document, "corpus")
-    _check_keys(document, required=("schema_version", "cases"), optional=(), where="corpus")
+    document = _record(document, _CORPUS_KEYS, "corpus")
     if document["schema_version"] != SCHEMA_VERSION:
         raise SchemaViolation(
             f"unsupported schema_version {document['schema_version']!r}; "
@@ -664,7 +613,7 @@ def parse_corpus(raw: bytes | str) -> list[TestCase]:
         )
     cases = [
         _parse_case(raw_case, index)
-        for index, raw_case in enumerate(_require_list(document["cases"], "cases"))
+        for index, raw_case in enumerate(_expect("array", document["cases"], "cases"))
     ]
     seen_ids: set[str] = set()
     for case in cases:
@@ -715,7 +664,8 @@ def _parameter_to_json(spec: ParameterSpec) -> dict[str, object]:
     return out
 
 
-def _tool_to_json(tool: ToolDocument) -> dict[str, object]:
+def tool_to_json(tool: ToolDocument) -> dict[str, object]:
+    """Convert one tool document to its corpus-JSON shape."""
     return {
         "tool_name": tool.tool_name,
         "description": tool.description,
@@ -724,39 +674,35 @@ def _tool_to_json(tool: ToolDocument) -> dict[str, object]:
     }
 
 
-def _return_to_json(value: ToolReturn) -> dict[str, object]:
+def query_to_json(query: AnnotatedQuery) -> dict[str, object]:
+    """Convert one annotated query to its corpus-JSON shape."""
+    return {
+        "text": query.text,
+        "mentions": [
+            {
+                "span": [m.start, m.end],
+                "param_name": m.param_name,
+                "tool_name": m.tool_name,
+                "value_text": m.value_text,
+            }
+            for m in query.mentions
+        ],
+    }
+
+
+def return_to_json(value: ToolReturn) -> dict[str, object]:
+    """Convert one tool return to its corpus-JSON shape."""
     if value.raw_text is not None:
         return {"raw_text": value.raw_text}
     return {"payload": value.payload}
-
-
-def tool_to_json(tool: ToolDocument) -> dict[str, object]:
-    """Convert one tool document to its corpus-JSON shape."""
-    return _tool_to_json(tool)
-
-
-def tool_from_json(obj: object) -> ToolDocument:
-    """Parse one tool document from its corpus-JSON shape."""
-    return _parse_tool(obj, "tool", case_id="(standalone)")
 
 
 def case_to_json(case: TestCase) -> dict[str, object]:
     """Convert one case back to its corpus-JSON shape."""
     return {
         "case_id": case.case_id,
-        "query": {
-            "text": case.query.text,
-            "mentions": [
-                {
-                    "span": [m.start, m.end],
-                    "param_name": m.param_name,
-                    "tool_name": m.tool_name,
-                    "value_text": m.value_text,
-                }
-                for m in case.query.mentions
-            ],
-        },
-        "tools": [_tool_to_json(t) for t in case.tools],
+        "query": query_to_json(case.query),
+        "tools": [tool_to_json(t) for t in case.tools],
         "oracle": [
             {
                 "tool_name": inv.tool_name,
@@ -769,7 +715,7 @@ def case_to_json(case: TestCase) -> dict[str, object]:
             {
                 "tool_name": entry.tool_name,
                 "arguments": entry.arguments,
-                "return": _return_to_json(entry.value),
+                "return": return_to_json(entry.value),
             }
             for entry in case.scripted_returns
         ],

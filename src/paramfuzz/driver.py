@@ -26,8 +26,11 @@ from paramfuzz.corpus import (
     TestCase,
     ToolDocument,
     ToolReturn,
+    _build,
+    _each,
+    _expect,
+    _record,
     canonical_json,
-    tool_from_json,
     tool_to_json,
 )
 from paramfuzz.errors import (
@@ -118,7 +121,6 @@ class AgentContext:
     query: str
     tools: tuple[ToolDocument, ...]
     history: tuple[tuple[str, ObservedInvocation, str], ...] = ()
-    max_observation_length: int = DEFAULT_MAX_OBSERVATION_LENGTH
 
 
 @dataclass(frozen=True)
@@ -140,6 +142,30 @@ class AgentStep:
         return self.final_answer is not None
 
 
+_STEP_KEYS = (
+    ("thought", "string", False),
+    ("action", "object", False),
+    ("final_answer", "string", False),
+)
+_ACTION_KEYS = (("tool_name", "string", True), ("arguments", "object", True))
+
+
+def _parse_step(obj: object, where: str, case_id: str | None) -> AgentStep:
+    obj = _record(obj, _STEP_KEYS, where, case_id)
+    invocation = None
+    if obj.get("action") is not None:
+        action = _record(obj["action"], _ACTION_KEYS, f"{where}.action", case_id)
+        invocation = ObservedInvocation.of(action["tool_name"], action["arguments"])
+    return _build(
+        AgentStep,
+        where,
+        case_id,
+        thought=obj.get("thought") or "",
+        invocation=invocation,
+        final_answer=obj.get("final_answer"),
+    )
+
+
 @dataclass(frozen=True)
 class ScriptedBehavior:
     """A pre-written sequence of agent steps ending in a final answer."""
@@ -158,26 +184,11 @@ class ScriptedBehavior:
                 )
 
     @classmethod
-    def from_json(cls, steps: list[dict[str, object]]) -> "ScriptedBehavior":
-        parsed = []
-        for raw in steps:
-            thought = str(raw.get("thought", ""))
-            if "final_answer" in raw:
-                parsed.append(AgentStep(thought=thought, final_answer=str(raw["final_answer"])))
-            else:
-                action = raw["action"]
-                if not isinstance(action, dict):
-                    raise SchemaViolation("scripted action must be an object")
-                parsed.append(
-                    AgentStep(
-                        thought=thought,
-                        invocation=ObservedInvocation.of(
-                            str(action["tool_name"]),
-                            dict(action["arguments"]),  # type: ignore[arg-type]
-                        ),
-                    )
-                )
-        return cls(steps=tuple(parsed))
+    def from_json(cls, steps: object, where: str = "script") -> "ScriptedBehavior":
+        """Parse a script: a JSON array of steps, each a thought plus
+        exactly one of an action or a final answer."""
+        parsed = _each(_expect("array", steps, where), where, None, _parse_step)
+        return _build(cls, where, None, steps=parsed)
 
     @classmethod
     def replaying(cls, case: TestCase, answer: str = "Done.") -> "ScriptedBehavior":
@@ -219,11 +230,6 @@ def render_function_declarations(tools: list[ToolDocument] | tuple[ToolDocument,
     return json.dumps([tool_to_json(t) for t in tools], indent=2, ensure_ascii=False)
 
 
-def parse_function_declarations(text: str) -> list[ToolDocument]:
-    """Inverse of render_function_declarations (round-trip exact)."""
-    return [tool_from_json(obj) for obj in json.loads(text)]
-
-
 @dataclass(frozen=True)
 class EndpointConfig:
     """Connection settings for the chat-completions driver."""
@@ -231,8 +237,6 @@ class EndpointConfig:
     base_url: str
     model: str
     temperature: float = 0.0
-    max_steps: int = DEFAULT_STEP_LIMIT
-    workers: int = 2
     rate_per_minute: float = 60.0
     credential_env: str = "OPENAI_API_KEY"
     timeout_s: float = 60.0
@@ -567,7 +571,6 @@ def run_case(
                 for s in steps
                 if s.invocation is not None and s.observation is not None
             ),
-            max_observation_length=max_observation_length,
         )
         step = driver.next_step(ctx)
         if step.is_final:

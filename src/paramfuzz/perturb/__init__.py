@@ -87,7 +87,6 @@ def apply_document_operator(
     *,
     seed: int = 0,
     donors: list[ToolDocument] | None = None,
-    sd_pair: tuple[int, int] | None = None,
 ) -> tuple[ToolDocument, PerturbationRecord]:
     """Apply one document operator by id."""
     if operator == "RD":
@@ -97,7 +96,7 @@ def apply_document_operator(
     if operator == "WD":
         return substitute_foreign_descriptions(doc, donors or [], seed)
     if operator == "SD":
-        return swap_descriptions(doc, sd_pair)
+        return swap_descriptions(doc)
     if operator == "CO":
         return shuffle_descriptions(doc, seed)
     if operator == "WT":

@@ -177,6 +177,36 @@ class TestRunPipeline:
         assert code == EXIT_CAMPAIGN
 
 
+_FINAL = {"thought": "done", "final_answer": "Done."}
+
+
+class TestMalformedScriptBook:
+    @pytest.mark.parametrize(
+        "script",
+        [
+            pytest.param([{"thought": "hmm"}], id="step_without_action_or_answer"),
+            pytest.param([{"action": {"tool_name": "searcher"}}, _FINAL], id="action_without_arguments"),
+            pytest.param(
+                [{"action": {"tool_name": "searcher", "arguments": "query=x"}}, _FINAL],
+                id="arguments_as_string",
+            ),
+            pytest.param({"steps": [_FINAL]}, id="script_is_an_object"),
+            pytest.param(["Done.", _FINAL], id="step_is_a_string"),
+        ],
+    )
+    def test_run_exits_with_a_validation_error(self, clean_corpus, tmp_path, capsys, script):
+        scripts = tmp_path / "scripts.json"
+        scripts.write_text(json.dumps({"scripts": {"k1": script}}), encoding="utf-8")
+        code = main(
+            ["run", "--corpus", clean_corpus, "--scripts", str(scripts),
+             "--out", str(tmp_path / "o"), "--operators", "RD"]
+        )
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ")
+        assert "Traceback" not in err
+
+
 class TestDemo:
     def test_demo_passes_five_of_five(self, capsys):
         assert main(["demo"]) == EXIT_OK
@@ -188,10 +218,19 @@ class TestDemo:
 
 class TestEntryPoint:
     def test_console_script_is_installed(self):
+        import os
         import subprocess
+        import sys
+        from pathlib import Path
 
+        import paramfuzz
+
+        src = str(Path(paramfuzz.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         result = subprocess.run(
-            ["paramfuzz", "--version"], capture_output=True, text=True
+            [sys.executable, "-m", "paramfuzz", "--version"], capture_output=True, text=True, env=env
         )
         assert result.returncode == 0
-        assert result.stdout.startswith("paramfuzz ")
+        assert result.stdout == "paramfuzz 0.1.0\n"
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        assert '[project.scripts]\nparamfuzz = "paramfuzz.cli:main"\n' in pyproject

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import make_case, make_param, make_query, make_tool, scripted_return
+from conftest import make_case, make_param, make_query, make_tool, random_tool, scripted_return
 from paramfuzz.corpus import (
     AnnotatedQuery,
     Mention,
@@ -18,8 +18,6 @@ from paramfuzz.corpus import (
     lint_case,
     parse_corpus,
     serialize_corpus,
-    tool_from_json,
-    tool_to_json,
     values_equal,
     violations_against_spec,
 )
@@ -100,7 +98,14 @@ class TestModelInvariants:
 
     def test_tool_requires_unique_param_names(self):
         with pytest.raises(SchemaViolation):
-            make_case(tools=(make_tool(parameters=(make_param("a"), make_param("a"))),))
+            make_case(
+                tools=(make_tool(parameters=(make_param("a"), make_param("a"))),),
+                oracle=(
+                    OracleInvocation(
+                        tool_name="searcher", arguments={"a": "x"}, needed_params=frozenset({"a"})
+                    ),
+                ),
+            )
 
     def test_case_rejects_oracle_for_unknown_tool(self):
         with pytest.raises(SchemaViolation):
@@ -197,8 +202,10 @@ class TestParseAndSerialize:
         assert "searcher" in str(err.value)
 
     def test_tool_json_round_trip(self):
-        tool = make_tool()
-        assert tool_from_json(tool_to_json(tool)) == tool
+        rng = random.Random(99)
+        tools = tuple(random_tool(rng, name=f"tool_{i}") for i in range(4))
+        case = make_case(tools=tools, oracle=())
+        assert parse_corpus(serialize_corpus([case]))[0].tools == tools
 
     def test_example_must_be_enum_member(self):
         obj = json.loads(self.corpus_text())
@@ -357,3 +364,317 @@ class TestShippedCorpora:
         for case in cases:
             assert lint_case(case) == []
         assert serialize_corpus(cases) == text
+
+
+# ------------------------------------------------------------ golden errors
+#
+# Each mutation plants one defect in the first demo case (or the document
+# around it) and pins the exact error the reader reports: exception type,
+# message, field and case_id.
+
+def _demo_document():
+    import importlib.resources
+
+    root = importlib.resources.files("paramfuzz").joinpath("data", "demo")
+    return json.loads((root / "corpus.json").read_text(encoding="utf-8"))
+
+
+def _walk(doc, path):
+    *parents, last = [int(p) if p.isdigit() else p for p in path.split(".")]
+    for key in parents:
+        doc = doc[key]
+    return doc, last
+
+
+def _set(path, value):
+    def mutate(doc):
+        parent, key = _walk(doc, path)
+        parent[key] = value
+    return mutate
+
+
+def _drop(path):
+    def mutate(doc):
+        parent, key = _walk(doc, path)
+        del parent[key]
+    return mutate
+
+
+def _update(path, **fields):
+    def mutate(doc):
+        parent, key = _walk(doc, path)
+        parent[key].update(fields)
+    return mutate
+
+
+def _append(path, make):
+    def mutate(doc):
+        parent, key = _walk(doc, path)
+        parent[key].append(make(doc))
+    return mutate
+
+
+C = "cases.0"
+T = "cases.0.tools.0"
+P0 = T + ".parameters.0"
+P1 = T + ".parameters.1"
+Q = "cases.0.query"
+M = Q + ".mentions.0"
+O = "cases.0.oracle.0"
+S0 = "cases.0.scripted_returns.0"
+S1 = "cases.0.scripted_returns.1"
+
+
+def _redefined_tool_case(doc):
+    copy = json.loads(json.dumps(doc["cases"][0]))
+    copy["case_id"] = "d1_copy"
+    copy["tools"][0]["description"] = "Something else."
+    return copy
+
+
+MUTATIONS = {
+    "corpus_not_object": lambda doc: [doc],
+    "corpus_missing_cases": _drop("cases"),
+    "corpus_missing_schema_version": _drop("schema_version"),
+    "corpus_unknown_key": _set("extra", 1),
+    "corpus_cases_not_array": _set("cases", {}),
+    "corpus_schema_version_2": _set("schema_version", 2),
+    "corpus_duplicate_case_id": _set("cases.1.case_id", "d1_unknown_kwarg"),
+    "corpus_tool_redefined": _append("cases", _redefined_tool_case),
+    "case_not_object": _set(C, "d1"),
+    "case_missing_case_id": _drop(C + ".case_id"),
+    "case_missing_query": _drop(C + ".query"),
+    "case_missing_tools": _drop(C + ".tools"),
+    "case_missing_oracle": _drop(C + ".oracle"),
+    "case_missing_solvable": _drop(C + ".solvable"),
+    "case_unknown_key": _set(C + ".color", "red"),
+    "case_id_not_string": _set(C + ".case_id", 5),
+    "case_id_empty": _set(C + ".case_id", ""),
+    "case_query_not_object": _set(Q, []),
+    "case_tools_not_array": _set(C + ".tools", {}),
+    "case_oracle_not_array": _set(C + ".oracle", "get_threads"),
+    "case_scripted_not_array": _set(C + ".scripted_returns", {}),
+    "case_solvable_not_bool": _set(C + ".solvable", "yes"),
+    "case_duplicate_tool": _append(C + ".tools", lambda doc: doc["cases"][0]["tools"][0]),
+    "case_oracle_unknown_tool": _set(O + ".tool_name", "ghost"),
+    "case_oracle_undeclared_arg": _set(O + ".arguments.page_size", "5"),
+    "case_duplicate_scripted_return": _set(S0 + ".arguments", {"board": "mu"}),
+    "tool_not_object": _set(T, "get_threads"),
+    "tool_missing_tool_name": _drop(T + ".tool_name"),
+    "tool_missing_description": _drop(T + ".description"),
+    "tool_missing_parameters": _drop(T + ".parameters"),
+    "tool_unknown_key": _set(T + ".color", "red"),
+    "tool_name_not_string": _set(T + ".tool_name", 5),
+    "tool_description_null": _set(T + ".description", None),
+    "tool_parameters_not_array": _set(T + ".parameters", {}),
+    "tool_usage_examples_not_array": _set(T + ".usage_examples", "get_threads()"),
+    "tool_usage_example_not_string": _set(T + ".usage_examples.0", 5),
+    "tool_name_empty": _set(T + ".tool_name", ""),
+    "tool_duplicate_parameter": _append(T + ".parameters", lambda doc: doc["cases"][0]["tools"][0]["parameters"][0]),
+    "param_not_object": _set(P0, "board"),
+    "param_missing_name": _drop(P0 + ".name"),
+    "param_missing_ptype": _drop(P0 + ".ptype"),
+    "param_missing_description": _drop(P0 + ".description"),
+    "param_missing_required": _drop(P0 + ".required"),
+    "param_unknown_key": _set(P0 + ".default", "mu"),
+    "param_name_not_string": _set(P0 + ".name", 5),
+    "param_ptype_not_string": _set(P0 + ".ptype", ["string"]),
+    "param_description_not_string": _set(P0 + ".description", 5),
+    "param_required_not_bool": _set(P0 + ".required", 1),
+    "param_enum_not_array": _set(P1 + ".enum_values", "bump"),
+    "param_format_not_string": _set(P0 + ".format", 5),
+    "param_range_not_array": _set(P0 + ".range", "1-2"),
+    "param_name_empty": _set(P0 + ".name", ""),
+    "param_unknown_ptype": _set(P0 + ".ptype", "text"),
+    "param_empty_enum": _set(P1 + ".enum_values", []),
+    "param_format_bad_regex": _set(P0 + ".format", "("),
+    "param_range_not_pair": _set(P0 + ".range", [1]),
+    "param_range_not_numbers": _set(P0 + ".range", ["a", "b"]),
+    "param_range_bool": _set(P0 + ".range", [True, 2]),
+    "param_range_on_string": _set(P0 + ".range", [1, 2]),
+    "param_range_inverted": _update(P0, ptype="integer", range=[9, 1]),
+    "param_example_not_in_enum": _set(P1 + ".example", "top"),
+    "query_missing_text": _drop(Q + ".text"),
+    "query_missing_mentions": _drop(Q + ".mentions"),
+    "query_unknown_key": _set(Q + ".lang", "en"),
+    "query_text_not_string": _set(Q + ".text", 5),
+    "query_mentions_not_array": _set(Q + ".mentions", {}),
+    "mention_not_object": _set(M, "mu"),
+    "mention_missing_span": _drop(M + ".span"),
+    "mention_missing_param_name": _drop(M + ".param_name"),
+    "mention_missing_tool_name": _drop(M + ".tool_name"),
+    "mention_missing_value_text": _drop(M + ".value_text"),
+    "mention_unknown_key": _set(M + ".note", "x"),
+    "mention_span_not_array": _set(M + ".span", "32"),
+    "mention_param_name_not_string": _set(M + ".param_name", 5),
+    "mention_tool_name_not_string": _set(M + ".tool_name", 5),
+    "mention_value_text_not_string": _set(M + ".value_text", 5),
+    "mention_span_not_pair": _set(M + ".span", [32]),
+    "mention_span_floats": _set(M + ".span", [32.0, 34]),
+    "mention_span_empty": _set(M + ".span", [32, 32]),
+    "mention_span_text_mismatch": _set(M + ".span", [31, 33]),
+    "mention_span_past_end": _set(M + ".span", [32, 99]),
+    "mention_overlap": _append(Q + ".mentions", lambda doc: {
+        "span": [33, 34], "param_name": "board", "tool_name": "get_threads", "value_text": "u"}),
+    "oracle_not_object": _set(O, "get_threads"),
+    "oracle_missing_tool_name": _drop(O + ".tool_name"),
+    "oracle_missing_arguments": _drop(O + ".arguments"),
+    "oracle_missing_needed_params": _drop(O + ".needed_params"),
+    "oracle_unknown_key": _set(O + ".why", "x"),
+    "oracle_tool_name_not_string": _set(O + ".tool_name", 5),
+    "oracle_arguments_not_object": _set(O + ".arguments", []),
+    "oracle_needed_not_array": _set(O + ".needed_params", "board"),
+    "oracle_needed_item_not_string": _set(O + ".needed_params.0", 5),
+    "oracle_tool_name_empty": _set(O + ".tool_name", ""),
+    "scripted_not_object": _set(S0, None),
+    "scripted_missing_tool_name": _drop(S0 + ".tool_name"),
+    "scripted_missing_arguments": _drop(S0 + ".arguments"),
+    "scripted_missing_return": _drop(S0 + ".return"),
+    "scripted_unknown_key": _set(S0 + ".delay", 1),
+    "scripted_tool_name_not_string": _set(S0 + ".tool_name", 5),
+    "scripted_arguments_not_object": _set(S0 + ".arguments", "board=mu"),
+    "return_not_object": _set(S1 + ".return", []),
+    "return_both_keys": _set(S0 + ".return.payload", {}),
+    "return_no_key": _set(S1 + ".return", {}),
+    "return_unknown_key": _set(S1 + ".return.status", 200),
+    "return_raw_text_not_string": _set(S0 + ".return.raw_text", 5),
+    "return_raw_text_null": _set(S0 + ".return.raw_text", None),
+}
+
+GOLDEN = {
+    "case_duplicate_scripted_return": ("SchemaViolation", "duplicate scripted return for tool 'get_threads' with identical arguments", "scripted_returns", "d1_unknown_kwarg"),
+    "case_duplicate_tool": ("SchemaViolation", "tool 'get_threads' appears twice in case 'd1_unknown_kwarg'", None, "d1_unknown_kwarg"),
+    "case_id_empty": ("SchemaViolation", "case_id must be a non-empty string", None, "cases[0]"),
+    "case_id_not_string": ("SchemaViolation", "cases[0].case_id must be a string, got integer", "cases[0].case_id", "cases[0]"),
+    "case_missing_case_id": ("SchemaViolation", "cases[0] is missing required key 'case_id'", "cases[0].case_id", "cases[0]"),
+    "case_missing_oracle": ("SchemaViolation", "cases[0] is missing required key 'oracle'", "cases[0].oracle", "d1_unknown_kwarg"),
+    "case_missing_query": ("SchemaViolation", "cases[0] is missing required key 'query'", "cases[0].query", "d1_unknown_kwarg"),
+    "case_missing_solvable": ("SchemaViolation", "cases[0] is missing required key 'solvable'", "cases[0].solvable", "d1_unknown_kwarg"),
+    "case_missing_tools": ("SchemaViolation", "cases[0] is missing required key 'tools'", "cases[0].tools", "d1_unknown_kwarg"),
+    "case_not_object": ("SchemaViolation", "cases[0] must be a JSON object, got string", "cases[0]", None),
+    "case_oracle_not_array": ("SchemaViolation", "oracle must be a JSON array, got string", "oracle", "d1_unknown_kwarg"),
+    "case_oracle_undeclared_arg": ("SchemaViolation", "oracle step 0 passes 'page_size', which 'get_threads' does not declare", "oracle[0].arguments.page_size", "d1_unknown_kwarg"),
+    "case_oracle_unknown_tool": ("SchemaViolation", "oracle step 0 calls unknown tool 'ghost'", "oracle[0].tool_name", "d1_unknown_kwarg"),
+    "case_query_not_object": ("SchemaViolation", "query must be a JSON object, got array", "query", "d1_unknown_kwarg"),
+    "case_scripted_not_array": ("SchemaViolation", "scripted_returns must be a JSON array, got object", "scripted_returns", "d1_unknown_kwarg"),
+    "case_solvable_not_bool": ("SchemaViolation", "solvable must be a boolean, got string", "solvable", "d1_unknown_kwarg"),
+    "case_tools_not_array": ("SchemaViolation", "tools must be a JSON array, got object", "tools", "d1_unknown_kwarg"),
+    "case_unknown_key": ("SchemaViolation", "cases[0] has unknown key 'color'", "cases[0].color", "d1_unknown_kwarg"),
+    "corpus_cases_not_array": ("SchemaViolation", "cases must be a JSON array, got object", "cases", None),
+    "corpus_duplicate_case_id": ("SchemaViolation", "case_id 'd1_unknown_kwarg' appears more than once", "case_id", "d1_unknown_kwarg"),
+    "corpus_missing_cases": ("SchemaViolation", "corpus is missing required key 'cases'", "corpus.cases", None),
+    "corpus_missing_schema_version": ("SchemaViolation", "corpus is missing required key 'schema_version'", "corpus.schema_version", None),
+    "corpus_not_object": ("SchemaViolation", "corpus must be a JSON object, got array", "corpus", None),
+    "corpus_schema_version_2": ("SchemaViolation", "unsupported schema_version 2; this reader understands 1", "schema_version", None),
+    "corpus_tool_redefined": ("SchemaViolation", "tool 'get_threads' is defined twice with different documents; a name must mean one document corpus-wide", "tools", "d1_copy"),
+    "corpus_unknown_key": ("SchemaViolation", "corpus has unknown key 'extra'", "corpus.extra", None),
+    "mention_missing_param_name": ("SchemaViolation", "query.mentions[0] is missing required key 'param_name'", "query.mentions[0].param_name", "d1_unknown_kwarg"),
+    "mention_missing_span": ("SchemaViolation", "query.mentions[0] is missing required key 'span'", "query.mentions[0].span", "d1_unknown_kwarg"),
+    "mention_missing_tool_name": ("SchemaViolation", "query.mentions[0] is missing required key 'tool_name'", "query.mentions[0].tool_name", "d1_unknown_kwarg"),
+    "mention_missing_value_text": ("SchemaViolation", "query.mentions[0] is missing required key 'value_text'", "query.mentions[0].value_text", "d1_unknown_kwarg"),
+    "mention_not_object": ("SchemaViolation", "query.mentions[0] must be a JSON object, got string", "query.mentions[0]", "d1_unknown_kwarg"),
+    "mention_overlap": ("SchemaViolation", "mention span [33, 34) overlaps or precedes an earlier mention; spans must be sorted and disjoint", None, "d1_unknown_kwarg"),
+    "mention_param_name_not_string": ("SchemaViolation", "query.mentions[0].param_name must be a string, got integer", "query.mentions[0].param_name", "d1_unknown_kwarg"),
+    "mention_span_empty": ("SpanMismatch", "span [32, 32) is empty or negative", None, "d1_unknown_kwarg"),
+    "mention_span_floats": ("SchemaViolation", "query.mentions[0].span must be a [start, end) pair of integers", "query.mentions[0].span", "d1_unknown_kwarg"),
+    "mention_span_not_array": ("SchemaViolation", "query.mentions[0].span must be a JSON array, got string", "query.mentions[0].span", "d1_unknown_kwarg"),
+    "mention_span_not_pair": ("SchemaViolation", "query.mentions[0].span must be a [start, end) pair of integers", "query.mentions[0].span", "d1_unknown_kwarg"),
+    "mention_span_past_end": ("SpanMismatch", "span [32, 99) runs past the end of the query (41 code points)", None, "d1_unknown_kwarg"),
+    "mention_span_text_mismatch": ("SpanMismatch", "span [31, 33) covers ' m', not the annotated value 'mu'", None, "d1_unknown_kwarg"),
+    "mention_tool_name_not_string": ("SchemaViolation", "query.mentions[0].tool_name must be a string, got integer", "query.mentions[0].tool_name", "d1_unknown_kwarg"),
+    "mention_unknown_key": ("SchemaViolation", "query.mentions[0] has unknown key 'note'", "query.mentions[0].note", "d1_unknown_kwarg"),
+    "mention_value_text_not_string": ("SchemaViolation", "query.mentions[0].value_text must be a string, got integer", "query.mentions[0].value_text", "d1_unknown_kwarg"),
+    "oracle_arguments_not_object": ("SchemaViolation", "oracle[0].arguments must be a JSON object, got array", "oracle[0].arguments", "d1_unknown_kwarg"),
+    "oracle_missing_arguments": ("SchemaViolation", "oracle[0] is missing required key 'arguments'", "oracle[0].arguments", "d1_unknown_kwarg"),
+    "oracle_missing_needed_params": ("SchemaViolation", "oracle[0] is missing required key 'needed_params'", "oracle[0].needed_params", "d1_unknown_kwarg"),
+    "oracle_missing_tool_name": ("SchemaViolation", "oracle[0] is missing required key 'tool_name'", "oracle[0].tool_name", "d1_unknown_kwarg"),
+    "oracle_needed_item_not_string": ("SchemaViolation", "oracle[0].needed_params[0] must be a string, got integer", "oracle[0].needed_params[0]", "d1_unknown_kwarg"),
+    "oracle_needed_not_array": ("SchemaViolation", "oracle[0].needed_params must be a JSON array, got string", "oracle[0].needed_params", "d1_unknown_kwarg"),
+    "oracle_not_object": ("SchemaViolation", "oracle[0] must be a JSON object, got string", "oracle[0]", "d1_unknown_kwarg"),
+    # Changed: constructor errors name their case and field.
+    "oracle_tool_name_empty": ("SchemaViolation", "oracle tool_name must be a non-empty string", "oracle[0].tool_name", "d1_unknown_kwarg"),
+    "oracle_tool_name_not_string": ("SchemaViolation", "oracle[0].tool_name must be a string, got integer", "oracle[0].tool_name", "d1_unknown_kwarg"),
+    "oracle_unknown_key": ("SchemaViolation", "oracle[0] has unknown key 'why'", "oracle[0].why", "d1_unknown_kwarg"),
+    "param_description_not_string": ("SchemaViolation", "tools[0].parameters[0].description must be a string, got integer", "tools[0].parameters[0].description", "d1_unknown_kwarg"),
+    "param_empty_enum": ("SchemaViolation", "parameter 'sort' has an empty enum", "tools[0].parameters[1]", "d1_unknown_kwarg"),
+    "param_enum_not_array": ("SchemaViolation", "tools[0].parameters[1].enum_values must be a JSON array, got string", "tools[0].parameters[1].enum_values", "d1_unknown_kwarg"),
+    "param_example_not_in_enum": ("SchemaViolation", "tools[0].parameters[1].example \"top\" is not an enum member", "tools[0].parameters[1].example", "d1_unknown_kwarg"),
+    "param_format_bad_regex": ("SchemaViolation", "tools[0].parameters[0].format is not a valid regex: missing ), unterminated subpattern at position 0", "tools[0].parameters[0].format", "d1_unknown_kwarg"),
+    "param_format_not_string": ("SchemaViolation", "tools[0].parameters[0].format must be a string, got integer", "tools[0].parameters[0].format", "d1_unknown_kwarg"),
+    "param_missing_description": ("SchemaViolation", "tools[0].parameters[0] is missing required key 'description'", "tools[0].parameters[0].description", "d1_unknown_kwarg"),
+    "param_missing_name": ("SchemaViolation", "tools[0].parameters[0] is missing required key 'name'", "tools[0].parameters[0].name", "d1_unknown_kwarg"),
+    "param_missing_ptype": ("SchemaViolation", "tools[0].parameters[0] is missing required key 'ptype'", "tools[0].parameters[0].ptype", "d1_unknown_kwarg"),
+    "param_missing_required": ("SchemaViolation", "tools[0].parameters[0] is missing required key 'required'", "tools[0].parameters[0].required", "d1_unknown_kwarg"),
+    "param_name_empty": ("SchemaViolation", "parameter name must be a non-empty string", "tools[0].parameters[0]", "d1_unknown_kwarg"),
+    "param_name_not_string": ("SchemaViolation", "tools[0].parameters[0].name must be a string, got integer", "tools[0].parameters[0].name", "d1_unknown_kwarg"),
+    "param_not_object": ("SchemaViolation", "tools[0].parameters[0] must be a JSON object, got string", "tools[0].parameters[0]", "d1_unknown_kwarg"),
+    "param_ptype_not_string": ("SchemaViolation", "tools[0].parameters[0].ptype must be a string, got array", "tools[0].parameters[0].ptype", "d1_unknown_kwarg"),
+    "param_range_bool": ("SchemaViolation", "tools[0].parameters[0].range must be a [min, max] pair of numbers", "tools[0].parameters[0].range", "d1_unknown_kwarg"),
+    "param_range_inverted": ("SchemaViolation", "parameter 'board' has inverted range [9, 1]", "tools[0].parameters[0]", "d1_unknown_kwarg"),
+    "param_range_not_array": ("SchemaViolation", "tools[0].parameters[0].range must be a JSON array, got string", "tools[0].parameters[0].range", "d1_unknown_kwarg"),
+    "param_range_not_numbers": ("SchemaViolation", "tools[0].parameters[0].range must be a [min, max] pair of numbers", "tools[0].parameters[0].range", "d1_unknown_kwarg"),
+    "param_range_not_pair": ("SchemaViolation", "tools[0].parameters[0].range must be a [min, max] pair of numbers", "tools[0].parameters[0].range", "d1_unknown_kwarg"),
+    "param_range_on_string": ("SchemaViolation", "tools[0].parameters[0].range is only meaningful for numeric parameters, not ptype 'string'", "tools[0].parameters[0].range", "d1_unknown_kwarg"),
+    "param_required_not_bool": ("SchemaViolation", "tools[0].parameters[0].required must be a boolean, got integer", "tools[0].parameters[0].required", "d1_unknown_kwarg"),
+    "param_unknown_key": ("SchemaViolation", "tools[0].parameters[0] has unknown key 'default'", "tools[0].parameters[0].default", "d1_unknown_kwarg"),
+    "param_unknown_ptype": ("SchemaViolation", "parameter 'board' has unknown ptype 'text'", "tools[0].parameters[0]", "d1_unknown_kwarg"),
+    "query_mentions_not_array": ("SchemaViolation", "query.mentions must be a JSON array, got object", "query.mentions", "d1_unknown_kwarg"),
+    "query_missing_mentions": ("SchemaViolation", "query is missing required key 'mentions'", "query.mentions", "d1_unknown_kwarg"),
+    "query_missing_text": ("SchemaViolation", "query is missing required key 'text'", "query.text", "d1_unknown_kwarg"),
+    "query_text_not_string": ("SchemaViolation", "query.text must be a string, got integer", "query.text", "d1_unknown_kwarg"),
+    "query_unknown_key": ("SchemaViolation", "query has unknown key 'lang'", "query.lang", "d1_unknown_kwarg"),
+    "return_both_keys": ("SchemaViolation", "scripted_returns[0].return must have exactly one of the keys 'payload' or 'raw_text'", "scripted_returns[0].return", "d1_unknown_kwarg"),
+    "return_no_key": ("SchemaViolation", "scripted_returns[1].return must have exactly one of the keys 'payload' or 'raw_text'", "scripted_returns[1].return", "d1_unknown_kwarg"),
+    "return_not_object": ("SchemaViolation", "scripted_returns[1].return must be a JSON object, got array", "scripted_returns[1].return", "d1_unknown_kwarg"),
+    "return_raw_text_not_string": ("SchemaViolation", "scripted_returns[0].return.raw_text must be a string, got integer", "scripted_returns[0].return.raw_text", "d1_unknown_kwarg"),
+    "return_raw_text_null": ("SchemaViolation", "scripted_returns[0].return.raw_text must be a string, got null", "scripted_returns[0].return.raw_text", "d1_unknown_kwarg"),
+    "return_unknown_key": ("SchemaViolation", "scripted_returns[1].return must have exactly one of the keys 'payload' or 'raw_text'", "scripted_returns[1].return", "d1_unknown_kwarg"),
+    "scripted_arguments_not_object": ("SchemaViolation", "scripted_returns[0].arguments must be a JSON object, got string", "scripted_returns[0].arguments", "d1_unknown_kwarg"),
+    "scripted_missing_arguments": ("SchemaViolation", "scripted_returns[0] is missing required key 'arguments'", "scripted_returns[0].arguments", "d1_unknown_kwarg"),
+    "scripted_missing_return": ("SchemaViolation", "scripted_returns[0] is missing required key 'return'", "scripted_returns[0].return", "d1_unknown_kwarg"),
+    "scripted_missing_tool_name": ("SchemaViolation", "scripted_returns[0] is missing required key 'tool_name'", "scripted_returns[0].tool_name", "d1_unknown_kwarg"),
+    "scripted_not_object": ("SchemaViolation", "scripted_returns[0] must be a JSON object, got null", "scripted_returns[0]", "d1_unknown_kwarg"),
+    "scripted_tool_name_not_string": ("SchemaViolation", "scripted_returns[0].tool_name must be a string, got integer", "scripted_returns[0].tool_name", "d1_unknown_kwarg"),
+    "scripted_unknown_key": ("SchemaViolation", "scripted_returns[0] has unknown key 'delay'", "scripted_returns[0].delay", "d1_unknown_kwarg"),
+    "tool_description_null": ("SchemaViolation", "tools[0].description must be a string, got null", "tools[0].description", "d1_unknown_kwarg"),
+    # Changed: ToolDocument checks this itself and names the tool.
+    "tool_duplicate_parameter": ("SchemaViolation", "tool 'get_threads' declares parameter 'board' more than once", "tools[0].parameters", "d1_unknown_kwarg"),
+    "tool_missing_description": ("SchemaViolation", "tools[0] is missing required key 'description'", "tools[0].description", "d1_unknown_kwarg"),
+    "tool_missing_parameters": ("SchemaViolation", "tools[0] is missing required key 'parameters'", "tools[0].parameters", "d1_unknown_kwarg"),
+    "tool_missing_tool_name": ("SchemaViolation", "tools[0] is missing required key 'tool_name'", "tools[0].tool_name", "d1_unknown_kwarg"),
+    # Changed: constructor errors name their case and field.
+    "tool_name_empty": ("SchemaViolation", "tool_name must be a non-empty string", "tools[0].tool_name", "d1_unknown_kwarg"),
+    "tool_name_not_string": ("SchemaViolation", "tools[0].tool_name must be a string, got integer", "tools[0].tool_name", "d1_unknown_kwarg"),
+    "tool_not_object": ("SchemaViolation", "tools[0] must be a JSON object, got string", "tools[0]", "d1_unknown_kwarg"),
+    "tool_parameters_not_array": ("SchemaViolation", "tools[0].parameters must be a JSON array, got object", "tools[0].parameters", "d1_unknown_kwarg"),
+    "tool_unknown_key": ("SchemaViolation", "tools[0] has unknown key 'color'", "tools[0].color", "d1_unknown_kwarg"),
+    "tool_usage_example_not_string": ("SchemaViolation", "tools[0].usage_examples[0] must be a string, got integer", "tools[0].usage_examples[0]", "d1_unknown_kwarg"),
+    "tool_usage_examples_not_array": ("SchemaViolation", "tools[0].usage_examples must be a JSON array, got string", "tools[0].usage_examples", "d1_unknown_kwarg"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_golden_error(name):
+    doc = _demo_document()
+    doc = MUTATIONS[name](doc) or doc
+    with pytest.raises((SchemaViolation, SpanMismatch)) as err:
+        parse_corpus(json.dumps(doc))
+    exc = err.value
+    got = (type(exc).__name__, str(exc), getattr(exc, "field", None), exc.case_id)
+    assert got == GOLDEN[name]
+
+
+def test_golden_malformed_input_offsets():
+    import importlib.resources
+
+    raw = importlib.resources.files("paramfuzz").joinpath("data", "demo", "corpus.json").read_bytes()
+    with pytest.raises(MalformedInput) as err:
+        parse_corpus(raw[:300] + b"\xff" + raw[301:])
+    assert (str(err.value), err.value.byte_offset) == (
+        "corpus is not valid UTF-8 at byte 300: invalid start byte", 300
+    )
+    with pytest.raises(MalformedInput) as err:
+        parse_corpus(raw[:300] + b"}" + raw[301:])
+    assert (str(err.value), err.value.byte_offset) == (
+        "corpus is not valid JSON at byte 300: Expecting property name enclosed in double quotes", 300
+    )

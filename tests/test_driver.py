@@ -1,5 +1,6 @@
 """Driver, scripting, truncation, and run_case loop tests."""
 
+import json
 import random
 
 import pytest
@@ -14,7 +15,6 @@ from paramfuzz.driver import (
     ScriptedBehavior,
     Trajectory,
     TruncationEvent,
-    parse_function_declarations,
     render_function_declarations,
     run_case,
     truncate_observation,
@@ -104,6 +104,12 @@ class TestScriptedBehavior:
         with pytest.raises(SchemaViolation):
             ScriptedBehavior.from_json([{"action": "searcher"}])
 
+    def test_from_json_rejects_action_and_answer_in_one_step(self):
+        action = {"tool_name": "searcher", "arguments": {"query": "x"}}
+        with pytest.raises(SchemaViolation) as err:
+            ScriptedBehavior.from_json([{"action": action, "final_answer": "Found it."}])
+        assert err.value.field == "script[0]"
+
     def test_replaying_mirrors_the_oracle(self):
         case = make_case()
         behavior = ScriptedBehavior.replaying(case)
@@ -147,8 +153,7 @@ class TestFunctionDeclarations:
         rng = random.Random(99)
         tools = [random_tool(rng, name=f"tool_{i}") for i in range(4)]
         text = render_function_declarations(tools)
-        restored = parse_function_declarations(text)
-        assert [tool_to_json(t) for t in restored] == [tool_to_json(t) for t in tools]
+        assert json.loads(text) == [tool_to_json(t) for t in tools]
 
     def test_corrupted_fields_pass_through_verbatim(self):
         tool = make_tool(

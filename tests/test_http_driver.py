@@ -85,9 +85,10 @@ class TestEndpointConfig:
 
     def test_from_json_ignores_unknown_keys(self):
         config = EndpointConfig.from_json(
-            {"base_url": "http://h", "model": "m", "vendor_extra": True}
+            {"base_url": "http://h", "model": "m", "vendor_extra": True, "workers": 2, "max_steps": 8}
         )
         assert not hasattr(config, "vendor_extra")
+        assert not hasattr(config, "workers")
 
     def test_from_json_requires_base_url_and_model(self):
         with pytest.raises(SchemaViolation):
