@@ -5,12 +5,15 @@ one trajectory per (operator, case) pair. All randomness flows from one
 campaign seed through per-pair derived seeds, so a single integer
 reproduces every run byte for byte.
 
-The log is append-only JSON lines with three event kinds:
+The log is append-only JSON lines with four event kinds:
 
-    campaign_meta    one header line: corpus hash, seed, versions
-    trajectory       one line per (operator, case) agent run
-    classification   one line per trajectory, appended by classify_log
+    campaign_meta     one header line, first: corpus hash, seed, versions
+    trajectory        one line per (operator, case) agent run
+    trajectory_error  one line per run that died in the driver
+    classification    one line per trajectory, appended by classify_log
 
+read_log checks every line and indexes the log by (operator, case_id,
+seed) once; running, classifying and reporting all share that index.
 Runs are resumable: pairs already present in the log are skipped, and a
 resumed run must match the header's corpus hash, seed and driver.
 """
@@ -24,8 +27,13 @@ import os
 from dataclasses import dataclass, field
 
 from paramfuzz import __version__
-from paramfuzz.classify import CLASSIFIER_VERSION, classify_trajectory
-from paramfuzz.corpus import TestCase, all_tools, filter_cases, load_corpus
+from paramfuzz.classify import (
+    CLASSIFIER_VERSION,
+    AlignedLabel,
+    TrajectoryClassification,
+    classify_trajectory,
+)
+from paramfuzz.corpus import TestCase, _record, _violation, all_tools, filter_cases, load_corpus
 from paramfuzz.driver import (
     DEFAULT_MAX_OBSERVATION_LENGTH,
     DEFAULT_STEP_LIMIT,
@@ -53,9 +61,61 @@ def log_line(event: dict[str, object]) -> str:
     return json.dumps(event, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
-def read_log(path: str) -> list[dict[str, object]]:
-    """Parse a JSON-lines campaign log."""
-    events: list[dict[str, object]] = []
+Key = tuple[str, str, int]
+
+
+def _pair(key: Key) -> str:
+    return f"({key[0]}, {key[1]}, seed {key[2]})"
+
+
+@dataclass
+class CampaignLog:
+    """One campaign log, checked and indexed by (operator, case_id, seed).
+
+    ``trajectories`` keeps log order; ``errors`` lists the keys of runs
+    that died in the driver. classify_log adds its classifications here as
+    well as to the file, so a caller that classifies and then reports
+    reads the log once. len() is the number of events.
+    """
+
+    path: str
+    header: dict[str, object]
+    trajectories: dict[Key, Trajectory] = field(default_factory=dict)
+    errors: list[Key] = field(default_factory=list)
+    classifications: dict[Key, TrajectoryClassification] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return 1 + len(self.trajectories) + len(self.errors) + len(self.classifications)
+
+
+_EVENT_KINDS = ("campaign_meta", "trajectory", "trajectory_error", "classification")
+
+
+def _first_line(lines: dict[Key, int], key: Key, number: int, what: str) -> None:
+    """Note that log line number holds the key's event of one sort, unless an
+    earlier line already did."""
+    if key in lines:
+        raise CampaignError(
+            f"log line {number} is a second {what} of {_pair(key)}; "
+            f"the first is on line {lines[key]}"
+        )
+    lines[key] = number
+
+
+def read_log(path: str) -> CampaignLog:
+    """Read a JSON-lines campaign log into one checked index.
+
+    A line that is not JSON or not a tagged object is MalformedInput. A
+    line whose shape breaks the key table of its event kind is a
+    SchemaViolation at "log line N.<path>". A header that is missing,
+    repeated or not first, a second event for one key, a classification
+    with no earlier trajectory, and a classification whose classifier
+    version differs from the header's are CampaignErrors naming the lines.
+    """
+    log: CampaignLog | None = None
+    header_line = 0
+    runs: dict[Key, int] = {}
+    classified: dict[Key, int] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
             line = line.strip()
@@ -69,8 +129,50 @@ def read_log(path: str) -> list[dict[str, object]]:
                 ) from exc
             if not isinstance(event, dict) or "event" not in event:
                 raise MalformedInput(f"log line {number} is not a tagged event")
-            events.append(event)
-    return events
+            where = f"log line {number}"
+            kind = event.pop("event")
+            if kind not in _EVENT_KINDS:
+                raise _violation(
+                    f"{where}.event", f"must be one of {', '.join(_EVENT_KINDS)}, got {kind!r}", None
+                )
+            if log is None:
+                if kind != "campaign_meta":
+                    raise CampaignError(
+                        f"{where} is a {kind} event, but a campaign log must start "
+                        "with its campaign_meta header"
+                    )
+                log = CampaignLog(path, _record(event, _META_KEYS, where))
+                header_line = number
+            elif kind == "campaign_meta":
+                raise CampaignError(
+                    f"{where} is a second campaign_meta header; the first is on line {header_line}"
+                )
+            elif kind == "classification":
+                key, version, verdict = _classification_from_json(event, where)
+                if key not in log.trajectories:
+                    raise CampaignError(
+                        f"{where} classifies {_pair(key)}, but no earlier line holds its trajectory"
+                    )
+                _first_line(classified, key, number, "classification")
+                if version != log.header["classifier_version"]:
+                    raise CampaignError(
+                        f"{where} has classifier_version {version!r}, but the header "
+                        f"on line {header_line} has {log.header['classifier_version']!r}"
+                    )
+                log.classifications[key] = verdict
+            elif kind == "trajectory":
+                trajectory = Trajectory.from_json(event, where)
+                key = (trajectory.operator, trajectory.case_id, trajectory.seed)
+                _first_line(runs, key, number, "run")
+                log.trajectories[key] = trajectory
+            else:
+                error = _record(event, _TRAJECTORY_ERROR_KEYS, where)
+                key = (error["operator"], error["case_id"], error["seed"])
+                _first_line(runs, key, number, "run")
+                log.errors.append(key)
+    if log is None:
+        raise CampaignError(f"log {path} has no campaign_meta header")
+    return log
 
 
 @dataclass(frozen=True)
@@ -90,6 +192,19 @@ class ScriptBook:
             if key in self.scripts:
                 return self.scripts[key]
         return ScriptedBehavior.replaying(case)
+
+    def check_keys(self, cases: list[TestCase]) -> None:
+        """Refuse the first key that names no runnable case or no known
+        operator, which resolve would otherwise never match."""
+        case_ids = {case.case_id for case in cases}
+        for key in self.scripts:
+            operator, colon, case_id = key.partition(":")
+            if key in case_ids or (operator in ALL_OPERATORS and case_id in case_ids):
+                continue
+            complaint = "names no runnable case"
+            if colon and operator not in ALL_OPERATORS:
+                complaint = f"names unknown operator {operator!r}"
+            raise _violation(f"scripts.{key}", complaint, None)
 
     @classmethod
     def from_json(cls, obj: object) -> "ScriptBook":
@@ -157,6 +272,20 @@ def corpus_sha256(path: str) -> str:
         return hashlib.sha256(handle.read()).hexdigest()
 
 
+_META_KEYS = (
+    ("corpus_sha256", "string", True),
+    ("seed", "integer", True),
+    ("driver", "string", True),
+    ("operators", "array", True),
+    ("step_limit", "integer", True),
+    ("max_observation_length", "integer", True),
+    ("case_count", "integer", True),
+    ("classifier_version", "string", True),
+    ("prompt_template_version", "string", True),
+    ("package_version", "string", True),
+)
+
+
 def _campaign_meta(config: CampaignConfig, case_count: int) -> dict[str, object]:
     return {
         "event": "campaign_meta",
@@ -175,9 +304,9 @@ def _campaign_meta(config: CampaignConfig, case_count: int) -> dict[str, object]
 
 def _check_resume(meta: dict[str, object], existing: dict[str, object]) -> None:
     for key in ("corpus_sha256", "seed", "driver", "step_limit", "max_observation_length"):
-        if existing.get(key) != meta[key]:
+        if existing[key] != meta[key]:
             raise CampaignError(
-                f"cannot resume: log was written with {key}={existing.get(key)!r}, "
+                f"cannot resume: log was written with {key}={existing[key]!r}, "
                 f"this run uses {meta[key]!r}"
             )
 
@@ -195,6 +324,7 @@ def run_campaign(config: CampaignConfig) -> str:
     script_book = ScriptBook()
     if config.scripts_path is not None:
         script_book = ScriptBook.load(config.scripts_path)
+        script_book.check_keys(cases)
     shared_http: HttpDriver | None = None
     if config.driver == "http":
         assert config.endpoint is not None
@@ -202,18 +332,13 @@ def run_campaign(config: CampaignConfig) -> str:
     os.makedirs(config.out_dir, exist_ok=True)
     log_path = os.path.join(config.out_dir, LOG_FILE_NAME)
     meta = _campaign_meta(config, len(cases))
-    done: set[tuple[str, str, int]] = set()
+    done: set[Key] = set()
     needs_header = True
     if os.path.exists(log_path) and os.path.getsize(log_path) > 0:
-        events = read_log(log_path)
-        headers = [e for e in events if e["event"] == "campaign_meta"]
-        if not headers:
-            raise CampaignError("existing log has no campaign_meta header")
-        _check_resume(meta, headers[0])
+        log = read_log(log_path)
+        _check_resume(meta, log.header)
         needs_header = False
-        for event in events:
-            if event["event"] in ("trajectory", "trajectory_error"):
-                done.add((str(event["operator"]), str(event["case_id"]), int(event["seed"])))  # type: ignore[arg-type]
+        done.update(log.trajectories, log.errors)
     pairs = [
         (operator, case)
         for operator in config.ordered_operators
@@ -268,40 +393,44 @@ def run_campaign(config: CampaignConfig) -> str:
     return log_path
 
 
-def classify_log(log_path: str, corpus_path: str) -> int:
-    """Append one classification event per unclassified trajectory.
+_TRAJECTORY_ERROR_KEYS = (
+    ("operator", "string", True),
+    ("case_id", "string", True),
+    ("seed", "integer", True),
+    ("error", "string", True),
+    ("message", "string", True),
+)
+
+
+def classify_log(log: CampaignLog, corpus_path: str) -> int:
+    """Append one classification event per unclassified trajectory, to the
+    log file and to its index.
 
     Classification always runs against the original corpus documents and
     oracle: the agent saw perturbed inputs, the judge never does. Returns
     the number of events appended; idempotent on a fully classified log.
     """
     cases = {case.case_id: case for case in load_corpus(corpus_path)}
-    events = read_log(log_path)
-    headers = [e for e in events if e["event"] == "campaign_meta"]
-    if headers and headers[0].get("corpus_sha256") != corpus_sha256(corpus_path):
+    if log.header["corpus_sha256"] != corpus_sha256(corpus_path):
         raise CampaignError(
             "corpus file does not match the log's corpus_sha256; "
             "classify with the corpus the campaign ran on"
         )
-    classified = {
-        (str(e["operator"]), str(e["case_id"]), int(e["seed"]))  # type: ignore[arg-type]
-        for e in events
-        if e["event"] == "classification"
-    }
+    if log.header["classifier_version"] != CLASSIFIER_VERSION:
+        raise CampaignError(
+            f"log header has classifier_version {log.header['classifier_version']!r}, "
+            f"but this build classifies with {CLASSIFIER_VERSION!r}"
+        )
     appended = 0
-    with open(log_path, "a", encoding="utf-8") as handle:
-        for event in events:
-            if event["event"] != "trajectory":
-                continue
-            key = (str(event["operator"]), str(event["case_id"]), int(event["seed"]))  # type: ignore[arg-type]
-            if key in classified:
+    with open(log.path, "a", encoding="utf-8") as handle:
+        for key, trajectory in log.trajectories.items():
+            if key in log.classifications:
                 continue
             case = cases.get(key[1])
             if case is None:
                 raise CampaignError(
                     f"log references case {key[1]!r} absent from the corpus"
                 )
-            trajectory = Trajectory.from_json(event)
             outcome = classify_trajectory(
                 trajectory.invocations, list(case.oracle), list(case.tools)
             )
@@ -319,5 +448,28 @@ def classify_log(log_path: str, corpus_path: str) -> int:
                 )
                 + "\n"
             )
+            log.classifications[key] = outcome
             appended += 1
     return appended
+
+
+# classify_log writes these.
+_CLASSIFICATION_KEYS = (
+    ("operator", "string", True),
+    ("case_id", "string", True),
+    ("seed", "integer", True),
+    ("classifier_version", "string", True),
+    ("case_pass", "boolean", True),
+    ("labels", "array", True),
+)
+
+
+def _classification_from_json(
+    obj: dict[str, object], where: str
+) -> tuple[Key, str, TrajectoryClassification]:
+    obj = _record(obj, _CLASSIFICATION_KEYS, where)
+    aligned = tuple(
+        AlignedLabel.from_json(item, f"{where}.labels[{i}]") for i, item in enumerate(obj["labels"])
+    )
+    verdict = TrajectoryClassification(aligned=aligned, case_pass=obj["case_pass"])
+    return (obj["operator"], obj["case_id"], obj["seed"]), obj["classifier_version"], verdict

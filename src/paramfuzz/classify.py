@@ -27,11 +27,13 @@ from fractions import Fraction
 from paramfuzz.corpus import (
     OracleInvocation,
     ToolDocument,
+    _build,
+    _record,
     canonical_json,
     values_equal,
     violations_against_spec,
 )
-from paramfuzz.errors import ToolMismatch
+from paramfuzz.errors import SchemaViolation, ToolMismatch
 
 CLASSIFIER_VERSION = "1.0"
 
@@ -113,14 +115,6 @@ class ObservedInvocation:
             "raw_text": self.raw_text,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict[str, object]) -> "ObservedInvocation":
-        return cls(
-            tool_name=str(obj["tool_name"]),
-            arguments=dict(obj["arguments"]),  # type: ignore[arg-type]
-            raw_text=str(obj.get("raw_text", "")),
-        )
-
 
 @dataclass(frozen=True)
 class FailureLabel:
@@ -140,9 +134,9 @@ class FailureLabel:
             flagged = getattr(self, category)
             entries = self.evidence.get(category, [])
             if flagged and not entries:
-                raise ValueError(f"flag {category} is set without evidence")
+                raise SchemaViolation(f"flag {category} is set without evidence", field="evidence")
             if not flagged and entries:
-                raise ValueError(f"evidence present for unset flag {category}")
+                raise SchemaViolation(f"evidence present for unset flag {category}", field="evidence")
 
     @property
     def passed(self) -> bool:
@@ -165,17 +159,34 @@ class FailureLabel:
         }
 
     @classmethod
-    def from_json(cls, obj: dict[str, object]) -> "FailureLabel":
-        return cls(
-            task_deviation=bool(obj["task_deviation"]),
-            specification_mismatch=bool(obj["specification_mismatch"]),
-            hallucination_name=bool(obj["hallucination_name"]),
-            missing_information=bool(obj["missing_information"]),
-            redundant_information=bool(obj["redundant_information"]),
-            evidence={k: list(v) for k, v in dict(obj["evidence"]).items()},  # type: ignore[arg-type]
-            rouge_td=obj.get("rouge_td"),  # type: ignore[arg-type]
-            rouge_sm=obj.get("rouge_sm"),  # type: ignore[arg-type]
-        )
+    def from_json(cls, obj: object, where: str = "label") -> "FailureLabel":
+        """Decode a label, checking it and its evidence against their key tables."""
+        obj = _record(obj, _LABEL_KEYS, where)
+        evidence = _record(obj["evidence"], _EVIDENCE_KEYS, f"{where}.evidence")
+        evidence = {category: entries for category, entries in evidence.items() if entries is not None}
+        for category, entries in evidence.items():
+            for i, entry in enumerate(entries):
+                _record(entry, _EVIDENCE_ENTRY_KEYS, f"{where}.evidence.{category}[{i}]")
+        # "passed" is derived from the flags, so it is checked but not passed on.
+        values = {key: value for key, value in obj.items() if key != "passed"}
+        return _build(cls, where, None, **{**values, "evidence": evidence})
+
+
+_LABEL_KEYS = (
+    *((category, "boolean", True) for category in CATEGORIES),
+    ("evidence", "object", True),
+    ("rouge_td", "number", False),
+    ("rouge_sm", "number", False),
+    ("passed", "boolean", True),
+)
+_EVIDENCE_KEYS = tuple((category, "array", False) for category in CATEGORIES)
+# _entry writes these.
+_EVIDENCE_ENTRY_KEYS = (
+    ("param_name", "string", False),
+    ("observed", None, False),
+    ("expected", "string", True),
+    ("rule", "string", True),
+)
 
 
 def _entry(param_name: str | None, observed: object, expected: str, rule: str) -> dict[str, object]:
@@ -360,6 +371,18 @@ class AlignedLabel:
             "observed_index": self.observed_index,
             "oracle_index": self.oracle_index,
         }
+
+    @classmethod
+    def from_json(cls, obj: object, where: str) -> "AlignedLabel":
+        obj = _record(obj, _ALIGNED_LABEL_KEYS, where)
+        return cls(**{**obj, "label": FailureLabel.from_json(obj["label"], f"{where}.label")})
+
+
+_ALIGNED_LABEL_KEYS = (
+    ("label", "object", True),
+    ("observed_index", "integer", False),
+    ("oracle_index", "integer", False),
+)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from paramfuzz import __version__
 from paramfuzz.campaign import (
     CampaignConfig,
     classify_log,
+    read_log,
     run_campaign,
 )
 from paramfuzz.corpus import (
@@ -187,23 +188,24 @@ def cmd_run(args: argparse.Namespace) -> int:
     log_path = run_campaign(config)
     print(f"campaign log: {log_path}")
     if args.classify or args.report:
-        appended = classify_log(log_path, config.corpus_path)
+        log = read_log(log_path)
+        appended = classify_log(log, config.corpus_path)
         print(f"classified {appended} trajectory(ies)")
-    if args.report:
-        paths = emit_report(log_path, config.out_dir)
-        for kind in ("json", "csv", "md"):
-            print(f"report {kind}: {paths[kind]}")
+        if args.report:
+            paths = emit_report(log, config.out_dir)
+            for kind in ("json", "csv", "md"):
+                print(f"report {kind}: {paths[kind]}")
     return EXIT_OK
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    appended = classify_log(args.log, args.corpus)
+    appended = classify_log(read_log(args.log), args.corpus)
     print(f"classified {appended} trajectory(ies)")
     return EXIT_OK
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    paths = emit_report(args.log, args.out)
+    paths = emit_report(read_log(args.log), args.out)
     for kind in ("json", "csv", "md"):
         print(f"report {kind}: {paths[kind]}")
     return EXIT_OK
@@ -225,9 +227,9 @@ def cmd_demo(args: argparse.Namespace) -> int:
                 driver="replay",
                 scripts_path=str(root / "scripts.json"),
             )
-            log_path = run_campaign(config)
-            classify_log(log_path, config.corpus_path)
-            results = collect_results(log_path)
+            log = read_log(run_campaign(config))
+            classify_log(log, config.corpus_path)
+            results = collect_results(log)
     outcomes = {outcome.case_id: outcome for outcome in results.outcomes}
     failures = 0
     for fixture in manifest["cases"]:
@@ -313,13 +315,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _located(exc: Exception) -> str:
+    """The error message, led by the field it concerns unless the message
+    already starts with that field or with the record holding it, and
+    followed by the case it concerns."""
+    message = str(exc)
+    where = getattr(exc, "field", None)
+    if where and not message.startswith((where, where.rpartition(".")[0] + " ")):
+        message = f"{where}: {message}"
+    case_id = getattr(exc, "case_id", None)
+    if case_id:
+        message += f" (case {case_id})"
+    return message
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (MalformedInput, SchemaViolation, SpanMismatch) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
+        print(f"validation error: {_located(exc)}", file=sys.stderr)
         return EXIT_VALIDATION
     except ParamFuzzError as exc:
         print(f"campaign error: {exc}", file=sys.stderr)

@@ -316,11 +316,14 @@ class LintFinding:
     message: str
 
 
+# JSON type -> (decoded Python types, noun). bool is never a number here.
 _JSON_TYPES = {
-    "string": (str, "a string"),
-    "boolean": (bool, "a boolean"),
-    "array": (list, "a JSON array"),
-    "object": (dict, "a JSON object"),
+    "string": ((str,), "a string"),
+    "boolean": ((bool,), "a boolean"),
+    "integer": ((int,), "an integer"),
+    "number": ((int, float), "a number"),
+    "array": ((list,), "a JSON array"),
+    "object": ((dict,), "a JSON object"),
 }
 
 
@@ -330,8 +333,8 @@ def _violation(field: str, complaint: str, case_id: str | None) -> SchemaViolati
 
 def _expect(jtype: str, value: object, where: str, case_id: str | None = None):
     """Return a decoded value whose JSON type is jtype; raise naming where."""
-    pytype, noun = _JSON_TYPES[jtype]
-    if type(value) is not pytype:
+    pytypes, noun = _JSON_TYPES[jtype]
+    if type(value) not in pytypes:
         raise _violation(where, f"must be {noun}, got {json_type_name(value)}", case_id)
     return value
 
@@ -438,7 +441,7 @@ _CASE_KEYS = (
     ("solvable", None, True),
     ("scripted_returns", None, False),
 )
-_CORPUS_KEYS = (("schema_version", None, True), ("cases", None, True))
+_CORPUS_KEYS = (("schema_version", "integer", True), ("cases", None, True))
 
 
 def _parse_parameter(obj: object, where: str, case_id: str) -> ParameterSpec:

@@ -93,13 +93,12 @@ class TruncationEvent:
             "truncated_length": self.truncated_length,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict[str, object]) -> "TruncationEvent":
-        return cls(
-            step_index=int(obj["step_index"]),  # type: ignore[arg-type]
-            original_length=int(obj["original_length"]),  # type: ignore[arg-type]
-            truncated_length=int(obj["truncated_length"]),  # type: ignore[arg-type]
-        )
+
+_TRUNCATION_KEYS = (
+    ("step_index", "integer", True),
+    ("original_length", "integer", True),
+    ("truncated_length", "integer", True),
+)
 
 
 def truncate_observation(text: str, budget: int) -> tuple[str, int | None]:
@@ -444,15 +443,25 @@ class TrajectoryStep:
             "final_answer": self.final_answer,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict[str, object]) -> "TrajectoryStep":
-        raw_invocation = obj.get("invocation")
-        return cls(
-            thought=str(obj.get("thought", "")),
-            invocation=ObservedInvocation.from_json(raw_invocation) if raw_invocation else None,  # type: ignore[arg-type]
-            observation=obj.get("observation"),  # type: ignore[arg-type]
-            final_answer=obj.get("final_answer"),  # type: ignore[arg-type]
-        )
+
+# A logged step and its invocation; ObservedInvocation.to_json writes the latter.
+_TRAJECTORY_STEP_KEYS = (
+    ("thought", "string", True),
+    ("invocation", "object", False),
+    ("observation", "string", False),
+    ("final_answer", "string", False),
+)
+_INVOCATION_KEYS = (
+    ("tool_name", "string", True),
+    ("arguments", "object", True),
+    ("raw_text", "string", True),
+)
+# PerturbationRecord.to_json writes these.
+_PERTURBATION_KEYS = (
+    ("operator", "string", True),
+    ("seed", "integer", False),
+    ("details", "object", True),
+)
 
 
 @dataclass(frozen=True)
@@ -489,27 +498,55 @@ class Trajectory:
         }
 
     @classmethod
-    def from_json(cls, obj: dict[str, object]) -> "Trajectory":
+    def from_json(cls, obj: object, where: str = "trajectory") -> "Trajectory":
+        """Decode a trajectory record, checking it and every record nested
+        in it against their key tables; errors name their place under where."""
+        obj = _record(obj, _TRAJECTORY_KEYS, where)
+
+        def records(key, keys):
+            return [_record(item, keys, f"{where}.{key}[{i}]") for i, item in enumerate(obj[key])]
+
+        steps = []
+        for i, step in enumerate(records("steps", _TRAJECTORY_STEP_KEYS)):
+            invocation = step.get("invocation")
+            if invocation is not None:
+                at = f"{where}.steps[{i}].invocation"
+                invocation = ObservedInvocation(**_record(invocation, _INVOCATION_KEYS, at))
+            steps.append(TrajectoryStep(**{**step, "invocation": invocation}))
         return cls(
-            case_id=str(obj["case_id"]),
-            operator=str(obj["operator"]),
-            seed=int(obj["seed"]),  # type: ignore[arg-type]
-            driver_id=str(obj["driver_id"]),
-            outcome=str(obj["outcome"]),
-            perturbation_applied=bool(obj["perturbation_applied"]),
-            steps=tuple(TrajectoryStep.from_json(s) for s in obj["steps"]),  # type: ignore[union-attr]
-            perturbations=tuple(
-                PerturbationRecord.from_json(r) for r in obj["perturbations"]  # type: ignore[union-attr]
-            ),
-            skips=tuple(obj.get("skips") or ()),  # type: ignore[arg-type]
-            truncations=tuple(
-                TruncationEvent.from_json(t) for t in obj.get("truncations") or ()  # type: ignore[union-attr]
-            ),
+            **{
+                **obj,
+                "steps": tuple(steps),
+                "perturbations": tuple(
+                    PerturbationRecord(**r) for r in records("perturbations", _PERTURBATION_KEYS)
+                ),
+                "skips": tuple(records("skips", _SKIP_KEYS)),
+                "truncations": tuple(
+                    TruncationEvent(**t) for t in records("truncations", _TRUNCATION_KEYS)
+                ),
+            }
         )
+
+
+_TRAJECTORY_KEYS = (
+    ("case_id", "string", True),
+    ("operator", "string", True),
+    ("seed", "integer", True),
+    ("driver_id", "string", True),
+    ("outcome", "string", True),
+    ("perturbation_applied", "boolean", True),
+    ("steps", "array", True),
+    ("perturbations", "array", True),
+    ("skips", "array", True),
+    ("truncations", "array", True),
+)
 
 
 def _skip_note(target: str, exc: PerturbSkip) -> dict[str, object]:
     return {"target": target, "reason": type(exc).__name__, "message": str(exc)}
+
+
+_SKIP_KEYS = (("target", "string", True), ("reason", "string", True), ("message", "string", True))
 
 
 def run_case(

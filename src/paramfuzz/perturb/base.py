@@ -32,11 +32,3 @@ class PerturbationRecord:
 
     def to_json(self) -> dict[str, object]:
         return {"operator": self.operator, "seed": self.seed, "details": self.details}
-
-    @classmethod
-    def from_json(cls, obj: dict[str, object]) -> "PerturbationRecord":
-        return cls(
-            operator=str(obj["operator"]),
-            seed=obj.get("seed"),  # type: ignore[arg-type]
-            details=dict(obj.get("details") or {}),
-        )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
-from paramfuzz.campaign import read_log
+from paramfuzz.campaign import CampaignLog
 from paramfuzz.classify import CATEGORIES, CATEGORY_TITLES, FailureLabel
 from paramfuzz.errors import CampaignError, EmptyCampaign
 from paramfuzz.perturb import ALL_OPERATORS
@@ -80,50 +80,31 @@ class CampaignResults:
         return [o for o in self.outcomes if o.operator == operator]
 
 
-def collect_results(log_path: str) -> CampaignResults:
-    """Join trajectory and classification events by (operator, case, seed)."""
-    events = read_log(log_path)
-    headers = [e for e in events if e["event"] == "campaign_meta"]
-    if not headers:
-        raise CampaignError("log has no campaign_meta header")
-    meta = {k: v for k, v in headers[0].items() if k != "event"}
-    classifications: dict[tuple[str, str, int], dict[str, object]] = {}
-    for event in events:
-        if event["event"] == "classification":
-            key = (str(event["operator"]), str(event["case_id"]), int(event["seed"]))  # type: ignore[arg-type]
-            classifications[key] = event
+def collect_results(log: CampaignLog) -> CampaignResults:
+    """Join each trajectory with its classification."""
     outcomes: list[CaseOutcome] = []
-    error_counts: dict[str, int] = {}
-    for event in events:
-        if event["event"] == "trajectory_error":
-            operator = str(event["operator"])
-            error_counts[operator] = error_counts.get(operator, 0) + 1
-            continue
-        if event["event"] != "trajectory":
-            continue
-        key = (str(event["operator"]), str(event["case_id"]), int(event["seed"]))  # type: ignore[arg-type]
-        verdict = classifications.get(key)
+    for key, trajectory in log.trajectories.items():
+        verdict = log.classifications.get(key)
         if verdict is None:
             raise CampaignError(
                 f"trajectory ({key[0]}, {key[1]}) has no classification; "
                 "classify the log before reporting"
             )
-        labels = tuple(
-            FailureLabel.from_json(item["label"])  # type: ignore[index,arg-type]
-            for item in verdict["labels"]  # type: ignore[union-attr]
-        )
         outcomes.append(
             CaseOutcome(
                 operator=key[0],
                 case_id=key[1],
                 seed=key[2],
-                applied=bool(event["perturbation_applied"]),
-                case_pass=bool(verdict["case_pass"]),
-                labels=labels,
+                applied=trajectory.perturbation_applied,
+                case_pass=verdict.case_pass,
+                labels=verdict.labels,
             )
         )
+    error_counts: dict[str, int] = {}
+    for operator, _, _ in log.errors:
+        error_counts[operator] = error_counts.get(operator, 0) + 1
     return CampaignResults(
-        meta=meta, outcomes=tuple(outcomes), error_counts=error_counts
+        meta=dict(log.header), outcomes=tuple(outcomes), error_counts=error_counts
     )
 
 
@@ -360,9 +341,9 @@ def render_markdown(report: dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def emit_report(log_path: str, out_dir: str) -> dict[str, str]:
+def emit_report(log: CampaignLog, out_dir: str) -> dict[str, str]:
     """Write report.json, report_table.csv and report.md; returns paths."""
-    results = collect_results(log_path)
+    results = collect_results(log)
     report = build_report(results)
     os.makedirs(out_dir, exist_ok=True)
     paths = {

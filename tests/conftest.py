@@ -6,6 +6,7 @@ fixed seed so every run exercises the same inputs.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -110,6 +111,12 @@ def make_case(case_id="c1", tools=None, query=None, oracle=None,
 def scripted_return(tool_name, arguments, payload=None, raw_text=None) -> ScriptedReturn:
     value = ToolReturn(payload=payload) if raw_text is None else ToolReturn(raw_text=raw_text)
     return ScriptedReturn(tool_name=tool_name, arguments=arguments, value=value)
+
+
+def log_events(path) -> list[dict]:
+    """The raw JSON events of a campaign log, one per non-blank line."""
+    with open(path, encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle if line.strip()]
 
 
 # ----------------------------------------------------------- random builders

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from conftest import make_case, random_payload, random_query, random_tokens, random_tool, scripted_return
+from conftest import log_events, make_case, random_payload, random_query, random_tokens, random_tool, scripted_return
 from test_rouge import oracle_lcs, oracle_rouge
 from paramfuzz.campaign import CampaignConfig, classify_log, read_log, run_campaign
 from paramfuzz.classify import rouge_l
@@ -201,8 +201,9 @@ def mock_run(tmp_path_factory):
             scripts_path=str(root / "scripts.json"),
         )
         log_path = run_campaign(config)
-        classify_log(log_path, config.corpus_path)
-        paths = emit_report(log_path, str(out_dir))
+        log = read_log(log_path)
+        classify_log(log, config.corpus_path)
+        paths = emit_report(log, str(out_dir))
         rerun_dir = tmp_path_factory.mktemp("mock_campaign_rerun")
         rerun_config = CampaignConfig(
             corpus_path=config.corpus_path,
@@ -212,8 +213,9 @@ def mock_run(tmp_path_factory):
             scripts_path=config.scripts_path,
         )
         rerun_log = run_campaign(rerun_config)
-        classify_log(rerun_log, rerun_config.corpus_path)
-        rerun_paths = emit_report(rerun_log, str(rerun_dir))
+        log = read_log(rerun_log)
+        classify_log(log, rerun_config.corpus_path)
+        rerun_paths = emit_report(log, str(rerun_dir))
     return {
         "expected": expected,
         "log_path": log_path,
@@ -253,7 +255,7 @@ def test_gate_mock_campaign_reproduces_hand_counts_byte_identically(mock_run):
 
 
 def test_gate_runner_emits_one_trajectory_per_operator_case_pair(mock_run):
-    events = read_log(mock_run["log_path"])
+    events = log_events(mock_run["log_path"])
     meta = events[0]
     assert meta["case_count"] == 20
     trajectories = [e for e in events if e["event"] == "trajectory"]
@@ -320,10 +322,10 @@ def test_gate_live_endpoint_smoke(tmp_path):
             ]
         )
         assert code == EXIT_OK
-        events = read_log(str(out_dir / "campaign.jsonl"))
+        events = log_events(out_dir / "campaign.jsonl")
         assert events[0]["event"] == "campaign_meta"
         assert sum(1 for e in events if e["event"] in ("trajectory", "trajectory_error")) == 10
-        results = collect_results(str(out_dir / "campaign.jsonl"))
+        results = collect_results(read_log(str(out_dir / "campaign.jsonl")))
         assert results.meta["driver"] == "http"
         for name in ("report.json", "report_table.csv", "report.md"):
             assert (out_dir / name).exists()

@@ -1,11 +1,13 @@
 """Campaign loop tests: logging, seeding, resume, and parallelism."""
 
+import copy
 import hashlib
+import importlib.resources
 import json
 
 import pytest
 
-from conftest import make_case, make_param, make_query, make_tool, scripted_return
+from conftest import log_events, make_case, make_param, make_query, make_tool, scripted_return
 from paramfuzz.campaign import (
     CampaignConfig,
     LOG_FILE_NAME,
@@ -19,8 +21,9 @@ from paramfuzz.campaign import (
 )
 from paramfuzz.corpus import serialize_corpus
 from paramfuzz.driver import EndpointConfig, ScriptedBehavior
-from paramfuzz.errors import CampaignError, MalformedInput
+from paramfuzz.errors import CampaignError, MalformedInput, ParamFuzzError
 from paramfuzz.perturb import ALL_OPERATORS
+from paramfuzz.reporting import emit_report
 
 
 def write_corpus(tmp_path, cases, name="corpus.json"):
@@ -84,14 +87,29 @@ class TestLogIo:
         assert log_line({"b": 1, "a": 2}) == '{"a":2,"b":1}'
 
     def test_read_log_round_trip(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        events = [{"event": "campaign_meta", "seed": 0}, {"event": "trajectory", "x": 1}]
-        path.write_text("".join(log_line(e) + "\n" for e in events), encoding="utf-8")
-        assert read_log(str(path)) == events
+        corpus = two_case_corpus(tmp_path)
+        log_path = run_campaign(
+            CampaignConfig(corpus_path=corpus, out_dir=str(tmp_path / "out"), operators=("RD", "CK"))
+        )
+        classify_log(read_log(log_path), corpus)
+        events = log_events(log_path)
+        log = read_log(log_path)
+        assert len(log) == len(events) == 9
+        assert {"event": "campaign_meta", **log.header} == events[0]
+        assert [{"event": "trajectory", **t.to_json()} for t in log.trajectories.values()] == [
+            e for e in events if e["event"] == "trajectory"
+        ]
+        assert [
+            [aligned.to_json() for aligned in verdict.aligned]
+            for verdict in log.classifications.values()
+        ] == [e["labels"] for e in events if e["event"] == "classification"]
 
     def test_read_log_skips_blank_lines(self, tmp_path):
+        log_path = run_campaign(
+            CampaignConfig(corpus_path=two_case_corpus(tmp_path), out_dir=str(tmp_path / "out"))
+        )
         path = tmp_path / "log.jsonl"
-        path.write_text('{"event":"campaign_meta"}\n\n', encoding="utf-8")
+        path.write_text("\n" + log_line(log_events(log_path)[0]) + "\n\n", encoding="utf-8")
         assert len(read_log(str(path))) == 1
 
     def test_read_log_rejects_bad_json(self, tmp_path):
@@ -174,7 +192,7 @@ class TestRunCampaign:
         )
         log_path = run_campaign(config)
         assert log_path.endswith(LOG_FILE_NAME)
-        events = read_log(log_path)
+        events = log_events(log_path)
         assert events[0]["event"] == "campaign_meta"
         assert events[0]["operators"] == ["RD", "CK"]
         assert events[0]["case_count"] == 2
@@ -222,7 +240,7 @@ class TestRunCampaign:
         run_campaign(resumed)
         after_second = open(log_path, "rb").read()
         assert after_second.startswith(after_first)
-        trajectories = [e for e in read_log(log_path) if e["event"] == "trajectory"]
+        trajectories = [e for e in log_events(log_path) if e["event"] == "trajectory"]
         assert [(e["operator"], e["case_id"]) for e in trajectories] == [
             ("RD", "k1"), ("RD", "k2"), ("CK", "k1"), ("CK", "k2"),
         ]
@@ -268,7 +286,7 @@ class TestRunCampaign:
         log_path = run_campaign(
             CampaignConfig(corpus_path=corpus, out_dir=str(tmp_path / "out"), operators=("RD",))
         )
-        events = read_log(log_path)
+        events = log_events(log_path)
         assert events[0]["case_count"] == 1
         assert {e["case_id"] for e in events if e["event"] == "trajectory"} == {"k1"}
 
@@ -304,7 +322,7 @@ class TestRunCampaign:
         log_path = run_campaign(config)
         trajectories = {
             (e["operator"], e["case_id"]): e
-            for e in read_log(log_path)
+            for e in log_events(log_path)
             if e["event"] == "trajectory"
         }
         planted = trajectories[("RD", "k1")]
@@ -323,8 +341,8 @@ class TestClassifyLog:
             corpus_path=corpus, out_dir=str(tmp_path / "out"), operators=("RD", "CK")
         )
         log_path = run_campaign(config)
-        assert classify_log(log_path, corpus) == 4
-        events = read_log(log_path)
+        assert classify_log(read_log(log_path), corpus) == 4
+        events = log_events(log_path)
         classifications = [e for e in events if e["event"] == "classification"]
         assert len(classifications) == 4
         assert all(e["case_pass"] for e in classifications)
@@ -335,9 +353,38 @@ class TestClassifyLog:
         log_path = run_campaign(
             CampaignConfig(corpus_path=corpus, out_dir=str(tmp_path / "out"), operators=("RD",))
         )
-        assert classify_log(log_path, corpus) == 2
+        assert classify_log(read_log(log_path), corpus) == 2
         before = open(log_path, "rb").read()
-        assert classify_log(log_path, corpus) == 0
+        assert classify_log(read_log(log_path), corpus) == 0
+        assert open(log_path, "rb").read() == before
+
+    def test_adds_its_classifications_to_the_index(self, tmp_path):
+        corpus = two_case_corpus(tmp_path)
+        log_path = run_campaign(
+            CampaignConfig(corpus_path=corpus, out_dir=str(tmp_path / "out"), operators=("RD",))
+        )
+        log = read_log(log_path)
+        assert classify_log(log, corpus) == 2
+        assert len(log) == 5
+        reread = read_log(log_path)
+        assert log.classifications == reread.classifications
+        assert len(reread) == 5
+
+    def test_rejects_a_log_from_another_classifier_version(self, tmp_path):
+        corpus = two_case_corpus(tmp_path)
+        log_path = run_campaign(
+            CampaignConfig(corpus_path=corpus, out_dir=str(tmp_path / "out"), operators=("RD",))
+        )
+        events = log_events(log_path)
+        events[0]["classifier_version"] = "0.9"
+        with open(log_path, "w", encoding="utf-8") as handle:
+            handle.write("".join(log_line(e) + "\n" for e in events))
+        before = open(log_path, "rb").read()
+        with pytest.raises(CampaignError) as err:
+            classify_log(read_log(log_path), corpus)
+        assert str(err.value) == (
+            "log header has classifier_version '0.9', but this build classifies with '1.0'"
+        )
         assert open(log_path, "rb").read() == before
 
     def test_rejects_mismatched_corpus(self, tmp_path):
@@ -347,9 +394,224 @@ class TestClassifyLog:
         )
         other = write_corpus(tmp_path, [make_case("k1")], name="other.json")
         with pytest.raises(CampaignError):
-            classify_log(log_path, other)
+            classify_log(read_log(log_path), other)
 
     def test_corpus_hash_matches_file_bytes(self, tmp_path):
         corpus = two_case_corpus(tmp_path)
         digest = hashlib.sha256(open(corpus, "rb").read()).hexdigest()
         assert corpus_sha256(corpus) == digest
+
+
+# ------------------------------------------------- golden campaign-log errors
+
+@pytest.fixture(scope="module")
+def mock_log(tmp_path_factory):
+    """The classified packaged mock campaign: its corpus and raw events."""
+    data = importlib.resources.files("paramfuzz").joinpath("data", "mock_campaign")
+    with importlib.resources.as_file(data) as root:
+        corpus = str(root / "corpus.json")
+        config = CampaignConfig(
+            corpus_path=corpus,
+            out_dir=str(tmp_path_factory.mktemp("mock_log")),
+            scripts_path=str(root / "scripts.json"),
+        )
+        log_path = run_campaign(config)
+        classify_log(read_log(log_path), corpus)
+        yield corpus, log_events(log_path)
+
+
+# Event indices: the header is log line 1, the (RD, m01) trajectory line 2,
+# the last trajectory line 301 and the (RD, m01) classification line 302,
+# which flags task deviation with one evidence entry. _with_error puts a
+# trajectory error at E, between the trajectories and the classifications.
+H, T, LAST_T, C = 0, 1, 300, 301
+E = LAST_T + 1
+
+
+def _walk(event, path):
+    *parents, last = [int(p) if p.isdigit() else p for p in path.split(".")]
+    for key in parents:
+        event = event[key]
+    return event, last
+
+
+def _set(index, path, value):
+    def mutate(events):
+        parent, key = _walk(events[index], path)
+        parent[key] = value
+    return mutate
+
+
+def _drop(index, path):
+    def mutate(events):
+        parent, key = _walk(events[index], path)
+        del parent[key]
+    return mutate
+
+
+def _insert(at, make):
+    def mutate(events):
+        events.insert(at, make(events))
+    return mutate
+
+
+def _line(text):
+    return _insert(4, lambda events: text)
+
+
+def _error_event(events):
+    return {
+        "event": "trajectory_error",
+        "operator": "RD",
+        "case_id": "m01",
+        "seed": 1,
+        "error": "TransportError",
+        "message": "endpoint failure (HTTP 503)",
+    }
+
+
+def _with_error(*changes):
+    """Insert a trajectory error at E, then apply the changes."""
+    def mutate(events):
+        events.insert(E, _error_event(events))
+        for change in changes:
+            change(events)
+    return mutate
+
+
+def _move(source, target):
+    def mutate(events):
+        events.insert(target, events.pop(source))
+    return mutate
+
+
+def _copy_of(index, **changes):
+    return lambda events: {**copy.deepcopy(events[index]), **changes}
+
+
+STEP = "steps.0"
+INVOCATION = "steps.0.invocation"
+LABEL = "labels.0.label"
+
+LOG_MUTATIONS = {
+    "bad_json": _line("{not json"),
+    "line_not_object": _line("[1, 2]"),
+    "untagged_line": _drop(T, "event"),
+    "unknown_event": _set(T, "event", "trajectory_v2"),
+    "meta_missing_key": _drop(H, "corpus_sha256"),
+    "meta_unknown_key": _set(H, "timestamp", "2024-01-01"),
+    "meta_seed_not_integer": _set(H, "seed", 0.0),
+    "trajectory_missing_key": _drop(T, "perturbation_applied"),
+    "trajectory_unknown_key": _set(T, "latency_s", 0.5),
+    "trajectory_seed_string": _set(T, "seed", "1"),
+    "trajectory_seed_bool": _set(T, "seed", True),
+    "trajectory_applied_string": _set(T, "perturbation_applied", "false"),
+    "step_missing_key": _drop(T, STEP + ".thought"),
+    "step_unknown_key": _set(T, STEP + ".tokens", 12),
+    "step_not_object": _set(T, STEP, "Calling svc_01."),
+    "invocation_missing_key": _drop(T, INVOCATION + ".tool_name"),
+    "invocation_unknown_key": _set(T, INVOCATION + ".id", "call_1"),
+    "invocation_arguments_string": _set(T, INVOCATION + ".arguments", "mode=full"),
+    "perturbation_missing_key": _drop(T, "perturbations.0.details"),
+    "skip_missing_key": _set(T, "skips", [{"target": "query", "reason": "NoMentions"}]),
+    "truncation_not_integer": _set(
+        T, "truncations", [{"step_index": 0, "original_length": "5000", "truncated_length": 1024}]
+    ),
+    "error_missing_key": _with_error(_drop(E, "message")),
+    "error_unknown_key": _with_error(_set(E, "status", 503)),
+    "classification_missing_key": _drop(C, "case_pass"),
+    "classification_unknown_key": _set(C, "judge", "human"),
+    "classification_case_pass_string": _set(C, "case_pass", "false"),
+    "aligned_label_unknown_key": _set(C, "labels.0.weight", 1),
+    "label_missing_key": _drop(C, LABEL + ".task_deviation"),
+    "label_unknown_key": _set(C, LABEL + ".confidence", 0.9),
+    "label_rouge_bool": _set(C, LABEL + ".rouge_td", True),
+    "label_flag_without_evidence": _set(C, LABEL + ".evidence", {}),
+    "label_unknown_evidence_category": _set(C, LABEL + ".evidence.vibes", []),
+    "evidence_entry_missing_key": _drop(C, LABEL + ".evidence.task_deviation.0.rule"),
+    "duplicate_trajectory": _insert(LAST_T + 1, _copy_of(T)),
+    "duplicate_trajectory_error": _with_error(_insert(E + 1, _error_event)),
+    "error_repeats_trajectory": _with_error(_set(E, "seed", 17301365158976469019)),
+    "duplicate_classification": _insert(C + 1, _copy_of(C, case_pass=True)),
+    "second_header": _insert(C, _copy_of(H)),
+    "header_not_first": _move(H, 1),
+    "header_missing": lambda events: events.pop(H),
+    "orphan_classification": _move(C, 1),
+    "classification_of_an_error": _with_error(_insert(E + 2, _copy_of(E + 1, seed=1))),
+    "classifier_version_mismatch": _set(C, "classifier_version", "0.9"),
+    "header_classifier_version": _set(H, "classifier_version", "0.9"),
+}
+
+# The MalformedInput messages are the same as before the log had key tables.
+LOG_GOLDEN = {
+    "aligned_label_unknown_key": ('SchemaViolation', "log line 302.labels[0] has unknown key 'weight'", 'log line 302.labels[0].weight'),
+    "bad_json": ('MalformedInput', 'log line 5 is not valid JSON: Expecting property name enclosed in double quotes', None),
+    "classification_case_pass_string": ('SchemaViolation', 'log line 302.case_pass must be a boolean, got string', 'log line 302.case_pass'),
+    "classification_missing_key": ('SchemaViolation', "log line 302 is missing required key 'case_pass'", 'log line 302.case_pass'),
+    "classification_of_an_error": ('CampaignError', 'log line 304 classifies (RD, m01, seed 1), but no earlier line holds its trajectory', None),
+    "classification_unknown_key": ('SchemaViolation', "log line 302 has unknown key 'judge'", 'log line 302.judge'),
+    "classifier_version_mismatch": ('CampaignError', "log line 302 has classifier_version '0.9', but the header on line 1 has '1.0'", None),
+    "duplicate_classification": ('CampaignError', 'log line 303 is a second classification of (RD, m01, seed 17301365158976469019); the first is on line 302', None),
+    "duplicate_trajectory": ('CampaignError', 'log line 302 is a second run of (RD, m01, seed 17301365158976469019); the first is on line 2', None),
+    "duplicate_trajectory_error": ('CampaignError', 'log line 303 is a second run of (RD, m01, seed 1); the first is on line 302', None),
+    "error_missing_key": ('SchemaViolation', "log line 302 is missing required key 'message'", 'log line 302.message'),
+    "error_repeats_trajectory": ('CampaignError', 'log line 302 is a second run of (RD, m01, seed 17301365158976469019); the first is on line 2', None),
+    "error_unknown_key": ('SchemaViolation', "log line 302 has unknown key 'status'", 'log line 302.status'),
+    "evidence_entry_missing_key": ('SchemaViolation', "log line 302.labels[0].label.evidence.task_deviation[0] is missing required key 'rule'", 'log line 302.labels[0].label.evidence.task_deviation[0].rule'),
+    "header_classifier_version": ('CampaignError', "log line 302 has classifier_version '1.0', but the header on line 1 has '0.9'", None),
+    "header_missing": ('CampaignError', 'log line 1 is a trajectory event, but a campaign log must start with its campaign_meta header', None),
+    "header_not_first": ('CampaignError', 'log line 1 is a trajectory event, but a campaign log must start with its campaign_meta header', None),
+    "invocation_arguments_string": ('SchemaViolation', 'log line 2.steps[0].invocation.arguments must be a JSON object, got string', 'log line 2.steps[0].invocation.arguments'),
+    "invocation_missing_key": ('SchemaViolation', "log line 2.steps[0].invocation is missing required key 'tool_name'", 'log line 2.steps[0].invocation.tool_name'),
+    "invocation_unknown_key": ('SchemaViolation', "log line 2.steps[0].invocation has unknown key 'id'", 'log line 2.steps[0].invocation.id'),
+    "label_flag_without_evidence": ('SchemaViolation', 'flag task_deviation is set without evidence', 'log line 302.labels[0].label.evidence'),
+    "label_missing_key": ('SchemaViolation', "log line 302.labels[0].label is missing required key 'task_deviation'", 'log line 302.labels[0].label.task_deviation'),
+    "label_rouge_bool": ('SchemaViolation', 'log line 302.labels[0].label.rouge_td must be a number, got boolean', 'log line 302.labels[0].label.rouge_td'),
+    "label_unknown_evidence_category": ('SchemaViolation', "log line 302.labels[0].label.evidence has unknown key 'vibes'", 'log line 302.labels[0].label.evidence.vibes'),
+    "label_unknown_key": ('SchemaViolation', "log line 302.labels[0].label has unknown key 'confidence'", 'log line 302.labels[0].label.confidence'),
+    "line_not_object": ('MalformedInput', 'log line 5 is not a tagged event', None),
+    "meta_missing_key": ('SchemaViolation', "log line 1 is missing required key 'corpus_sha256'", 'log line 1.corpus_sha256'),
+    "meta_seed_not_integer": ('SchemaViolation', 'log line 1.seed must be an integer, got number', 'log line 1.seed'),
+    "meta_unknown_key": ('SchemaViolation', "log line 1 has unknown key 'timestamp'", 'log line 1.timestamp'),
+    "orphan_classification": ('CampaignError', 'log line 2 classifies (RD, m01, seed 17301365158976469019), but no earlier line holds its trajectory', None),
+    "perturbation_missing_key": ('SchemaViolation', "log line 2.perturbations[0] is missing required key 'details'", 'log line 2.perturbations[0].details'),
+    "second_header": ('CampaignError', 'log line 302 is a second campaign_meta header; the first is on line 1', None),
+    "skip_missing_key": ('SchemaViolation', "log line 2.skips[0] is missing required key 'message'", 'log line 2.skips[0].message'),
+    "step_missing_key": ('SchemaViolation', "log line 2.steps[0] is missing required key 'thought'", 'log line 2.steps[0].thought'),
+    "step_not_object": ('SchemaViolation', 'log line 2.steps[0] must be a JSON object, got string', 'log line 2.steps[0]'),
+    "step_unknown_key": ('SchemaViolation', "log line 2.steps[0] has unknown key 'tokens'", 'log line 2.steps[0].tokens'),
+    "trajectory_applied_string": ('SchemaViolation', 'log line 2.perturbation_applied must be a boolean, got string', 'log line 2.perturbation_applied'),
+    "trajectory_missing_key": ('SchemaViolation', "log line 2 is missing required key 'perturbation_applied'", 'log line 2.perturbation_applied'),
+    "trajectory_seed_bool": ('SchemaViolation', 'log line 2.seed must be an integer, got boolean', 'log line 2.seed'),
+    "trajectory_seed_string": ('SchemaViolation', 'log line 2.seed must be an integer, got string', 'log line 2.seed'),
+    "trajectory_unknown_key": ('SchemaViolation', "log line 2 has unknown key 'latency_s'", 'log line 2.latency_s'),
+    "truncation_not_integer": ('SchemaViolation', 'log line 2.truncations[0].original_length must be an integer, got string', 'log line 2.truncations[0].original_length'),
+    "unknown_event": ('SchemaViolation', "log line 2.event must be one of campaign_meta, trajectory, trajectory_error, classification, got 'trajectory_v2'", 'log line 2.event'),
+    "untagged_line": ('MalformedInput', 'log line 2 is not a tagged event', None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOG_MUTATIONS))
+def test_golden_log_error(mock_log, tmp_path, name):
+    corpus, events = mock_log
+    events = copy.deepcopy(events)
+    LOG_MUTATIONS[name](events)
+    log_path = tmp_path / "campaign.jsonl"
+    log_path.write_text(
+        "".join((e if isinstance(e, str) else log_line(e)) + "\n" for e in events),
+        encoding="utf-8",
+    )
+    before = log_path.read_bytes()
+    got = []
+    for command in (
+        lambda: classify_log(read_log(str(log_path)), corpus),
+        lambda: emit_report(read_log(str(log_path)), str(tmp_path / "report")),
+    ):
+        with pytest.raises(ParamFuzzError) as err:
+            command()
+        exc = err.value
+        got.append((type(exc).__name__, str(exc), getattr(exc, "field", None)))
+    assert got[0] == got[1]
+    assert log_path.read_bytes() == before
+    assert not (tmp_path / "report").exists()
+    assert got[0] == LOG_GOLDEN[name]

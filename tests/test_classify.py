@@ -17,7 +17,7 @@ from paramfuzz.classify import (
     detect_task_deviation,
 )
 from paramfuzz.corpus import OracleInvocation
-from paramfuzz.errors import ToolMismatch
+from paramfuzz.errors import SchemaViolation, ToolMismatch
 
 
 def board_tool():
@@ -152,9 +152,9 @@ class TestDetectors:
 
 class TestFailureLabel:
     def test_evidence_flag_consistency_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaViolation):
             FailureLabel(task_deviation=True, evidence={})
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaViolation):
             FailureLabel(evidence={"task_deviation": [{"rule": "value_deviation"}]})
 
     def test_passed_and_flagged(self):

@@ -1,12 +1,19 @@
 """Command-line interface tests, driven through main(argv)."""
 
+import importlib.resources
 import json
 
 import pytest
 
-from conftest import make_case, make_query, scripted_return
+from conftest import log_events, make_case, make_query, scripted_return
 from paramfuzz.cli import EXIT_CAMPAIGN, EXIT_OK, EXIT_VALIDATION, main
+from paramfuzz.campaign import log_line
 from paramfuzz.corpus import serialize_corpus
+
+
+def packaged(name):
+    """The packaged data directory of one fixture set."""
+    return importlib.resources.files("paramfuzz").joinpath("data", name)
 
 
 @pytest.fixture
@@ -124,14 +131,23 @@ class TestRunPipeline:
         for name in ("campaign.jsonl", "report.json", "report_table.csv", "report.md"):
             assert (out / name).exists()
 
-    def test_staged_pipeline_matches_all_in_one(self, clean_corpus, tmp_path):
+    @pytest.mark.parametrize("corpus_set", ["clean_corpus", "mock_campaign"])
+    def test_staged_pipeline_matches_all_in_one(self, clean_corpus, tmp_path, corpus_set):
+        # The mock campaign brings failures, evidence and Rouge-L floats, so
+        # this checks that reporting from labels classified in memory writes
+        # the same bytes as reporting from labels read back from the log.
         combined = tmp_path / "combined"
         staged = tmp_path / "staged"
-        base = ["--corpus", clean_corpus, "--operators", "RD,CK", "--seed", "9"]
+        if corpus_set == "mock_campaign":
+            corpus = str(packaged("mock_campaign") / "corpus.json")
+            base = ["--corpus", corpus, "--scripts", str(packaged("mock_campaign") / "scripts.json")]
+        else:
+            corpus = clean_corpus
+            base = ["--corpus", corpus, "--operators", "RD,CK", "--seed", "9"]
         assert main(["run", *base, "--out", str(combined), "--report"]) == EXIT_OK
         assert main(["run", *base, "--out", str(staged)]) == EXIT_OK
         log = str(staged / "campaign.jsonl")
-        assert main(["classify", "--log", log, "--corpus", clean_corpus]) == EXIT_OK
+        assert main(["classify", "--log", log, "--corpus", corpus]) == EXIT_OK
         assert main(["report", "--log", log, "--out", str(staged)]) == EXIT_OK
         for name in ("campaign.jsonl", "report.json", "report_table.csv", "report.md"):
             assert (combined / name).read_bytes() == (staged / name).read_bytes()
@@ -151,9 +167,9 @@ class TestRunPipeline:
             encoding="utf-8",
         )
         assert main(["run", "--config", str(config_path)]) == EXIT_OK
-        from paramfuzz.campaign import derived_seed, read_log
+        from paramfuzz.campaign import derived_seed
 
-        events = read_log(str(out_from_config / "campaign.jsonl"))
+        events = log_events(out_from_config / "campaign.jsonl")
         assert events[0]["seed"] == 3
         assert events[0]["operators"] == ["RD"]
         override_out = tmp_path / "override"
@@ -161,7 +177,7 @@ class TestRunPipeline:
             main(["run", "--config", str(config_path), "--out", str(override_out), "--seed", "8"])
             == EXIT_OK
         )
-        events = read_log(str(override_out / "campaign.jsonl"))
+        events = log_events(override_out / "campaign.jsonl")
         assert events[0]["seed"] == 8
         trajectory = next(e for e in events if e["event"] == "trajectory")
         assert trajectory["seed"] == derived_seed(8, "RD", "k1")
@@ -205,6 +221,90 @@ class TestMalformedScriptBook:
         err = capsys.readouterr().err
         assert err.startswith("validation error: ")
         assert "Traceback" not in err
+
+    def test_model_error_prints_its_location(self, clean_corpus, tmp_path, capsys):
+        scripts = tmp_path / "scripts.json"
+        scripts.write_text(json.dumps({"scripts": {"k1": [{"thought": "hmm"}]}}), encoding="utf-8")
+        code = main(
+            ["run", "--corpus", clean_corpus, "--scripts", str(scripts),
+             "--out", str(tmp_path / "o"), "--operators", "RD"]
+        )
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "validation error: scripts.k1[0]: a step is exactly one of: tool invocation, final answer\n"
+        )
+
+    def test_corpus_error_names_its_field_once_and_its_case(self, tmp_path, capsys):
+        corpus = json.loads((packaged("demo") / "corpus.json").read_text(encoding="utf-8"))
+        corpus["cases"][0]["query"]["text"] = 5
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(corpus), encoding="utf-8")
+        assert main(["validate", "--corpus", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "validation error: query.text must be a string, got integer (case d1_unknown_kwarg)\n"
+        )
+        del corpus["cases"][0]["query"]["text"]
+        path.write_text(json.dumps(corpus), encoding="utf-8")
+        assert main(["validate", "--corpus", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "validation error: query is missing required key 'text' (case d1_unknown_kwarg)\n"
+        )
+
+
+class TestScriptKeys:
+    def run_demo(self, tmp_path, rename):
+        book = json.loads((packaged("demo") / "scripts.json").read_text(encoding="utf-8"))
+        book["scripts"] = {rename(key): script for key, script in book["scripts"].items()}
+        scripts = tmp_path / "scripts.json"
+        scripts.write_text(json.dumps(book), encoding="utf-8")
+        return main(
+            ["run", "--corpus", str(packaged("demo") / "corpus.json"), "--scripts", str(scripts),
+             "--out", str(tmp_path / "o"), "--operators", "RD", "--report"]
+        )
+
+    def test_key_naming_no_case_is_refused(self, tmp_path, capsys):
+        assert self.run_demo(tmp_path, lambda key: key + "_typo") == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "validation error: scripts.d1_unknown_kwarg_typo names no runnable case\n"
+        )
+        assert not (tmp_path / "o" / "campaign.jsonl").exists()
+
+    def test_key_naming_an_unknown_operator_is_refused(self, tmp_path, capsys):
+        assert self.run_demo(tmp_path, lambda key: "XX:" + key) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "validation error: scripts.XX:d1_unknown_kwarg names unknown operator 'XX'\n"
+        )
+
+    def test_operator_keys_for_other_operators_are_accepted(self, tmp_path):
+        assert self.run_demo(tmp_path, lambda key: "CF:" + key) == EXIT_OK
+
+
+class TestMalformedLog:
+    @pytest.fixture
+    def events(self, clean_corpus, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--corpus", clean_corpus, "--out", str(out), "--operators", "RD,CK", "--classify"]) == EXIT_OK
+        return log_events(out / "campaign.jsonl")
+
+    def report(self, tmp_path, events):
+        log = tmp_path / "bad.jsonl"
+        log.write_text("".join(log_line(e) + "\n" for e in events), encoding="utf-8")
+        return main(["report", "--log", str(log), "--out", str(tmp_path / "report")])
+
+    def test_shape_error_exits_one_with_its_line(self, tmp_path, capsys, events):
+        events[3]["case_pass"] = "false"
+        assert self.report(tmp_path, events) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "validation error: log line 4.case_pass must be a boolean, got string\n"
+        )
+
+    def test_duplicate_exits_two_naming_both_lines(self, tmp_path, capsys, events):
+        events.insert(3, events[1])
+        assert self.report(tmp_path, events) == EXIT_CAMPAIGN
+        err = capsys.readouterr().err
+        assert err.startswith("campaign error: log line 4 is a second run of (RD, k1, seed ")
+        assert err.endswith("; the first is on line 2\n")
+        assert not (tmp_path / "report").exists()
 
 
 class TestDemo:

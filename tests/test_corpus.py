@@ -439,6 +439,8 @@ MUTATIONS = {
     "corpus_unknown_key": _set("extra", 1),
     "corpus_cases_not_array": _set("cases", {}),
     "corpus_schema_version_2": _set("schema_version", 2),
+    "corpus_schema_version_true": _set("schema_version", True),
+    "corpus_schema_version_float": _set("schema_version", 1.0),
     "corpus_duplicate_case_id": _set("cases.1.case_id", "d1_unknown_kwarg"),
     "corpus_tool_redefined": _append("cases", _redefined_tool_case),
     "case_not_object": _set(C, "d1"),
@@ -566,6 +568,8 @@ GOLDEN = {
     "corpus_missing_schema_version": ("SchemaViolation", "corpus is missing required key 'schema_version'", "corpus.schema_version", None),
     "corpus_not_object": ("SchemaViolation", "corpus must be a JSON object, got array", "corpus", None),
     "corpus_schema_version_2": ("SchemaViolation", "unsupported schema_version 2; this reader understands 1", "schema_version", None),
+    "corpus_schema_version_float": ("SchemaViolation", "corpus.schema_version must be an integer, got number", "corpus.schema_version", None),
+    "corpus_schema_version_true": ("SchemaViolation", "corpus.schema_version must be an integer, got boolean", "corpus.schema_version", None),
     "corpus_tool_redefined": ("SchemaViolation", "tool 'get_threads' is defined twice with different documents; a name must mean one document corpus-wide", "tools", "d1_copy"),
     "corpus_unknown_key": ("SchemaViolation", "corpus has unknown key 'extra'", "corpus.extra", None),
     "mention_missing_param_name": ("SchemaViolation", "query.mentions[0] is missing required key 'param_name'", "query.mentions[0].param_name", "d1_unknown_kwarg"),

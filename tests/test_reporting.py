@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_case, scripted_return
-from paramfuzz.campaign import CampaignConfig, classify_log, log_line, run_campaign
+from paramfuzz.campaign import CampaignConfig, classify_log, log_line, read_log, run_campaign
 from paramfuzz.classify import CATEGORIES, FailureLabel
 from paramfuzz.corpus import serialize_corpus
 from paramfuzz.errors import CampaignError, EmptyCampaign
@@ -189,13 +189,13 @@ def mini_campaign(tmp_path, operators=("RD", "CK")):
         seed=0,
     )
     log_path = run_campaign(config)
-    classify_log(log_path, str(corpus_path))
+    classify_log(read_log(log_path), str(corpus_path))
     return log_path
 
 
 class TestCollectResults:
     def test_joins_trajectories_with_classifications(self, tmp_path):
-        results = collect_results(mini_campaign(tmp_path))
+        results = collect_results(read_log(mini_campaign(tmp_path)))
         assert len(results.outcomes) == 2
         assert {o.operator for o in results.outcomes} == {"RD", "CK"}
         assert all(o.applied and o.case_pass for o in results.outcomes)
@@ -211,13 +211,13 @@ class TestCollectResults:
             )
         )
         with pytest.raises(CampaignError):
-            collect_results(log_path)
+            collect_results(read_log(log_path))
 
     def test_headerless_log_is_an_error(self, tmp_path):
         path = tmp_path / "log.jsonl"
         path.write_text(log_line({"event": "trajectory"}) + "\n", encoding="utf-8")
         with pytest.raises(CampaignError):
-            collect_results(str(path))
+            collect_results(read_log(str(path)))
 
     def test_driver_errors_counted_per_operator(self, tmp_path):
         log_path = mini_campaign(tmp_path)
@@ -235,13 +235,13 @@ class TestCollectResults:
                 )
                 + "\n"
             )
-        results = collect_results(log_path)
+        results = collect_results(read_log(log_path))
         assert results.error_counts == {"RD": 1}
 
 
 class TestReportRendering:
     def test_csv_grid_shape_and_values(self, tmp_path):
-        report = build_report(collect_results(mini_campaign(tmp_path)))
+        report = build_report(collect_results(read_log(mini_campaign(tmp_path))))
         grid = render_csv(report)
         lines = grid.strip().split("\n")
         assert len(lines) == 7
@@ -257,7 +257,7 @@ class TestReportRendering:
         assert set(rouge_row[1:]) == {"n/a"}
 
     def test_operator_block_contents(self, tmp_path):
-        report = build_report(collect_results(mini_campaign(tmp_path)))
+        report = build_report(collect_results(read_log(mini_campaign(tmp_path))))
         block = report["operators"]["RD"]
         assert block["attempted"] == 1 and block["passed"] == 1
         assert block["failure_rate_percent"] == "0.00"
@@ -266,7 +266,7 @@ class TestReportRendering:
         assert "WT" not in report["operators"]
 
     def test_markdown_mentions_the_essentials(self, tmp_path):
-        report = build_report(collect_results(mini_campaign(tmp_path)))
+        report = build_report(collect_results(read_log(mini_campaign(tmp_path))))
         text = render_markdown(report)
         assert "# Campaign report" in text
         assert "Failure Taxonomy" in text
@@ -275,7 +275,7 @@ class TestReportRendering:
 
     def test_emit_report_writes_three_files(self, tmp_path):
         log_path = mini_campaign(tmp_path)
-        paths = emit_report(log_path, str(tmp_path / "report"))
+        paths = emit_report(read_log(log_path), str(tmp_path / "report"))
         assert sorted(paths) == ["csv", "json", "md"]
         loaded = json.loads(open(paths["json"], encoding="utf-8").read())
         assert loaded["rouge_threshold"] == 0.8
@@ -283,7 +283,7 @@ class TestReportRendering:
 
     def test_report_regeneration_is_byte_identical(self, tmp_path):
         log_path = mini_campaign(tmp_path)
-        first = emit_report(log_path, str(tmp_path / "r1"))
-        second = emit_report(log_path, str(tmp_path / "r2"))
+        first = emit_report(read_log(log_path), str(tmp_path / "r1"))
+        second = emit_report(read_log(log_path), str(tmp_path / "r2"))
         for key in ("json", "csv", "md"):
             assert open(first[key], "rb").read() == open(second[key], "rb").read()
