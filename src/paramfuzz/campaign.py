@@ -229,7 +229,12 @@ class ScriptBook:
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Everything a campaign run needs, reproducibly."""
+    """Everything a campaign run needs, reproducibly.
+
+    Each field's default here is the only one: the CLI passes only the
+    settings a flag or the config file gives. workers apply to the http
+    driver alone; replay runs in one thread.
+    """
 
     corpus_path: str
     out_dir: str
@@ -257,8 +262,14 @@ class CampaignConfig:
             raise CampaignError("the http driver needs an endpoint config")
         if self.workers < 1:
             raise CampaignError("workers must be at least 1")
+        if self.driver == "replay" and self.workers > 1:
+            raise CampaignError(
+                "the replay driver runs with 1 worker; workers apply only to the http driver"
+            )
         if self.step_limit < 1:
             raise CampaignError("step_limit must be at least 1")
+        if self.max_observation_length < 1:
+            raise CampaignError("max_observation_length must be at least 1")
 
     @property
     def ordered_operators(self) -> tuple[str, ...]:
@@ -314,8 +325,9 @@ def _check_resume(meta: dict[str, object], existing: dict[str, object]) -> None:
 def run_campaign(config: CampaignConfig) -> str:
     """Execute (or resume) the campaign; returns the log path.
 
-    Trajectories are computed by a bounded worker pool but written in
-    submission order, so the log is deterministic for any worker count.
+    With the http driver and more than one worker, trajectories are
+    computed by a bounded thread pool; they are always written in job
+    order, so the log is deterministic for any worker count.
     """
     cases = filter_cases(load_corpus(config.corpus_path))
     if not cases:
@@ -350,7 +362,8 @@ def run_campaign(config: CampaignConfig) -> str:
         if (operator, case.case_id, derived_seed(config.seed, operator, case.case_id)) not in done
     ]
 
-    def execute(operator: str, case: TestCase, seed: int) -> dict[str, object]:
+    def execute(job: tuple[str, TestCase, int]) -> dict[str, object]:
+        operator, case, seed = job
         if shared_http is not None:
             agent = shared_http
         else:
@@ -376,20 +389,16 @@ def run_campaign(config: CampaignConfig) -> str:
             }
         return {"event": "trajectory", **trajectory.to_json()}
 
-    with open(log_path, "a", encoding="utf-8") as handle:
+    with open(log_path, "a", encoding="utf-8") as handle, concurrent.futures.ThreadPoolExecutor(
+        max_workers=config.workers
+    ) as pool:
         if needs_header:
             handle.write(log_line(meta) + "\n")
             handle.flush()
-        if config.workers == 1:
-            for operator, case, seed in jobs:
-                handle.write(log_line(execute(operator, case, seed)) + "\n")
-                handle.flush()
-        else:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as pool:
-                futures = [pool.submit(execute, *job) for job in jobs]
-                for future in futures:
-                    handle.write(log_line(future.result()) + "\n")
-                    handle.flush()
+        events = map(execute, jobs) if config.workers == 1 else pool.map(execute, jobs)
+        for event in events:
+            handle.write(log_line(event) + "\n")
+            handle.flush()
     return log_path
 
 

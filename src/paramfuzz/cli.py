@@ -29,6 +29,10 @@ from paramfuzz.campaign import (
     run_campaign,
 )
 from paramfuzz.corpus import (
+    _each,
+    _expect,
+    _record,
+    _string,
     all_tools,
     filter_cases,
     lint_case,
@@ -37,11 +41,7 @@ from paramfuzz.corpus import (
     return_to_json,
     tool_to_json,
 )
-from paramfuzz.driver import (
-    DEFAULT_MAX_OBSERVATION_LENGTH,
-    DEFAULT_STEP_LIMIT,
-    EndpointConfig,
-)
+from paramfuzz.driver import EndpointConfig
 from paramfuzz.errors import (
     CampaignError,
     MalformedInput,
@@ -125,6 +125,23 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The run settings: each config-file key, the JSON type the file must give
+# it, and the CampaignConfig field it sets. Each key is also the dest of the
+# run flag that sets it; endpoint is read from the file alone.
+_RUN_SETTINGS = (
+    ("corpus", "string", "corpus_path"),
+    ("out", "string", "out_dir"),
+    ("operators", None, "operators"),
+    ("driver", "string", "driver"),
+    ("seed", "integer", "seed"),
+    ("workers", "integer", "workers"),
+    ("step_limit", "integer", "step_limit"),
+    ("max_observation_length", "integer", "max_observation_length"),
+    ("scripts", "string", "scripts_path"),
+    ("endpoint", "object", "endpoint"),
+)
+
+
 def _load_config_file(path: str | None) -> dict[str, object]:
     if path is None:
         return {}
@@ -133,54 +150,33 @@ def _load_config_file(path: str | None) -> dict[str, object]:
             obj = json.load(handle)
         except json.JSONDecodeError as exc:
             raise MalformedInput(f"config file is not valid JSON: {exc.msg}") from exc
-    if not isinstance(obj, dict):
-        raise MalformedInput("config file must hold a JSON object")
-    return obj
+    return _record(obj, tuple((key, jtype, False) for key, jtype, _ in _RUN_SETTINGS), "config")
 
 
 def _build_campaign_config(args: argparse.Namespace) -> CampaignConfig:
+    """Pass CampaignConfig each setting a flag or the config file gives; a
+    flag wins over the file, and CampaignConfig holds every default."""
     file_config = _load_config_file(args.config)
-
-    def pick(flag_value: object, key: str, fallback: object) -> object:
-        if flag_value is not None:
-            return flag_value
-        if key in file_config:
-            return file_config[key]
-        return fallback
-
-    corpus_path = pick(args.corpus, "corpus", None)
-    out_dir = pick(args.out, "out", None)
-    if corpus_path is None:
+    values: dict[str, object] = {}
+    for key, _, name in _RUN_SETTINGS:
+        value = getattr(args, key, None)
+        if value is None:
+            value = file_config.get(key)
+        if value is not None:
+            values[name] = value
+    if "corpus_path" not in values:
         raise CampaignError("a corpus path is required (--corpus or config 'corpus')")
-    if out_dir is None:
+    if "out_dir" not in values:
         raise CampaignError("an output directory is required (--out or config 'out')")
-    operators_value = pick(args.operators, "operators", None)
-    if operators_value is None:
-        operators = ALL_OPERATORS
-    elif isinstance(operators_value, str):
-        operators = tuple(op.strip() for op in operators_value.split(",") if op.strip())
-    else:
-        operators = tuple(str(op) for op in operators_value)
-    endpoint = None
-    if "endpoint" in file_config:
-        raw_endpoint = file_config["endpoint"]
-        if not isinstance(raw_endpoint, dict):
-            raise MalformedInput("config 'endpoint' must be an object")
-        endpoint = EndpointConfig.from_json(raw_endpoint)
-    return CampaignConfig(
-        corpus_path=str(corpus_path),
-        out_dir=str(out_dir),
-        operators=operators,
-        driver=str(pick(args.driver, "driver", "replay")),
-        seed=int(pick(args.seed, "seed", 0)),  # type: ignore[arg-type]
-        workers=int(pick(args.workers, "workers", 1)),  # type: ignore[arg-type]
-        step_limit=int(pick(args.step_limit, "step_limit", DEFAULT_STEP_LIMIT)),  # type: ignore[arg-type]
-        max_observation_length=int(
-            pick(args.max_obs_len, "max_observation_length", DEFAULT_MAX_OBSERVATION_LENGTH)  # type: ignore[arg-type]
-        ),
-        scripts_path=pick(args.scripts, "scripts", None),  # type: ignore[arg-type]
-        endpoint=endpoint,
-    )
+    operators = values.get("operators")
+    if isinstance(operators, str):
+        values["operators"] = tuple(op.strip() for op in operators.split(",") if op.strip())
+    elif operators is not None:
+        where = "config.operators"
+        values["operators"] = _each(_expect("array", operators, where), where, None, _string)
+    if "endpoint" in values:
+        values["endpoint"] = EndpointConfig.from_json(values["endpoint"])
+    return CampaignConfig(**values)  # type: ignore[arg-type]
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -292,9 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--workers", type=int)
     p_run.add_argument("--step-limit", type=int, dest="step_limit")
-    p_run.add_argument("--max-obs-len", type=int, dest="max_obs_len")
+    p_run.add_argument("--max-obs-len", type=int, dest="max_observation_length")
     p_run.add_argument("--scripts", help="script book JSON for the replay driver")
-    p_run.add_argument("--config", help="JSON config file (endpoint, defaults)")
+    p_run.add_argument("--config", help="JSON config file (endpoint and run settings; flags win)")
     p_run.add_argument("--classify", action="store_true", help="classify after running")
     p_run.add_argument("--report", action="store_true", help="classify and report after running")
     p_run.set_defaults(func=cmd_run)

@@ -19,7 +19,7 @@ import re
 import threading
 import time
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from paramfuzz.classify import ObservedInvocation
 from paramfuzz.corpus import (
@@ -190,7 +190,7 @@ class ScriptedBehavior:
         return _build(cls, where, None, steps=parsed)
 
     @classmethod
-    def replaying(cls, case: TestCase, answer: str = "Done.") -> "ScriptedBehavior":
+    def replaying(cls, case: TestCase) -> "ScriptedBehavior":
         """The script that reproduces the case's own oracle trajectory."""
         steps = [
             AgentStep(
@@ -199,7 +199,7 @@ class ScriptedBehavior:
             )
             for inv in case.oracle
         ]
-        steps.append(AgentStep(thought="The task is complete.", final_answer=answer))
+        steps.append(AgentStep(thought="The task is complete.", final_answer="Done."))
         return cls(steps=tuple(steps))
 
 
@@ -207,7 +207,7 @@ class ReplayDriver:
     """Deterministic driver that emits a ScriptedBehavior step by step.
 
     The step index is the number of prior invocations in the context, so
-    the driver itself is stateless and safe to share across workers.
+    the driver itself is stateless.
     """
 
     driver_id = "replay"
@@ -229,6 +229,10 @@ def render_function_declarations(tools: list[ToolDocument] | tuple[ToolDocument,
     return json.dumps([tool_to_json(t) for t in tools], indent=2, ensure_ascii=False)
 
 
+# The JSON type that EndpointConfig.from_json requires of each annotated field type.
+_JSON_TYPE_OF_FIELD = {"str": "string", "float": "number", "int": "integer"}
+
+
 @dataclass(frozen=True)
 class EndpointConfig:
     """Connection settings for the chat-completions driver."""
@@ -244,7 +248,13 @@ class EndpointConfig:
 
     @classmethod
     def from_json(cls, obj: dict[str, object]) -> "EndpointConfig":
-        known = {f: obj[f] for f in cls.__dataclass_fields__ if f in obj}
+        """Read the config file's endpoint object. Each known key must hold
+        the JSON type of its field; unknown keys are ignored."""
+        known = {
+            f.name: _expect(_JSON_TYPE_OF_FIELD[f.type], obj[f.name], f"config.endpoint.{f.name}")
+            for f in fields(cls)
+            if f.name in obj
+        }
         if "base_url" not in known or "model" not in known:
             raise SchemaViolation("endpoint config needs base_url and model")
         return cls(**known)  # type: ignore[arg-type]

@@ -32,12 +32,8 @@ from paramfuzz.perturb.document import (
     swap_descriptions,
 )
 from paramfuzz.perturb.query import (
-    DEFAULT_COMPLICATOR,
-    DEFAULT_NOISER,
-    Rewriter,
     append_noise,
     complicate_mentions,
-    llm_rewriter,
     remove_first_mention,
     remove_last_mention,
 )
@@ -55,10 +51,7 @@ __all__ = [
     "QUERY_OPERATORS",
     "RETURN_OPERATORS",
     "SOURCE_OF_OPERATOR",
-    "DEFAULT_COMPLICATOR",
-    "DEFAULT_NOISER",
     "PerturbationRecord",
-    "Rewriter",
     "append_noise",
     "apply_document_operator",
     "apply_query_operator",
@@ -68,7 +61,6 @@ __all__ = [
     "corrupt_format",
     "corrupt_types",
     "fuzz_keys",
-    "llm_rewriter",
     "prefix_id_values",
     "remove_examples",
     "remove_first_mention",
@@ -105,11 +97,7 @@ def apply_document_operator(
 
 
 def apply_query_operator(
-    operator: str,
-    query: AnnotatedQuery,
-    *,
-    complicator: Rewriter = DEFAULT_COMPLICATOR,
-    noiser: Rewriter = DEFAULT_NOISER,
+    operator: str, query: AnnotatedQuery
 ) -> tuple[AnnotatedQuery, PerturbationRecord]:
     """Apply one query operator by id."""
     if operator == "RPF":
@@ -117,9 +105,9 @@ def apply_query_operator(
     if operator == "RPL":
         return remove_last_mention(query)
     if operator == "CP":
-        return complicate_mentions(query, complicator)
+        return complicate_mentions(query)
     if operator == "AN":
-        return append_noise(query, noiser)
+        return append_noise(query)
     raise SchemaViolation(f"{operator!r} is not a query operator")
 
 

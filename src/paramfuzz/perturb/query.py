@@ -11,49 +11,24 @@ Excision normalizes the surrounding whitespace (no doubled spaces, no
 space left dangling before punctuation) and re-offsets every surviving
 mention, so the output still satisfies text[span] == value_text.
 
-CP and AN delegate their text generation to a pluggable, pure Rewriter;
-the shipped defaults are deterministic, and llm_rewriter wraps an
-arbitrary callable (for example a model client) behind the same contract.
+CP and AN generate their text with fixed, deterministic rewrites (a
+descriptive phrase and a near-miss value), so the same query always gives
+the same perturbation.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import replace
 
 from paramfuzz.corpus import AnnotatedQuery, Mention
-from paramfuzz.errors import NoMentions, SchemaViolation
+from paramfuzz.errors import NoMentions
 from paramfuzz.perturb.base import PerturbationRecord
 
 _NO_SPACE_BEFORE = ".,!?;:"
 
 _INTEGER_SHAPE = re.compile(r"[+-]?\d+")
 _DECIMAL_SHAPE = re.compile(r"[+-]?\d+\.\d+")
-
-
-@dataclass(frozen=True)
-class Rewriter:
-    """A pure value_text -> replacement function with a kind tag."""
-
-    kind: str
-    name: str
-    fn: Callable[[str], str]
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("complicate", "noise"):
-            raise SchemaViolation(
-                f"rewriter kind must be 'complicate' or 'noise', not {self.kind!r}"
-            )
-
-    def __call__(self, value_text: str) -> str:
-        out = self.fn(value_text)
-        if not isinstance(out, str) or not out:
-            raise SchemaViolation(
-                f"rewriter {self.name!r} produced an empty replacement for "
-                f"{value_text!r}"
-            )
-        return out
 
 
 def _complicate(value_text: str) -> str:
@@ -73,19 +48,6 @@ def _distract(value_text: str) -> str:
     if candidate == value_text:
         candidate = f"not {value_text}"
     return candidate
-
-
-DEFAULT_COMPLICATOR = Rewriter(kind="complicate", name="descriptive-phrase", fn=_complicate)
-DEFAULT_NOISER = Rewriter(kind="noise", name="near-miss", fn=_distract)
-
-
-def llm_rewriter(kind: str, fn: Callable[[str], str], name: str) -> Rewriter:
-    """Wrap an external text generator as a Rewriter.
-
-    The callable must be pure for a given input; campaigns replay records,
-    so a nondeterministic generator breaks reproducibility.
-    """
-    return Rewriter(kind=kind, name=name, fn=fn)
 
 
 def _excise(
@@ -155,23 +117,17 @@ def remove_last_mention(query: AnnotatedQuery) -> tuple[AnnotatedQuery, Perturba
     return out, PerturbationRecord(operator="RPL", details=details)
 
 
-def complicate_mentions(
-    query: AnnotatedQuery, rewriter: Rewriter = DEFAULT_COMPLICATOR
-) -> tuple[AnnotatedQuery, PerturbationRecord]:
+def complicate_mentions(query: AnnotatedQuery) -> tuple[AnnotatedQuery, PerturbationRecord]:
     """Rewrite every mention into a longer descriptive phrase (CP)."""
     if not query.mentions:
         raise NoMentions("query carries no annotated parameter mentions")
-    if rewriter.kind != "complicate":
-        raise SchemaViolation(
-            f"complicate_mentions needs a 'complicate' rewriter, got {rewriter.kind!r}"
-        )
     pieces: list[str] = []
     mentions: list[Mention] = []
     replacements: list[dict[str, str]] = []
     cursor = 0
     offset = 0
     for m in query.mentions:
-        replacement = rewriter(m.value_text)
+        replacement = _complicate(m.value_text)
         pieces.append(query.text[cursor : m.start])
         start = m.start + offset
         pieces.append(replacement)
@@ -192,14 +148,12 @@ def complicate_mentions(
     pieces.append(query.text[cursor:])
     record = PerturbationRecord(
         operator="CP",
-        details={"rewriter": rewriter.name, "replacements": replacements},
+        details={"rewriter": "descriptive-phrase", "replacements": replacements},
     )
     return AnnotatedQuery(text="".join(pieces), mentions=tuple(mentions)), record
 
 
-def append_noise(
-    query: AnnotatedQuery, rewriter: Rewriter = DEFAULT_NOISER
-) -> tuple[AnnotatedQuery, PerturbationRecord]:
+def append_noise(query: AnnotatedQuery) -> tuple[AnnotatedQuery, PerturbationRecord]:
     """Append one distractor sentence per mention after the query (AN).
 
     The original text and all mention annotations survive byte-for-byte;
@@ -207,21 +161,17 @@ def append_noise(
     """
     if not query.mentions:
         raise NoMentions("query carries no annotated parameter mentions")
-    if rewriter.kind != "noise":
-        raise SchemaViolation(
-            f"append_noise needs a 'noise' rewriter, got {rewriter.kind!r}"
-        )
     distractors: list[dict[str, str]] = []
     suffix: list[str] = []
     for m in query.mentions:
-        noise = rewriter(m.value_text)
+        noise = _distract(m.value_text)
         distractors.append(
             {"param_name": m.param_name, "original": m.value_text, "distractor": noise}
         )
         suffix.append(f" Unrelated note: {noise}.")
     record = PerturbationRecord(
         operator="AN",
-        details={"rewriter": rewriter.name, "distractors": distractors},
+        details={"rewriter": "near-miss", "distractors": distractors},
     )
     out = AnnotatedQuery(text=query.text + "".join(suffix), mentions=query.mentions)
     return out, record

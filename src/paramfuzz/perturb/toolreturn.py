@@ -13,8 +13,7 @@ All five are deterministic and use no randomness. FK, AP, CK and UK keep
 the output valid JSON and never touch leaf values outside their targets;
 CF is the one operator that destroys parseability on purpose.
 
-Key transforms recurse through nesting by default; recursive=False
-restricts them to the top-level object for strict flat-key behavior.
+Key transforms recurse through every nested object and array.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ def to_snake_case(key: str) -> str:
     return "_".join(tokens)
 
 
-def fuzz_keys(ret: ToolReturn, recursive: bool = True) -> tuple[ToolReturn, PerturbationRecord]:
+def fuzz_keys(ret: ToolReturn) -> tuple[ToolReturn, PerturbationRecord]:
     """Rename every object's keys to Object_1..Object_n in place order (FK).
 
     Numbering restarts inside each object. Values are untouched, so the
@@ -80,14 +79,13 @@ def fuzz_keys(ret: ToolReturn, recursive: bool = True) -> tuple[ToolReturn, Pert
                 new_key = f"Object_{index + 1}"
                 if new_key != key:
                     renames.append({"path": list(path), "from": key, "to": new_key})
-                out[new_key] = walk(item, path + (key,)) if recursive else item
+                out[new_key] = walk(item, path + (key,))
             return out
-        if isinstance(value, list) and recursive:
+        if isinstance(value, list):
             return [walk(item, path + (i,)) for i, item in enumerate(value)]
         return value
 
-    reachable = _contains_object(payload) if recursive else isinstance(payload, dict)
-    if not reachable:
+    if not _contains_object(payload):
         raise NoObjects("FK found no JSON object to rename")
     perturbed = walk(payload, ())
     record = PerturbationRecord(operator="FK", details={"renames": renames})
@@ -102,29 +100,14 @@ def _contains_object(value: object) -> bool:
     return False
 
 
-def prefix_id_values(
-    ret: ToolReturn,
-    id_pattern: str | None = None,
-    value_pattern: str | None = None,
-) -> tuple[ToolReturn, PerturbationRecord]:
+def prefix_id_values(ret: ToolReturn) -> tuple[ToolReturn, PerturbationRecord]:
     """Rewrite every ID-keyed value to the string "ID_" + value (AP).
 
     A key counts as an ID when it equals "id" case-insensitively or ends
-    with "_id", "Id" or "ID"; pass id_pattern to override the heuristic.
-    value_pattern additionally targets string values matching the given
-    regex regardless of key, and is off by default.
+    with "_id", "Id" or "ID".
     """
     payload = _require_json(ret, "AP")
-    key_matcher = re.compile(id_pattern) if id_pattern is not None else _DEFAULT_ID_KEY
-    value_matcher = re.compile(value_pattern) if value_pattern is not None else None
     modified: list[list[object]] = []
-
-    def hit(key: str, item: object) -> bool:
-        if key_matcher.fullmatch(key):
-            return True
-        if value_matcher is not None and isinstance(item, str):
-            return value_matcher.fullmatch(item) is not None
-        return False
 
     def stringify(item: object) -> str:
         return item if isinstance(item, str) else canonical_json(item)
@@ -133,7 +116,7 @@ def prefix_id_values(
         if isinstance(value, dict):
             out = {}
             for key, item in value.items():
-                if hit(key, item):
+                if _DEFAULT_ID_KEY.fullmatch(key):
                     modified.append(list(path) + [key])
                     out[key] = "ID_" + stringify(item)
                 else:
@@ -151,14 +134,14 @@ def prefix_id_values(
 
 
 def _respell_keys(
-    ret: ToolReturn, operator: str, respell: Callable[[str], str], recursive: bool
+    ret: ToolReturn, operator: str, respell: Callable[[str], str]
 ) -> tuple[ToolReturn, PerturbationRecord]:
     payload = _require_json(ret, operator)
     renames: list[dict[str, object]] = []
     collisions: list[dict[str, object]] = []
 
-    def walk(value: object, path: KeyPath, at_top: bool) -> object:
-        if isinstance(value, dict) and (recursive or at_top):
+    def walk(value: object, path: KeyPath) -> object:
+        if isinstance(value, dict):
             out = {}
             for key, item in value.items():
                 new_key = respell(key)
@@ -166,13 +149,13 @@ def _respell_keys(
                     renames.append({"path": list(path), "from": key, "to": new_key})
                 if new_key in out:
                     collisions.append({"path": list(path), "key": new_key})
-                out[new_key] = walk(item, path + (key,), False)
+                out[new_key] = walk(item, path + (key,))
             return out
-        if isinstance(value, list) and recursive:
-            return [walk(item, path + (i,), False) for i, item in enumerate(value)]
+        if isinstance(value, list):
+            return [walk(item, path + (i,)) for i, item in enumerate(value)]
         return value
 
-    perturbed = walk(payload, (), True)
+    perturbed = walk(payload, ())
     details: dict[str, object] = {"renames": renames}
     if collisions:
         details["collisions"] = collisions
@@ -180,18 +163,18 @@ def _respell_keys(
     return ToolReturn(payload=perturbed), record
 
 
-def camel_case_keys(ret: ToolReturn, recursive: bool = True) -> tuple[ToolReturn, PerturbationRecord]:
+def camel_case_keys(ret: ToolReturn) -> tuple[ToolReturn, PerturbationRecord]:
     """Re-spell every object key as lowerCamelCase (CK). Idempotent.
 
     When two keys collapse to one spelling the later key wins and the
     loss is reported as a collision in the record.
     """
-    return _respell_keys(ret, "CK", to_camel_case, recursive)
+    return _respell_keys(ret, "CK", to_camel_case)
 
 
-def snake_case_keys(ret: ToolReturn, recursive: bool = True) -> tuple[ToolReturn, PerturbationRecord]:
+def snake_case_keys(ret: ToolReturn) -> tuple[ToolReturn, PerturbationRecord]:
     """Re-spell every object key as snake_case (UK). Idempotent."""
-    return _respell_keys(ret, "UK", to_snake_case, recursive)
+    return _respell_keys(ret, "UK", to_snake_case)
 
 
 def corrupt_format(ret: ToolReturn) -> tuple[ToolReturn, PerturbationRecord]:

@@ -125,17 +125,15 @@ def category_rates(outcomes: list[CaseOutcome]) -> dict[str, Fraction]:
     return rates
 
 
-def _exceedance(scores: list[float], threshold: float) -> Fraction | None:
+def _exceedance(scores: list[float]) -> Fraction | None:
     if not scores:
         return None
-    hits = sum(1 for score in scores if score >= threshold)
+    hits = sum(1 for score in scores if score >= ROUGE_THRESHOLD)
     return Fraction(hits, len(scores))
 
 
-def rouge_exceedance(
-    labels: list[FailureLabel], threshold: float = ROUGE_THRESHOLD
-) -> dict[str, Fraction | None]:
-    """Fractions of flagged invocations with Rouge-L at or above threshold.
+def rouge_exceedance(labels: list[FailureLabel]) -> dict[str, Fraction | None]:
+    """Fractions of flagged invocations with Rouge-L at or above ROUGE_THRESHOLD.
 
     Computed separately over Task Deviation and Specification Mismatch
     flags, plus jointly over their union; None where nothing was flagged.
@@ -151,9 +149,9 @@ def rouge_exceedance(
         and (l.rouge_td is not None or l.rouge_sm is not None)
     ]
     return {
-        "task_deviation": _exceedance(td_scores, threshold),
-        "specification_mismatch": _exceedance(sm_scores, threshold),
-        "joint": _exceedance(joint_scores, threshold),
+        "task_deviation": _exceedance(td_scores),
+        "specification_mismatch": _exceedance(sm_scores),
+        "joint": _exceedance(joint_scores),
     }
 
 

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import importlib.resources
 import json
+import re
 
 import pytest
 
@@ -19,7 +20,7 @@ from paramfuzz.campaign import (
     read_log,
     run_campaign,
 )
-from paramfuzz.corpus import serialize_corpus
+from paramfuzz.corpus import canonical_json, load_corpus, serialize_corpus
 from paramfuzz.driver import EndpointConfig, ScriptedBehavior
 from paramfuzz.errors import CampaignError, MalformedInput, ParamFuzzError
 from paramfuzz.perturb import ALL_OPERATORS
@@ -176,6 +177,10 @@ class TestCampaignConfig:
             CampaignConfig(corpus_path="c", out_dir=str(tmp_path), workers=0)
         with pytest.raises(CampaignError):
             CampaignConfig(corpus_path="c", out_dir=str(tmp_path), step_limit=0)
+        with pytest.raises(CampaignError, match="max_observation_length must be at least 1"):
+            CampaignConfig(corpus_path="c", out_dir=str(tmp_path), max_observation_length=-5)
+        with pytest.raises(CampaignError, match="workers apply only to the http driver"):
+            CampaignConfig(corpus_path="c", out_dir=str(tmp_path), workers=2)
 
     def test_ordered_operators_canonicalizes_selection(self, tmp_path):
         config = CampaignConfig(
@@ -215,16 +220,56 @@ class TestRunCampaign:
 
         assert run("a") == run("b")
 
-    def test_parallel_log_matches_serial(self, tmp_path):
+    def test_parallel_log_matches_serial(self, tmp_path, monkeypatch):
+        import requests
+
         corpus = two_case_corpus(tmp_path)
+        oracles = {case.tools[0].tool_name: case.oracle for case in load_corpus(corpus)}
+
+        class Response:
+            status_code = 200
+
+            def __init__(self, content):
+                self.body = {"choices": [{"message": {"content": content}}]}
+                self.text = json.dumps(self.body)
+
+            def json(self):
+                return self.body
+
+        def answer_the_oracle(url, headers=None, json=None, timeout=None):
+            """Answer each case's oracle calls in turn, then finish."""
+            messages = json["messages"]
+            tool = re.search(r'"tool_name":\s*"([^"]+)"', messages[0]["content"]).group(1)
+            step = sum(1 for message in messages if message["role"] == "assistant")
+            if step >= len(oracles[tool]):
+                return Response("Thought: The task is complete.\nFinal Answer: Done.")
+            call = oracles[tool][step]
+            return Response(
+                f"Thought: Call {call.tool_name}.\nAction: {call.tool_name}\n"
+                f"Action Input: {canonical_json(call.arguments)}"
+            )
+
+        monkeypatch.setattr(requests, "post", answer_the_oracle)
+        endpoint = EndpointConfig(
+            base_url="http://fake", model="m", rate_per_minute=0, backoff_base_s=0.0
+        )
 
         def run(out, workers):
             config = CampaignConfig(
-                corpus_path=corpus, out_dir=str(tmp_path / out), seed=4, workers=workers
+                corpus_path=corpus,
+                out_dir=str(tmp_path / out),
+                driver="http",
+                seed=4,
+                workers=workers,
+                endpoint=endpoint,
             )
-            return open(run_campaign(config), "rb").read()
+            return run_campaign(config)
 
-        assert run("serial", 1) == run("parallel", 4)
+        serial = run("serial", 1)
+        events = log_events(serial)
+        assert [e["event"] for e in events[1:]] == ["trajectory"] * 2 * len(ALL_OPERATORS)
+        assert all(e["outcome"] == "answered" for e in events[1:])
+        assert open(serial, "rb").read() == open(run("parallel", 4), "rb").read()
 
     def test_resume_skips_finished_pairs(self, tmp_path):
         corpus = two_case_corpus(tmp_path)

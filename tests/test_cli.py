@@ -1,13 +1,15 @@
 """Command-line interface tests, driven through main(argv)."""
 
+import argparse
+import dataclasses
 import importlib.resources
 import json
 
 import pytest
 
 from conftest import log_events, make_case, make_query, scripted_return
-from paramfuzz.cli import EXIT_CAMPAIGN, EXIT_OK, EXIT_VALIDATION, main
-from paramfuzz.campaign import log_line
+from paramfuzz.cli import _RUN_SETTINGS, EXIT_CAMPAIGN, EXIT_OK, EXIT_VALIDATION, build_parser, main
+from paramfuzz.campaign import CampaignConfig, log_line
 from paramfuzz.corpus import serialize_corpus
 
 
@@ -191,6 +193,66 @@ class TestRunPipeline:
             ["run", "--corpus", clean_corpus, "--out", str(tmp_path / "o"), "--operators", "XX"]
         )
         assert code == EXIT_CAMPAIGN
+
+
+class TestRunSettings:
+    def test_every_run_flag_has_a_config_key_and_every_key_a_field(self):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {
+            action.dest
+            for action in subparsers.choices["run"]._actions
+            if action.option_strings and action.dest != "help"
+        }
+        keys = {key for key, _, _ in _RUN_SETTINGS}
+        assert flags - {"config", "classify", "report"} <= keys
+        assert [name for _, _, name in _RUN_SETTINGS] == [
+            f.name for f in dataclasses.fields(CampaignConfig)
+        ]
+
+    @pytest.mark.parametrize(
+        ("config", "message"),
+        [
+            pytest.param(
+                {"step_limt": 1}, "config has unknown key 'step_limt'", id="misspelled_key"
+            ),
+            pytest.param(
+                {"seed": 5.7}, "config.seed must be an integer, got number", id="fractional_seed"
+            ),
+            pytest.param(
+                {"operators": 5}, "config.operators must be a JSON array, got integer",
+                id="operators_as_number",
+            ),
+            pytest.param(
+                {"driver": "http", "endpoint": {"base_url": "http://h", "model": "m",
+                                                "rate_per_minute": "60"}},
+                "config.endpoint.rate_per_minute must be a number, got string",
+                id="endpoint_rate_as_string",
+            ),
+        ],
+    )
+    def test_bad_config_file_is_a_validation_error(
+        self, clean_corpus, tmp_path, capsys, config, message
+    ):
+        path = tmp_path / "config.json"
+        config = {"corpus": clean_corpus, "out": str(tmp_path / "o"), **config}
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--max-obs-len", "-5"], "max_observation_length must be at least 1"),
+            (["--workers", "2"], "the replay driver runs with 1 worker"),
+        ],
+    )
+    def test_bad_run_flag_is_a_campaign_error(self, clean_corpus, tmp_path, capsys, flags, message):
+        code = main(["run", "--corpus", clean_corpus, "--out", str(tmp_path / "o"), *flags])
+        assert code == EXIT_CAMPAIGN
+        assert capsys.readouterr().err.startswith(f"campaign error: {message}")
+        assert not (tmp_path / "o").exists()
 
 
 _FINAL = {"thought": "done", "final_answer": "Done."}

@@ -1,4 +1,4 @@
-"""Query operator tests: excision offsets, rewriters, property sweeps."""
+"""Query operator tests: excision offsets, CP and AN rewrites, property sweeps."""
 
 import random
 
@@ -8,12 +8,10 @@ from conftest import make_query, random_query
 from paramfuzz.errors import NoMentions, SchemaViolation
 from paramfuzz.perturb import apply_query_operator
 from paramfuzz.perturb.query import (
-    DEFAULT_COMPLICATOR,
-    DEFAULT_NOISER,
-    Rewriter,
+    _complicate,
+    _distract,
     append_noise,
     complicate_mentions,
-    llm_rewriter,
     remove_first_mention,
     remove_last_mention,
 )
@@ -89,47 +87,26 @@ class TestExcision:
 
 class TestRewriters:
     def test_complicator_phrase(self):
-        assert DEFAULT_COMPLICATOR("Bitcoin") == (
+        assert _complicate("Bitcoin") == (
             "the value that would be written as 'Bitcoin'"
         )
 
     def test_noiser_case_flip_worked_example(self):
-        assert DEFAULT_NOISER("Bitcoin") == "bitCoin"
+        assert _distract("Bitcoin") == "bitCoin"
 
     def test_noiser_integer_off_by_one(self):
-        assert DEFAULT_NOISER("41") == "42"
-        assert DEFAULT_NOISER("-3") == "-2"
+        assert _distract("41") == "42"
+        assert _distract("-3") == "-2"
 
     def test_noiser_decimal_off_by_one(self):
-        assert DEFAULT_NOISER("2.5") == "3.5"
+        assert _distract("2.5") == "3.5"
 
     def test_noiser_never_returns_input(self):
         rng = random.Random(55)
         alphabet = "aA1. -"
         for _ in range(500):
             value = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8)))
-            assert DEFAULT_NOISER(value) != value
-
-    def test_rewriter_kind_checked(self):
-        with pytest.raises(SchemaViolation):
-            Rewriter(kind="other", name="x", fn=str)
-
-    def test_rewriter_rejects_empty_output(self):
-        bad = Rewriter(kind="noise", name="empty", fn=lambda s: "")
-        with pytest.raises(SchemaViolation):
-            bad("anything")
-
-    def test_llm_rewriter_wraps_callable(self):
-        wrapped = llm_rewriter("complicate", lambda s: f"<{s}>", name="angle")
-        out, record = complicate_mentions(two_mention_query(), rewriter=wrapped)
-        assert "<Bitcoin>" in out.text
-        assert record.details["rewriter"] == "angle"
-
-    def test_kind_mismatch_rejected(self):
-        with pytest.raises(SchemaViolation):
-            complicate_mentions(two_mention_query(), rewriter=DEFAULT_NOISER)
-        with pytest.raises(SchemaViolation):
-            append_noise(two_mention_query(), rewriter=DEFAULT_COMPLICATOR)
+            assert _distract(value) != value
 
 
 class TestComplicate:
@@ -144,6 +121,7 @@ class TestComplicate:
             "the value that would be written as 'Australia'",
         ]
         assert record.details["replacements"][0]["original"] == "Bitcoin"
+        assert record.details["rewriter"] == "descriptive-phrase"
 
     def test_skip_without_mentions(self):
         with pytest.raises(NoMentions):
@@ -163,6 +141,7 @@ class TestAppendNoise:
         assert [d["distractor"] for d in record.details["distractors"]] == [
             "bitCoin", "austRalia",
         ]
+        assert record.details["rewriter"] == "near-miss"
 
     def test_skip_without_mentions(self):
         with pytest.raises(NoMentions):

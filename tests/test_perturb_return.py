@@ -87,16 +87,9 @@ class TestFuzzKeys:
         out, _ = fuzz_keys(ret)
         assert out.payload == [{"Object_1": 1}, 2, [{"Object_1": 3}]]
 
-    def test_non_recursive_restricts_to_top(self):
-        ret = ToolReturn(payload={"a": {"x": 1}})
-        out, _ = fuzz_keys(ret, recursive=False)
-        assert out.payload == {"Object_1": {"x": 1}}
-
     def test_no_objects_skips(self):
         with pytest.raises(NoObjects):
             fuzz_keys(ToolReturn(payload=[1, 2, 3]))
-        with pytest.raises(NoObjects):
-            fuzz_keys(ToolReturn(payload=[[1], [2]]), recursive=False)
 
     def test_raw_text_skips(self):
         with pytest.raises(NotJson):
@@ -132,16 +125,6 @@ class TestPrefixIdValues:
         ret = ToolReturn(payload={"id": {"a": 1.0}})
         out, _ = prefix_id_values(ret)
         assert out.payload["id"] == 'ID_{"a":1}'
-
-    def test_custom_key_pattern(self):
-        ret = ToolReturn(payload={"ref": "x", "id": "y"})
-        out, _ = prefix_id_values(ret, id_pattern=r"ref")
-        assert out.payload == {"ref": "ID_x", "id": "y"}
-
-    def test_value_pattern_targets_string_values(self):
-        ret = ToolReturn(payload={"code": "usr-0042", "note": "hello"}, )
-        out, _ = prefix_id_values(ret, value_pattern=r"usr-\d+")
-        assert out.payload == {"code": "ID_usr-0042", "note": "hello"}
 
     def test_no_id_fields_skips(self):
         with pytest.raises(NoIdFields):
