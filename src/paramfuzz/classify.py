@@ -25,11 +25,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from paramfuzz.corpus import (
+    JsonRecord,
     OracleInvocation,
     ToolDocument,
     _build,
     _record,
     canonical_json,
+    json_keys,
     values_equal,
     violations_against_spec,
 )
@@ -93,7 +95,7 @@ def rouge_l(candidate: list[str], reference: list[str]) -> float:
 
 
 @dataclass(frozen=True)
-class ObservedInvocation:
+class ObservedInvocation(JsonRecord):
     """One tool call as the agent actually emitted it."""
 
     tool_name: str
@@ -108,16 +110,9 @@ class ObservedInvocation:
             raw_text=f"{tool_name}({canonical_json(arguments)})",
         )
 
-    def to_json(self) -> dict[str, object]:
-        return {
-            "tool_name": self.tool_name,
-            "arguments": self.arguments,
-            "raw_text": self.raw_text,
-        }
-
 
 @dataclass(frozen=True)
-class FailureLabel:
+class FailureLabel(JsonRecord):
     """The five category flags plus per-flag evidence and Rouge-L scores."""
 
     task_deviation: bool = False
@@ -146,22 +141,12 @@ class FailureLabel:
         return tuple(c for c in CATEGORIES if getattr(self, c))
 
     def to_json(self) -> dict[str, object]:
-        return {
-            "task_deviation": self.task_deviation,
-            "specification_mismatch": self.specification_mismatch,
-            "hallucination_name": self.hallucination_name,
-            "missing_information": self.missing_information,
-            "redundant_information": self.redundant_information,
-            "evidence": self.evidence,
-            "rouge_td": self.rouge_td,
-            "rouge_sm": self.rouge_sm,
-            "passed": self.passed,
-        }
+        return {**super().to_json(), "passed": self.passed}
 
     @classmethod
     def from_json(cls, obj: object, where: str = "label") -> "FailureLabel":
         """Decode a label, checking it and its evidence against their key tables."""
-        obj = _record(obj, _LABEL_KEYS, where)
+        obj = _record(obj, json_keys(cls) + (("passed", "boolean", True),), where)
         evidence = _record(obj["evidence"], _EVIDENCE_KEYS, f"{where}.evidence")
         evidence = {category: entries for category, entries in evidence.items() if entries is not None}
         for category, entries in evidence.items():
@@ -172,13 +157,6 @@ class FailureLabel:
         return _build(cls, where, None, **{**values, "evidence": evidence})
 
 
-_LABEL_KEYS = (
-    *((category, "boolean", True) for category in CATEGORIES),
-    ("evidence", "object", True),
-    ("rouge_td", "number", False),
-    ("rouge_sm", "number", False),
-    ("passed", "boolean", True),
-)
 _EVIDENCE_KEYS = tuple((category, "array", False) for category in CATEGORIES)
 # _entry writes these.
 _EVIDENCE_ENTRY_KEYS = (
@@ -353,7 +331,7 @@ def classify_invocation(
 
 
 @dataclass(frozen=True)
-class AlignedLabel:
+class AlignedLabel(JsonRecord):
     """One classification outcome with its alignment provenance.
 
     ``observed_index`` is None for synthesized labels covering oracle
@@ -365,24 +343,10 @@ class AlignedLabel:
     observed_index: int | None
     oracle_index: int | None
 
-    def to_json(self) -> dict[str, object]:
-        return {
-            "label": self.label.to_json(),
-            "observed_index": self.observed_index,
-            "oracle_index": self.oracle_index,
-        }
-
     @classmethod
     def from_json(cls, obj: object, where: str) -> "AlignedLabel":
-        obj = _record(obj, _ALIGNED_LABEL_KEYS, where)
+        obj = _record(obj, json_keys(cls), where)
         return cls(**{**obj, "label": FailureLabel.from_json(obj["label"], f"{where}.label")})
-
-
-_ALIGNED_LABEL_KEYS = (
-    ("label", "object", True),
-    ("observed_index", "integer", False),
-    ("oracle_index", "integer", False),
-)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ Subcommands cover the whole pipeline:
     report     emit report.json / report_table.csv / report.md
     demo       run the five shipped failure fixtures and check them
 
-Exit codes: 0 success, 1 validation failure, 2 campaign error, 3 demo
-assertion failure.
+Exit codes: 0 success, 1 validation failure, 2 campaign error (including
+an input or output file that cannot be opened), 3 demo assertion failure.
 """
 
 from __future__ import annotations
@@ -335,6 +335,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except ParamFuzzError as exc:
         print(f"campaign error: {exc}", file=sys.stderr)
+        return EXIT_CAMPAIGN
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        print(f"campaign error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_CAMPAIGN
 
 

@@ -14,10 +14,13 @@ Span offsets are Unicode code points, never bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
 import re
+import types
+import typing
 from dataclasses import dataclass
 
 from paramfuzz.errors import MalformedInput, SchemaViolation, SpanMismatch
@@ -373,6 +376,74 @@ def _record(
         if jtype is not None and (required or obj.get(key) is not None):
             _expect(jtype, obj[key], f"{where}.{key}", case_id)
     return obj
+
+
+# Annotation -> JSON type, for json_keys; a JsonRecord is an object too.
+_JSON_TYPE_OF_ANNOTATION = {
+    str: "string",
+    int: "integer",
+    float: "number",
+    bool: "boolean",
+    tuple: "array",
+    dict: "object",
+}
+
+
+@functools.cache
+def json_keys(model: type) -> tuple[tuple[str, str, bool], ...]:
+    """The key table of a dataclass, for _record: one (field, JSON type,
+    required) per field, in field order.
+
+    str, int, float and bool are strings, integers, numbers and booleans;
+    tuple[...] is an array; dict[...] and a JsonRecord are objects. A field
+    is required unless its annotation admits None. Any other annotation is
+    a TypeError.
+    """
+    hints = typing.get_type_hints(model)
+    table = []
+    for field in dataclasses.fields(model):
+        hint, required = hints[field.name], True
+        if typing.get_origin(hint) in (typing.Union, types.UnionType):
+            others = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+            if len(others) == 1:
+                hint, required = others[0], False
+        origin = typing.get_origin(hint) or hint
+        jtype = _JSON_TYPE_OF_ANNOTATION.get(origin)
+        if jtype is None and isinstance(origin, type) and issubclass(origin, JsonRecord):
+            jtype = "object"
+        if jtype is None:
+            raise TypeError(f"{model.__name__}.{field.name}: {hint!r} has no JSON type")
+        table.append((field.name, jtype, required))
+    return tuple(table)
+
+
+# Values that a record writes as they are; a tuple becomes a list, and any
+# other value is a nested record.
+_PLAIN_JSON = frozenset((str, int, float, bool, type(None), dict))
+
+
+def _json_value(value: object) -> object:
+    kind = type(value)
+    if kind in _PLAIN_JSON:
+        return value
+    if kind is tuple:
+        return [_json_value(item) for item in value]
+    return value.to_json()  # type: ignore[attr-defined]
+
+
+class JsonRecord:
+    """A dataclass that is logged as one JSON object, keyed by json_keys."""
+
+    def to_json(self) -> dict[str, object]:
+        record = {}
+        for key, _, _ in json_keys(type(self)):
+            value = getattr(self, key)
+            # Every logged record passes here; most values are plain, so
+            # they skip the call.
+            if type(value) not in _PLAIN_JSON:
+                value = _json_value(value)
+            record[key] = value
+        return record
 
 
 def _each(items: list, where: str, case_id: str | None, parse) -> tuple:

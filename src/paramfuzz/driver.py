@@ -19,10 +19,11 @@ import re
 import threading
 import time
 import unicodedata
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from paramfuzz.classify import ObservedInvocation
 from paramfuzz.corpus import (
+    JsonRecord,
     TestCase,
     ToolDocument,
     ToolReturn,
@@ -31,6 +32,7 @@ from paramfuzz.corpus import (
     _expect,
     _record,
     canonical_json,
+    json_keys,
     tool_to_json,
 )
 from paramfuzz.errors import (
@@ -79,26 +81,12 @@ Final Answer: the answer to the user's query
 
 
 @dataclass(frozen=True)
-class TruncationEvent:
+class TruncationEvent(JsonRecord):
     """A record that one observation was cut down to the budget."""
 
     step_index: int
     original_length: int
     truncated_length: int
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "step_index": self.step_index,
-            "original_length": self.original_length,
-            "truncated_length": self.truncated_length,
-        }
-
-
-_TRUNCATION_KEYS = (
-    ("step_index", "integer", True),
-    ("original_length", "integer", True),
-    ("truncated_length", "integer", True),
-)
 
 
 def truncate_observation(text: str, budget: int) -> tuple[str, int | None]:
@@ -229,10 +217,6 @@ def render_function_declarations(tools: list[ToolDocument] | tuple[ToolDocument,
     return json.dumps([tool_to_json(t) for t in tools], indent=2, ensure_ascii=False)
 
 
-# The JSON type that EndpointConfig.from_json requires of each annotated field type.
-_JSON_TYPE_OF_FIELD = {"str": "string", "float": "number", "int": "integer"}
-
-
 @dataclass(frozen=True)
 class EndpointConfig:
     """Connection settings for the chat-completions driver."""
@@ -246,18 +230,30 @@ class EndpointConfig:
     max_retries: int = 4
     backoff_base_s: float = 1.0
 
+    def __post_init__(self) -> None:
+        # Negated comparisons, so that NaN (which JSON files may hold) fails.
+        for name in ("rate_per_minute", "max_retries", "backoff_base_s"):
+            if not getattr(self, name) >= 0:
+                raise SchemaViolation(
+                    f"{name} must be at least 0, got {getattr(self, name)}", field=name
+                )
+        if not self.timeout_s > 0:
+            raise SchemaViolation(
+                f"timeout_s must be greater than 0, got {self.timeout_s}", field="timeout_s"
+            )
+
     @classmethod
     def from_json(cls, obj: dict[str, object]) -> "EndpointConfig":
         """Read the config file's endpoint object. Each known key must hold
         the JSON type of its field; unknown keys are ignored."""
         known = {
-            f.name: _expect(_JSON_TYPE_OF_FIELD[f.type], obj[f.name], f"config.endpoint.{f.name}")
-            for f in fields(cls)
-            if f.name in obj
+            key: _expect(jtype, obj[key], f"config.endpoint.{key}")
+            for key, jtype, _ in json_keys(cls)
+            if key in obj
         }
         if "base_url" not in known or "model" not in known:
             raise SchemaViolation("endpoint config needs base_url and model")
-        return cls(**known)  # type: ignore[arg-type]
+        return _build(cls, "config.endpoint", None, **known)
 
 
 class _RateLimiter:
@@ -437,7 +433,7 @@ class HttpDriver:
 
 
 @dataclass(frozen=True)
-class TrajectoryStep:
+class TrajectoryStep(JsonRecord):
     """One executed step: the agent's output plus what it observed."""
 
     thought: str = ""
@@ -445,37 +441,9 @@ class TrajectoryStep:
     observation: str | None = None
     final_answer: str | None = None
 
-    def to_json(self) -> dict[str, object]:
-        return {
-            "thought": self.thought,
-            "invocation": self.invocation.to_json() if self.invocation else None,
-            "observation": self.observation,
-            "final_answer": self.final_answer,
-        }
-
-
-# A logged step and its invocation; ObservedInvocation.to_json writes the latter.
-_TRAJECTORY_STEP_KEYS = (
-    ("thought", "string", True),
-    ("invocation", "object", False),
-    ("observation", "string", False),
-    ("final_answer", "string", False),
-)
-_INVOCATION_KEYS = (
-    ("tool_name", "string", True),
-    ("arguments", "object", True),
-    ("raw_text", "string", True),
-)
-# PerturbationRecord.to_json writes these.
-_PERTURBATION_KEYS = (
-    ("operator", "string", True),
-    ("seed", "integer", False),
-    ("details", "object", True),
-)
-
 
 @dataclass(frozen=True)
-class Trajectory:
+class Trajectory(JsonRecord):
     """The full record of one (case, operator) agent run."""
 
     case_id: str
@@ -493,63 +461,37 @@ class Trajectory:
     def invocations(self) -> list[ObservedInvocation]:
         return [step.invocation for step in self.steps if step.invocation is not None]
 
-    def to_json(self) -> dict[str, object]:
-        return {
-            "case_id": self.case_id,
-            "operator": self.operator,
-            "seed": self.seed,
-            "driver_id": self.driver_id,
-            "outcome": self.outcome,
-            "perturbation_applied": self.perturbation_applied,
-            "steps": [step.to_json() for step in self.steps],
-            "perturbations": [record.to_json() for record in self.perturbations],
-            "skips": list(self.skips),
-            "truncations": [event.to_json() for event in self.truncations],
-        }
-
     @classmethod
     def from_json(cls, obj: object, where: str = "trajectory") -> "Trajectory":
         """Decode a trajectory record, checking it and every record nested
         in it against their key tables; errors name their place under where."""
-        obj = _record(obj, _TRAJECTORY_KEYS, where)
+        obj = _record(obj, json_keys(cls), where)
 
         def records(key, keys):
             return [_record(item, keys, f"{where}.{key}[{i}]") for i, item in enumerate(obj[key])]
 
         steps = []
-        for i, step in enumerate(records("steps", _TRAJECTORY_STEP_KEYS)):
+        for i, step in enumerate(records("steps", json_keys(TrajectoryStep))):
             invocation = step.get("invocation")
             if invocation is not None:
                 at = f"{where}.steps[{i}].invocation"
-                invocation = ObservedInvocation(**_record(invocation, _INVOCATION_KEYS, at))
+                keys = json_keys(ObservedInvocation)
+                invocation = ObservedInvocation(**_record(invocation, keys, at))
             steps.append(TrajectoryStep(**{**step, "invocation": invocation}))
         return cls(
             **{
                 **obj,
                 "steps": tuple(steps),
                 "perturbations": tuple(
-                    PerturbationRecord(**r) for r in records("perturbations", _PERTURBATION_KEYS)
+                    PerturbationRecord(**r)
+                    for r in records("perturbations", json_keys(PerturbationRecord))
                 ),
                 "skips": tuple(records("skips", _SKIP_KEYS)),
                 "truncations": tuple(
-                    TruncationEvent(**t) for t in records("truncations", _TRUNCATION_KEYS)
+                    TruncationEvent(**t) for t in records("truncations", json_keys(TruncationEvent))
                 ),
             }
         )
-
-
-_TRAJECTORY_KEYS = (
-    ("case_id", "string", True),
-    ("operator", "string", True),
-    ("seed", "integer", True),
-    ("driver_id", "string", True),
-    ("outcome", "string", True),
-    ("perturbation_applied", "boolean", True),
-    ("steps", "array", True),
-    ("perturbations", "array", True),
-    ("skips", "array", True),
-    ("truncations", "array", True),
-)
 
 
 def _skip_note(target: str, exc: PerturbSkip) -> dict[str, object]:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from paramfuzz.corpus import JsonRecord
+
 DOCUMENT_OPERATORS = ("RD", "RE", "WD", "SD", "CO", "WT")
 QUERY_OPERATORS = ("RPF", "RPL", "CP", "AN")
 RETURN_OPERATORS = ("FK", "AP", "CK", "UK", "CF")
@@ -18,7 +20,7 @@ SOURCE_OF_OPERATOR = {
 
 
 @dataclass(frozen=True)
-class PerturbationRecord:
+class PerturbationRecord(JsonRecord):
     """What one operator application actually did, for exact replay.
 
     ``details`` is operator-specific JSON (the drawn permutation, the
@@ -29,6 +31,3 @@ class PerturbationRecord:
     operator: str
     seed: int | None = None
     details: dict[str, object] = field(default_factory=dict)
-
-    def to_json(self) -> dict[str, object]:
-        return {"operator": self.operator, "seed": self.seed, "details": self.details}

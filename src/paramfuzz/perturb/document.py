@@ -26,7 +26,6 @@ from paramfuzz.errors import (
     NoDonor,
     NoExamples,
     NoRequiredParams,
-    SchemaViolation,
     TooFewParams,
 )
 from paramfuzz.perturb.base import PerturbationRecord
@@ -130,36 +129,21 @@ def substitute_foreign_descriptions(
     return dataclasses.replace(doc, parameters=tuple(parameters)), record
 
 
-def swap_descriptions(
-    doc: ToolDocument, pair: tuple[int, int] | None = None
-) -> tuple[ToolDocument, PerturbationRecord]:
-    """Exchange the descriptions of one pair of parameters (SD).
-
-    When no pair is given, the first index pair (in (i, j) order, i < j)
-    whose descriptions differ is used.
-    """
+def swap_descriptions(doc: ToolDocument) -> tuple[ToolDocument, PerturbationRecord]:
+    """Exchange the descriptions of one pair of parameters (SD): the first
+    index pair (in (i, j) order, i < j) whose descriptions differ."""
     count = len(doc.parameters)
     if count < 2:
         raise TooFewParams(
             f"tool {doc.tool_name!r} has {count} parameter(s); swapping needs two"
         )
+    pair = _first_differing_pair(doc)
     if pair is None:
-        pair = _first_differing_pair(doc)
-        if pair is None:
-            raise NoDistinctPair(
-                f"every parameter of {doc.tool_name!r} shares one description; "
-                "swapping would change nothing"
-            )
-    i, j = pair
-    if i == j or not (0 <= i < count) or not (0 <= j < count):
-        raise SchemaViolation(
-            f"swap pair ({i}, {j}) must be two distinct indices below {count}"
-        )
-    if doc.parameters[i].description == doc.parameters[j].description:
         raise NoDistinctPair(
-            f"parameters {doc.parameters[i].name!r} and {doc.parameters[j].name!r} "
-            "share one description; swapping would change nothing"
+            f"every parameter of {doc.tool_name!r} shares one description; "
+            "swapping would change nothing"
         )
+    i, j = pair
     parameters = list(doc.parameters)
     parameters[i] = dataclasses.replace(
         doc.parameters[i], description=doc.parameters[j].description

@@ -6,6 +6,7 @@ fixed seed so every run exercises the same inputs.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -111,6 +112,17 @@ def make_case(case_id="c1", tools=None, query=None, oracle=None,
 def scripted_return(tool_name, arguments, payload=None, raw_text=None) -> ScriptedReturn:
     value = ToolReturn(payload=payload) if raw_text is None else ToolReturn(raw_text=raw_text)
     return ScriptedReturn(tool_name=tool_name, arguments=arguments, value=value)
+
+
+def swap_pair(doc: ToolDocument, i: int, j: int) -> ToolDocument:
+    """The tool with the descriptions of parameters i and j exchanged: the
+    inverse of an SD application that recorded the pair (i, j)."""
+    params = list(doc.parameters)
+    params[i], params[j] = (
+        dataclasses.replace(params[i], description=params[j].description),
+        dataclasses.replace(params[j], description=params[i].description),
+    )
+    return dataclasses.replace(doc, parameters=tuple(params))
 
 
 def log_events(path) -> list[dict]:

@@ -12,7 +12,16 @@ import time
 
 import pytest
 
-from conftest import log_events, make_case, random_payload, random_query, random_tokens, random_tool, scripted_return
+from conftest import (
+    log_events,
+    make_case,
+    random_payload,
+    random_query,
+    random_tokens,
+    random_tool,
+    scripted_return,
+    swap_pair,
+)
 from test_rouge import oracle_lcs, oracle_rouge
 from paramfuzz.campaign import CampaignConfig, classify_log, read_log, run_campaign
 from paramfuzz.classify import rouge_l
@@ -106,8 +115,7 @@ def test_gate_operator_property_suites_500_random_inputs_under_10s():
             assert len(changed) == 2
             i, j = record.details["pair"]
             assert sorted(changed) == sorted([i, j])
-            back, _ = swap_descriptions(swapped, pair=(i, j))
-            assert back == doc
+            assert swap_pair(swapped, i, j) == doc
 
         distinct = random_tool(rng, distinct_descriptions=True)
         try:

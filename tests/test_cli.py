@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import importlib.resources
 import json
 
@@ -229,6 +230,20 @@ class TestRunSettings:
                 "config.endpoint.rate_per_minute must be a number, got string",
                 id="endpoint_rate_as_string",
             ),
+            *(
+                pytest.param(
+                    {"driver": "http", "endpoint": {"base_url": "http://h", "model": "m", key: value}},
+                    f"config.endpoint.{key}: {key} must be {bound}, got {value}",
+                    id=f"endpoint_{key}_{value}",
+                )
+                for key, value, bound in (
+                    ("max_retries", -1, "at least 0"),
+                    ("timeout_s", 0, "greater than 0"),
+                    ("backoff_base_s", -0.5, "at least 0"),
+                    ("backoff_base_s", float("nan"), "at least 0"),
+                    ("rate_per_minute", -1, "at least 0"),
+                )
+            ),
         ],
     )
     def test_bad_config_file_is_a_validation_error(
@@ -253,6 +268,62 @@ class TestRunSettings:
         assert code == EXIT_CAMPAIGN
         assert capsys.readouterr().err.startswith(f"campaign error: {message}")
         assert not (tmp_path / "o").exists()
+
+
+class TestMissingInputFile:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["validate", "--corpus", "{missing}"], id="validate"),
+            pytest.param(
+                ["perturb", "--corpus", "{missing}", "--operator", "RD", "--case", "k1"], id="perturb"
+            ),
+            pytest.param(["run", "--corpus", "{missing}", "--out", "{out}"], id="run_corpus"),
+            pytest.param(
+                ["run", "--corpus", "{corpus}", "--out", "{out}", "--config", "{missing}"],
+                id="run_config",
+            ),
+            pytest.param(
+                ["run", "--corpus", "{corpus}", "--out", "{out}", "--scripts", "{missing}"],
+                id="run_scripts",
+            ),
+            pytest.param(["classify", "--log", "{missing}", "--corpus", "{corpus}"], id="classify"),
+            pytest.param(["report", "--log", "{missing}", "--out", "{out}"], id="report"),
+        ],
+    )
+    def test_exits_two_naming_the_file(self, clean_corpus, tmp_path, capsys, argv):
+        missing = str(tmp_path / "nonexistent.json")
+        names = {"missing": missing, "corpus": clean_corpus, "out": str(tmp_path / "o")}
+        assert main([arg.format(**names) for arg in argv]) == EXIT_CAMPAIGN
+        assert capsys.readouterr().err == (
+            f"campaign error: cannot open {missing}: No such file or directory\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+
+# sha256 of each output of `run --report` on the packaged mock_campaign at
+# seed 0. They change only with a deliberate change to the log or reports.
+_MOCK_CAMPAIGN_SHA256 = {
+    "campaign.jsonl": "ea30559ca87bdefc8543fcd6d50ffc8b07ce71c279adc06eba627da6e4822359",
+    "report.json": "e3623c335c6e8dfd575d1f180222685c226a14b81fca18a85405deee2f8ef801",
+    "report.md": "1ebed74e6ce3123a0146d84196fc0d7c1674e8776d544ad503645ba13beb136e",
+    "report_table.csv": "cc479e365571597b10ea73ad20f2431b142266d9aa5c41fa6c2fab36c0815d13",
+}
+
+
+def test_mock_campaign_outputs_are_pinned(tmp_path):
+    data = packaged("mock_campaign")
+    with importlib.resources.as_file(data) as root:
+        code = main(
+            ["run", "--corpus", str(root / "corpus.json"), "--scripts", str(root / "scripts.json"),
+             "--out", str(tmp_path), "--seed", "0", "--report"]
+        )
+    assert code == EXIT_OK
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in _MOCK_CAMPAIGN_SHA256
+    }
+    assert digests == _MOCK_CAMPAIGN_SHA256
 
 
 _FINAL = {"thought": "done", "final_answer": "Done."}

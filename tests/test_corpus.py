@@ -1,5 +1,6 @@
 """Corpus model, parser, serializer and lint tests."""
 
+import dataclasses
 import json
 import random
 
@@ -15,13 +16,17 @@ from paramfuzz.corpus import (
     canonical_args_hash,
     canonical_json,
     filter_cases,
+    json_keys,
     lint_case,
     parse_corpus,
     serialize_corpus,
     values_equal,
     violations_against_spec,
 )
+from paramfuzz.classify import AlignedLabel, FailureLabel, ObservedInvocation
+from paramfuzz.driver import EndpointConfig, Trajectory, TrajectoryStep, TruncationEvent
 from paramfuzz.errors import MalformedInput, SchemaViolation, SpanMismatch
+from paramfuzz.perturb import PerturbationRecord
 
 
 class TestCanonicalJson:
@@ -682,3 +687,113 @@ def test_golden_malformed_input_offsets():
     assert (str(err.value), err.value.byte_offset) == (
         "corpus is not valid JSON at byte 300: Expecting property name enclosed in double quotes", 300
     )
+
+
+# The key tables that the log reader and EndpointConfig used before they were
+# derived from the model classes, written out as expected data.
+_PARENT_KEY_TABLES = {
+    TruncationEvent: (
+        ("step_index", "integer", True),
+        ("original_length", "integer", True),
+        ("truncated_length", "integer", True),
+    ),
+    TrajectoryStep: (
+        ("thought", "string", True),
+        ("invocation", "object", False),
+        ("observation", "string", False),
+        ("final_answer", "string", False),
+    ),
+    ObservedInvocation: (
+        ("tool_name", "string", True),
+        ("arguments", "object", True),
+        ("raw_text", "string", True),
+    ),
+    PerturbationRecord: (
+        ("operator", "string", True),
+        ("seed", "integer", False),
+        ("details", "object", True),
+    ),
+    Trajectory: (
+        ("case_id", "string", True),
+        ("operator", "string", True),
+        ("seed", "integer", True),
+        ("driver_id", "string", True),
+        ("outcome", "string", True),
+        ("perturbation_applied", "boolean", True),
+        ("steps", "array", True),
+        ("perturbations", "array", True),
+        ("skips", "array", True),
+        ("truncations", "array", True),
+    ),
+    # Without the derived "passed" key, which FailureLabel adds itself.
+    FailureLabel: (
+        ("task_deviation", "boolean", True),
+        ("specification_mismatch", "boolean", True),
+        ("hallucination_name", "boolean", True),
+        ("missing_information", "boolean", True),
+        ("redundant_information", "boolean", True),
+        ("evidence", "object", True),
+        ("rouge_td", "number", False),
+        ("rouge_sm", "number", False),
+    ),
+    AlignedLabel: (
+        ("label", "object", True),
+        ("observed_index", "integer", False),
+        ("oracle_index", "integer", False),
+    ),
+}
+
+# EndpointConfig's field types: {"str": "string", "float": "number", "int": "integer"}.
+_ENDPOINT_TYPES = {
+    "base_url": "string",
+    "model": "string",
+    "temperature": "number",
+    "rate_per_minute": "number",
+    "credential_env": "string",
+    "timeout_s": "number",
+    "max_retries": "integer",
+    "backoff_base_s": "number",
+}
+
+
+class TestJsonKeys:
+    @pytest.mark.parametrize("model", list(_PARENT_KEY_TABLES), ids=lambda model: model.__name__)
+    def test_reproduces_the_log_key_tables(self, model):
+        assert json_keys(model) == _PARENT_KEY_TABLES[model]
+
+    def test_reproduces_the_endpoint_types(self):
+        assert {key: jtype for key, jtype, _ in json_keys(EndpointConfig)} == _ENDPOINT_TYPES
+
+    @pytest.mark.parametrize("annotation", [object, list[int], int | str, set])
+    def test_unmappable_annotation_is_a_type_error(self, annotation):
+        model = dataclasses.make_dataclass("Odd", [("ok", int), ("odd", annotation)])
+        with pytest.raises(TypeError, match="Odd.odd"):
+            json_keys(model)
+
+    def test_writes_tuples_as_lists_and_nested_records_by_their_to_json(self):
+        trajectory = Trajectory(
+            case_id="c1",
+            operator="RD",
+            seed=7,
+            driver_id="replay",
+            outcome="answered",
+            perturbation_applied=False,
+            steps=(TrajectoryStep(thought="t", final_answer="Done."),),
+            skips=({"target": "query", "reason": "NoMentions", "message": "m"},),
+            truncations=(TruncationEvent(0, 9, 4),),
+        )
+        assert trajectory.to_json() == {
+            "case_id": "c1",
+            "operator": "RD",
+            "seed": 7,
+            "driver_id": "replay",
+            "outcome": "answered",
+            "perturbation_applied": False,
+            "steps": [
+                {"thought": "t", "invocation": None, "observation": None, "final_answer": "Done."}
+            ],
+            "perturbations": [],
+            "skips": [{"target": "query", "reason": "NoMentions", "message": "m"}],
+            "truncations": [{"step_index": 0, "original_length": 9, "truncated_length": 4}],
+        }
+        assert list(FailureLabel().to_json())[-1] == "passed"

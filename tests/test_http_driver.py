@@ -96,6 +96,19 @@ class TestEndpointConfig:
         with pytest.raises(SchemaViolation):
             EndpointConfig.from_json({"base_url": "http://h"})
 
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [("max_retries", -1), ("timeout_s", 0.0), ("backoff_base_s", -1.0), ("rate_per_minute", -0.5)],
+    )
+    def test_rejects_values_out_of_range(self, key, value):
+        with pytest.raises(SchemaViolation) as err:
+            EndpointConfig(base_url="http://h", model="m", **{key: value})
+        assert err.value.field == key
+
+    def test_zero_rate_and_retries_are_allowed(self):
+        config = EndpointConfig(base_url="http://h", model="m", rate_per_minute=0, max_retries=0)
+        assert config.rate_per_minute == 0 and config.max_retries == 0
+
 
 def fast_config(**overrides):
     settings = dict(

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import make_param, make_tool, random_tool
+from conftest import make_param, make_tool, random_tool, swap_pair
 from paramfuzz.errors import (
     NoDistinctPair,
     NoDonor,
@@ -119,32 +119,12 @@ class TestSwapDescriptions:
         assert doc.parameters[1].description == "Topic to search interest for."
         assert doc.parameters[2].description == "How many rows to return."
 
-    def test_explicit_pair(self):
-        doc, record = swap_descriptions(three_param_tool(), pair=(0, 2))
-        assert record.details["params"] == ["query", "limit"]
-        assert doc.parameters[0].description == "How many rows to return."
-
     def test_involution_with_same_pair(self):
         original = three_param_tool()
         once, record = swap_descriptions(original)
-        i, j = record.details["pair"]
-        twice, _ = swap_descriptions(once, pair=(i, j))
+        twice, again = swap_descriptions(once)
+        assert again.details["pair"] == record.details["pair"]
         assert twice == original
-
-    def test_rejects_identical_description_pair(self):
-        doc = make_tool(
-            parameters=(
-                make_param("a", "string", "Same."),
-                make_param("b", "string", "Same."),
-                make_param("c", "string", "Different."),
-            )
-        )
-        with pytest.raises(NoDistinctPair):
-            swap_descriptions(doc, pair=(0, 1))
-
-    def test_rejects_out_of_range_pair(self):
-        with pytest.raises(SchemaViolation):
-            swap_descriptions(three_param_tool(), pair=(0, 9))
 
     def test_all_same_description_skips(self):
         doc = make_tool(
@@ -298,8 +278,7 @@ class TestDocumentProperties:
             assert changed == record.details["pair"]
             assert len(changed) == 2
             i, j = record.details["pair"]
-            back, _ = swap_descriptions(out, pair=(i, j))
-            assert back == doc
+            assert swap_pair(out, i, j) == doc
 
     def test_co_property(self):
         rng = random.Random(105)
