@@ -5,12 +5,11 @@ one trajectory per (operator, case) pair. All randomness flows from one
 campaign seed through per-pair derived seeds, so a single integer
 reproduces every run byte for byte.
 
-The log is append-only JSON lines with four event kinds:
-
-    campaign_meta     one header line, first: corpus hash, seed, versions
-    trajectory        one line per (operator, case) agent run
-    trajectory_error  one line per run that died in the driver
-    classification    one line per trajectory, appended by classify_log
+The log is append-only JSON lines. Each line is one record whose keys
+are its fields, tagged with its event kind: the CampaignMeta header first
+(campaign_meta), one Trajectory (trajectory) or TrajectoryError
+(trajectory_error) per run, and one Classification (classification) per
+trajectory, appended by classify_log.
 
 read_log checks every line and indexes the log by (operator, case_id,
 seed) once; running, classifying and reporting all share that index.
@@ -27,13 +26,16 @@ import os
 from dataclasses import dataclass, field
 
 from paramfuzz import __version__
-from paramfuzz.classify import (
-    CLASSIFIER_VERSION,
-    AlignedLabel,
-    TrajectoryClassification,
-    classify_trajectory,
+from paramfuzz.classify import CLASSIFIER_VERSION, AlignedLabel, classify_trajectory
+from paramfuzz.corpus import (
+    JsonRecord,
+    TestCase,
+    _json_document,
+    _violation,
+    all_tools,
+    filter_cases,
+    load_corpus,
 )
-from paramfuzz.corpus import TestCase, _record, _violation, all_tools, filter_cases, load_corpus
 from paramfuzz.driver import (
     DEFAULT_MAX_OBSERVATION_LENGTH,
     DEFAULT_STEP_LIMIT,
@@ -61,6 +63,61 @@ def log_line(event: dict[str, object]) -> str:
     return json.dumps(event, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+@dataclass(frozen=True)
+class CampaignMeta(JsonRecord):
+    """The log's header: what a resumed run must match, and the versions
+    that wrote the log."""
+
+    corpus_sha256: str
+    seed: int
+    driver: str
+    operators: tuple[str, ...]
+    step_limit: int
+    max_observation_length: int
+    case_count: int
+    classifier_version: str
+    prompt_template_version: str
+    package_version: str
+
+
+@dataclass(frozen=True)
+class TrajectoryError(JsonRecord):
+    """A run that died in the driver."""
+
+    operator: str
+    case_id: str
+    seed: int
+    error: str
+    message: str
+
+
+@dataclass(frozen=True)
+class Classification(JsonRecord):
+    """The labels that classify_log gave one trajectory."""
+
+    operator: str
+    case_id: str
+    seed: int
+    classifier_version: str
+    case_pass: bool
+    labels: tuple[AlignedLabel, ...]
+
+
+# The record class of each event kind. read_log decodes each line through
+# it, and _event_line tags each record from it.
+_EVENTS: dict[str, type[JsonRecord]] = {
+    "campaign_meta": CampaignMeta,
+    "trajectory": Trajectory,
+    "trajectory_error": TrajectoryError,
+    "classification": Classification,
+}
+_KIND_OF = {model: kind for kind, model in _EVENTS.items()}
+
+
+def _event_line(record: JsonRecord) -> str:
+    return log_line({"event": _KIND_OF[type(record)], **record.to_json()}) + "\n"
+
+
 Key = tuple[str, str, int]
 
 
@@ -79,16 +136,13 @@ class CampaignLog:
     """
 
     path: str
-    header: dict[str, object]
+    header: CampaignMeta
     trajectories: dict[Key, Trajectory] = field(default_factory=dict)
     errors: list[Key] = field(default_factory=list)
-    classifications: dict[Key, TrajectoryClassification] = field(default_factory=dict)
+    classifications: dict[Key, Classification] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return 1 + len(self.trajectories) + len(self.errors) + len(self.classifications)
-
-
-_EVENT_KINDS = ("campaign_meta", "trajectory", "trajectory_error", "classification")
 
 
 def _first_line(lines: dict[Key, int], key: Key, number: int, what: str) -> None:
@@ -116,60 +170,63 @@ def read_log(path: str) -> CampaignLog:
     header_line = 0
     runs: dict[Key, int] = {}
     classified: dict[Key, int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
+    with open(path, "rb") as handle:
+        for number, raw in enumerate(handle, start=1):
+            where = f"log line {number}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise MalformedInput(
+                    f"{where} is not valid UTF-8 at byte {exc.start}: {exc.reason}"
+                ) from exc
             if not line:
                 continue
             try:
                 event = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise MalformedInput(
-                    f"log line {number} is not valid JSON: {exc.msg}"
-                ) from exc
+                raise MalformedInput(f"{where} is not valid JSON: {exc.msg}") from exc
             if not isinstance(event, dict) or "event" not in event:
-                raise MalformedInput(f"log line {number} is not a tagged event")
-            where = f"log line {number}"
+                raise MalformedInput(f"{where} is not a tagged event")
             kind = event.pop("event")
-            if kind not in _EVENT_KINDS:
+            # An unhashable kind, such as a list, cannot be looked up.
+            if not isinstance(kind, str) or kind not in _EVENTS:
                 raise _violation(
-                    f"{where}.event", f"must be one of {', '.join(_EVENT_KINDS)}, got {kind!r}", None
+                    f"{where}.event", f"must be one of {', '.join(_EVENTS)}, got {kind!r}", None
                 )
-            if log is None:
-                if kind != "campaign_meta":
-                    raise CampaignError(
-                        f"{where} is a {kind} event, but a campaign log must start "
-                        "with its campaign_meta header"
-                    )
-                log = CampaignLog(path, _record(event, _META_KEYS, where))
-                header_line = number
-            elif kind == "campaign_meta":
+            # The header's place is checked before its line is decoded.
+            if log is None and kind != "campaign_meta":
+                raise CampaignError(
+                    f"{where} is a {kind} event, but a campaign log must start "
+                    "with its campaign_meta header"
+                )
+            if log is not None and kind == "campaign_meta":
                 raise CampaignError(
                     f"{where} is a second campaign_meta header; the first is on line {header_line}"
                 )
-            elif kind == "classification":
-                key, version, verdict = _classification_from_json(event, where)
+            record = _EVENTS[kind].from_json(event, where)
+            if log is None:
+                log = CampaignLog(path, record)
+                header_line = number
+                continue
+            key = (record.operator, record.case_id, record.seed)
+            if kind == "classification":
                 if key not in log.trajectories:
                     raise CampaignError(
                         f"{where} classifies {_pair(key)}, but no earlier line holds its trajectory"
                     )
                 _first_line(classified, key, number, "classification")
-                if version != log.header["classifier_version"]:
+                if record.classifier_version != log.header.classifier_version:
                     raise CampaignError(
-                        f"{where} has classifier_version {version!r}, but the header "
-                        f"on line {header_line} has {log.header['classifier_version']!r}"
+                        f"{where} has classifier_version {record.classifier_version!r}, but the "
+                        f"header on line {header_line} has {log.header.classifier_version!r}"
                     )
-                log.classifications[key] = verdict
-            elif kind == "trajectory":
-                trajectory = Trajectory.from_json(event, where)
-                key = (trajectory.operator, trajectory.case_id, trajectory.seed)
-                _first_line(runs, key, number, "run")
-                log.trajectories[key] = trajectory
+                log.classifications[key] = record
             else:
-                error = _record(event, _TRAJECTORY_ERROR_KEYS, where)
-                key = (error["operator"], error["case_id"], error["seed"])
                 _first_line(runs, key, number, "run")
-                log.errors.append(key)
+                if kind == "trajectory":
+                    log.trajectories[key] = record
+                else:
+                    log.errors.append(key)
     if log is None:
         raise CampaignError(f"log {path} has no campaign_meta header")
     return log
@@ -220,11 +277,8 @@ class ScriptBook:
 
     @classmethod
     def load(cls, path: str) -> "ScriptBook":
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                return cls.from_json(json.load(handle))
-            except json.JSONDecodeError as exc:
-                raise MalformedInput(f"script book is not valid JSON: {exc.msg}") from exc
+        with open(path, "rb") as handle:
+            return cls.from_json(_json_document(handle.read(), "script book"))
 
 
 @dataclass(frozen=True)
@@ -283,42 +337,12 @@ def corpus_sha256(path: str) -> str:
         return hashlib.sha256(handle.read()).hexdigest()
 
 
-_META_KEYS = (
-    ("corpus_sha256", "string", True),
-    ("seed", "integer", True),
-    ("driver", "string", True),
-    ("operators", "array", True),
-    ("step_limit", "integer", True),
-    ("max_observation_length", "integer", True),
-    ("case_count", "integer", True),
-    ("classifier_version", "string", True),
-    ("prompt_template_version", "string", True),
-    ("package_version", "string", True),
-)
-
-
-def _campaign_meta(config: CampaignConfig, case_count: int) -> dict[str, object]:
-    return {
-        "event": "campaign_meta",
-        "corpus_sha256": corpus_sha256(config.corpus_path),
-        "seed": config.seed,
-        "driver": config.driver,
-        "operators": list(config.ordered_operators),
-        "step_limit": config.step_limit,
-        "max_observation_length": config.max_observation_length,
-        "case_count": case_count,
-        "classifier_version": CLASSIFIER_VERSION,
-        "prompt_template_version": PROMPT_TEMPLATE_VERSION,
-        "package_version": __version__,
-    }
-
-
-def _check_resume(meta: dict[str, object], existing: dict[str, object]) -> None:
+def _check_resume(meta: CampaignMeta, existing: CampaignMeta) -> None:
     for key in ("corpus_sha256", "seed", "driver", "step_limit", "max_observation_length"):
-        if existing[key] != meta[key]:
+        was, now = getattr(existing, key), getattr(meta, key)
+        if was != now:
             raise CampaignError(
-                f"cannot resume: log was written with {key}={existing[key]!r}, "
-                f"this run uses {meta[key]!r}"
+                f"cannot resume: log was written with {key}={was!r}, this run uses {now!r}"
             )
 
 
@@ -343,7 +367,18 @@ def run_campaign(config: CampaignConfig) -> str:
         shared_http = HttpDriver(config.endpoint)
     os.makedirs(config.out_dir, exist_ok=True)
     log_path = os.path.join(config.out_dir, LOG_FILE_NAME)
-    meta = _campaign_meta(config, len(cases))
+    meta = CampaignMeta(
+        corpus_sha256=corpus_sha256(config.corpus_path),
+        seed=config.seed,
+        driver=config.driver,
+        operators=config.ordered_operators,
+        step_limit=config.step_limit,
+        max_observation_length=config.max_observation_length,
+        case_count=len(cases),
+        classifier_version=CLASSIFIER_VERSION,
+        prompt_template_version=PROMPT_TEMPLATE_VERSION,
+        package_version=__version__,
+    )
     done: set[Key] = set()
     needs_header = True
     if os.path.exists(log_path) and os.path.getsize(log_path) > 0:
@@ -362,14 +397,14 @@ def run_campaign(config: CampaignConfig) -> str:
         if (operator, case.case_id, derived_seed(config.seed, operator, case.case_id)) not in done
     ]
 
-    def execute(job: tuple[str, TestCase, int]) -> dict[str, object]:
+    def execute(job: tuple[str, TestCase, int]) -> Trajectory | TrajectoryError:
         operator, case, seed = job
         if shared_http is not None:
             agent = shared_http
         else:
             agent = ReplayDriver(script_book.resolve(operator, case))
         try:
-            trajectory = run_case(
+            return run_case(
                 case,
                 operator,
                 agent,
@@ -379,36 +414,19 @@ def run_campaign(config: CampaignConfig) -> str:
                 max_observation_length=config.max_observation_length,
             )
         except DriverError as exc:
-            return {
-                "event": "trajectory_error",
-                "operator": operator,
-                "case_id": case.case_id,
-                "seed": seed,
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }
-        return {"event": "trajectory", **trajectory.to_json()}
+            return TrajectoryError(operator, case.case_id, seed, type(exc).__name__, str(exc))
 
     with open(log_path, "a", encoding="utf-8") as handle, concurrent.futures.ThreadPoolExecutor(
         max_workers=config.workers
     ) as pool:
         if needs_header:
-            handle.write(log_line(meta) + "\n")
+            handle.write(_event_line(meta))
             handle.flush()
-        events = map(execute, jobs) if config.workers == 1 else pool.map(execute, jobs)
-        for event in events:
-            handle.write(log_line(event) + "\n")
+        records = map(execute, jobs) if config.workers == 1 else pool.map(execute, jobs)
+        for record in records:
+            handle.write(_event_line(record))
             handle.flush()
     return log_path
-
-
-_TRAJECTORY_ERROR_KEYS = (
-    ("operator", "string", True),
-    ("case_id", "string", True),
-    ("seed", "integer", True),
-    ("error", "string", True),
-    ("message", "string", True),
-)
 
 
 def classify_log(log: CampaignLog, corpus_path: str) -> int:
@@ -420,14 +438,14 @@ def classify_log(log: CampaignLog, corpus_path: str) -> int:
     the number of events appended; idempotent on a fully classified log.
     """
     cases = {case.case_id: case for case in load_corpus(corpus_path)}
-    if log.header["corpus_sha256"] != corpus_sha256(corpus_path):
+    if log.header.corpus_sha256 != corpus_sha256(corpus_path):
         raise CampaignError(
             "corpus file does not match the log's corpus_sha256; "
             "classify with the corpus the campaign ran on"
         )
-    if log.header["classifier_version"] != CLASSIFIER_VERSION:
+    if log.header.classifier_version != CLASSIFIER_VERSION:
         raise CampaignError(
-            f"log header has classifier_version {log.header['classifier_version']!r}, "
+            f"log header has classifier_version {log.header.classifier_version!r}, "
             f"but this build classifies with {CLASSIFIER_VERSION!r}"
         )
     appended = 0
@@ -443,42 +461,8 @@ def classify_log(log: CampaignLog, corpus_path: str) -> int:
             outcome = classify_trajectory(
                 trajectory.invocations, list(case.oracle), list(case.tools)
             )
-            handle.write(
-                log_line(
-                    {
-                        "event": "classification",
-                        "operator": key[0],
-                        "case_id": key[1],
-                        "seed": key[2],
-                        "classifier_version": CLASSIFIER_VERSION,
-                        "case_pass": outcome.case_pass,
-                        "labels": [aligned.to_json() for aligned in outcome.aligned],
-                    }
-                )
-                + "\n"
-            )
-            log.classifications[key] = outcome
+            record = Classification(*key, CLASSIFIER_VERSION, outcome.case_pass, outcome.aligned)
+            handle.write(_event_line(record))
+            log.classifications[key] = record
             appended += 1
     return appended
-
-
-# classify_log writes these.
-_CLASSIFICATION_KEYS = (
-    ("operator", "string", True),
-    ("case_id", "string", True),
-    ("seed", "integer", True),
-    ("classifier_version", "string", True),
-    ("case_pass", "boolean", True),
-    ("labels", "array", True),
-)
-
-
-def _classification_from_json(
-    obj: dict[str, object], where: str
-) -> tuple[Key, str, TrajectoryClassification]:
-    obj = _record(obj, _CLASSIFICATION_KEYS, where)
-    aligned = tuple(
-        AlignedLabel.from_json(item, f"{where}.labels[{i}]") for i, item in enumerate(obj["labels"])
-    )
-    verdict = TrajectoryClassification(aligned=aligned, case_pass=obj["case_pass"])
-    return (obj["operator"], obj["case_id"], obj["seed"]), obj["classifier_version"], verdict

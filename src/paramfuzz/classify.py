@@ -343,11 +343,6 @@ class AlignedLabel(JsonRecord):
     observed_index: int | None
     oracle_index: int | None
 
-    @classmethod
-    def from_json(cls, obj: object, where: str) -> "AlignedLabel":
-        obj = _record(obj, json_keys(cls), where)
-        return cls(**{**obj, "label": FailureLabel.from_json(obj["label"], f"{where}.label")})
-
 
 @dataclass(frozen=True)
 class TrajectoryClassification:
@@ -355,10 +350,6 @@ class TrajectoryClassification:
 
     aligned: tuple[AlignedLabel, ...]
     case_pass: bool
-
-    @property
-    def labels(self) -> tuple[FailureLabel, ...]:
-        return tuple(item.label for item in self.aligned)
 
 
 def classify_trajectory(

@@ -31,6 +31,7 @@ from paramfuzz.campaign import (
 from paramfuzz.corpus import (
     _each,
     _expect,
+    _json_document,
     _record,
     _string,
     all_tools,
@@ -145,11 +146,8 @@ _RUN_SETTINGS = (
 def _load_config_file(path: str | None) -> dict[str, object]:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"config file is not valid JSON: {exc.msg}") from exc
+    with open(path, "rb") as handle:
+        obj = _json_document(handle.read(), "config file")
     return _record(obj, tuple((key, jtype, False) for key, jtype, _ in _RUN_SETTINGS), "config")
 
 

@@ -372,9 +372,11 @@ def _record(
         raise SchemaViolation(
             f"{where} has unknown key {unknown!r}", case_id=case_id, field=f"{where}.{unknown}"
         )
+    # Every logged record passes here, so a value of its type costs no call.
     for key, jtype, required in keys:
-        if jtype is not None and (required or obj.get(key) is not None):
-            _expect(jtype, obj[key], f"{where}.{key}", case_id)
+        value = obj.get(key)
+        if jtype and (required or value is not None) and type(value) not in _JSON_TYPES[jtype][0]:
+            _expect(jtype, value, f"{where}.{key}", case_id)
     return obj
 
 
@@ -389,7 +391,43 @@ _JSON_TYPE_OF_ANNOTATION = {
 }
 
 
+def _is_record(hint: object) -> bool:
+    return isinstance(hint, type) and issubclass(hint, JsonRecord)
+
+
+def _decode_tuple(model, items: list, where: str) -> tuple:
+    if model is None:
+        return tuple(items)
+    decode = model.from_json
+    return tuple([decode(item, f"{where}[{i}]") for i, item in enumerate(items)])
+
+
 @functools.cache
+def _json_table(model: type) -> tuple[tuple, tuple]:
+    """json_keys's table, and from_json's plan: a (field, decode) pair for
+    each field whose value it converts, a nested record or a tuple."""
+    hints = typing.get_type_hints(model)
+    keys, plan = [], []
+    for field in dataclasses.fields(model):
+        hint, required = hints[field.name], True
+        if typing.get_origin(hint) in (typing.Union, types.UnionType):
+            others = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+            if len(others) == 1:
+                hint, required = others[0], False
+        origin = typing.get_origin(hint) or hint
+        jtype = "object" if _is_record(origin) else _JSON_TYPE_OF_ANNOTATION.get(origin)
+        if jtype is None:
+            raise TypeError(f"{model.__name__}.{field.name}: {hint!r} has no JSON type")
+        keys.append((field.name, jtype, required))
+        if _is_record(origin):
+            plan.append((field.name, origin.from_json))
+        elif origin is tuple:
+            item = (typing.get_args(hint) or (None,))[0]
+            decode = functools.partial(_decode_tuple, item if _is_record(item) else None)
+            plan.append((field.name, decode))
+    return tuple(keys), tuple(plan)
+
+
 def json_keys(model: type) -> tuple[tuple[str, str, bool], ...]:
     """The key table of a dataclass, for _record: one (field, JSON type,
     required) per field, in field order.
@@ -399,22 +437,7 @@ def json_keys(model: type) -> tuple[tuple[str, str, bool], ...]:
     is required unless its annotation admits None. Any other annotation is
     a TypeError.
     """
-    hints = typing.get_type_hints(model)
-    table = []
-    for field in dataclasses.fields(model):
-        hint, required = hints[field.name], True
-        if typing.get_origin(hint) in (typing.Union, types.UnionType):
-            others = [arg for arg in typing.get_args(hint) if arg is not type(None)]
-            if len(others) == 1:
-                hint, required = others[0], False
-        origin = typing.get_origin(hint) or hint
-        jtype = _JSON_TYPE_OF_ANNOTATION.get(origin)
-        if jtype is None and isinstance(origin, type) and issubclass(origin, JsonRecord):
-            jtype = "object"
-        if jtype is None:
-            raise TypeError(f"{model.__name__}.{field.name}: {hint!r} has no JSON type")
-        table.append((field.name, jtype, required))
-    return tuple(table)
+    return _json_table(model)[0]
 
 
 # Values that a record writes as they are; a tuple becomes a list, and any
@@ -444,6 +467,20 @@ class JsonRecord:
                 value = _json_value(value)
             record[key] = value
         return record
+
+    @classmethod
+    def from_json(cls, obj: object, where: str):
+        """Decode a record, checking it against its key table. A nested
+        record, or each record of a tuple, is decoded by its own from_json
+        at where.key or where.key[i]; any other array becomes a tuple."""
+        keys, plan = _json_table(cls)
+        values = _record(obj, keys, where)
+        if plan:
+            values = dict(values)
+            for key, decode in plan:
+                if values.get(key) is not None:
+                    values[key] = decode(values[key], f"{where}.{key}")
+        return _build(cls, where, None, **values)
 
 
 def _each(items: list, where: str, case_id: str | None, parse) -> tuple:
@@ -653,6 +690,29 @@ def _parse_case(obj: object, index: int) -> TestCase:
     )
 
 
+def _json_document(raw: bytes | str, what: str) -> object:
+    """Decode one UTF-8 JSON document. An encoding or JSON failure is
+    MalformedInput naming what and the byte offset."""
+    if isinstance(raw, (bytes, bytearray)):
+        try:
+            text = bytes(raw).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedInput(
+                f"{what} is not valid UTF-8 at byte {exc.start}: {exc.reason}",
+                byte_offset=exc.start,
+            ) from exc
+    else:
+        text = raw
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        byte_offset = len(text[: exc.pos].encode("utf-8"))
+        raise MalformedInput(
+            f"{what} is not valid JSON at byte {byte_offset}: {exc.msg}",
+            byte_offset=byte_offset,
+        ) from exc
+
+
 def parse_corpus(raw: bytes | str) -> list[TestCase]:
     """Parse corpus bytes into validated test cases.
 
@@ -660,24 +720,7 @@ def parse_corpus(raw: bytes | str) -> list[TestCase]:
     failures, SchemaViolation for structural problems, and SpanMismatch
     when a mention span does not address its own value text.
     """
-    if isinstance(raw, (bytes, bytearray)):
-        try:
-            text = bytes(raw).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedInput(
-                f"corpus is not valid UTF-8 at byte {exc.start}: {exc.reason}",
-                byte_offset=exc.start,
-            ) from exc
-    else:
-        text = raw
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        byte_offset = len(text[: exc.pos].encode("utf-8"))
-        raise MalformedInput(
-            f"corpus is not valid JSON at byte {byte_offset}: {exc.msg}",
-            byte_offset=byte_offset,
-        ) from exc
+    document = _json_document(raw, "corpus")
     document = _record(document, _CORPUS_KEYS, "corpus")
     if document["schema_version"] != SCHEMA_VERSION:
         raise SchemaViolation(

@@ -15,6 +15,7 @@ perturbs and truncates observations, and assembles the Trajectory.
 from __future__ import annotations
 
 import json
+import math
 import re
 import threading
 import time
@@ -231,16 +232,15 @@ class EndpointConfig:
     backoff_base_s: float = 1.0
 
     def __post_init__(self) -> None:
-        # Negated comparisons, so that NaN (which JSON files may hold) fails.
-        for name in ("rate_per_minute", "max_retries", "backoff_base_s"):
-            if not getattr(self, name) >= 0:
-                raise SchemaViolation(
-                    f"{name} must be at least 0, got {getattr(self, name)}", field=name
-                )
-        if not self.timeout_s > 0:
-            raise SchemaViolation(
-                f"timeout_s must be greater than 0, got {self.timeout_s}", field="timeout_s"
-            )
+        # A JSON config may hold NaN, which fails every comparison, and
+        # Infinity, which only the finiteness check catches.
+        for name in ("temperature", "rate_per_minute", "max_retries", "backoff_base_s", "timeout_s"):
+            value, positive = getattr(self, name), name == "timeout_s"
+            if not (value > 0 if positive else value >= 0):
+                bound = "greater than 0" if positive else "at least 0"
+                raise SchemaViolation(f"{name} must be {bound}, got {value}", field=name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise SchemaViolation(f"{name} must be finite, got {value}", field=name)
 
     @classmethod
     def from_json(cls, obj: dict[str, object]) -> "EndpointConfig":
@@ -443,6 +443,19 @@ class TrajectoryStep(JsonRecord):
 
 
 @dataclass(frozen=True)
+class SkipNote(JsonRecord):
+    """An input source the operator could not perturb, and why."""
+
+    target: str
+    reason: str
+    message: str
+
+    @classmethod
+    def of(cls, target: str, exc: PerturbSkip) -> "SkipNote":
+        return cls(target=target, reason=type(exc).__name__, message=str(exc))
+
+
+@dataclass(frozen=True)
 class Trajectory(JsonRecord):
     """The full record of one (case, operator) agent run."""
 
@@ -454,7 +467,7 @@ class Trajectory(JsonRecord):
     perturbation_applied: bool
     steps: tuple[TrajectoryStep, ...] = ()
     perturbations: tuple[PerturbationRecord, ...] = ()
-    skips: tuple[dict[str, object], ...] = ()
+    skips: tuple[SkipNote, ...] = ()
     truncations: tuple[TruncationEvent, ...] = ()
 
     @property
@@ -463,42 +476,8 @@ class Trajectory(JsonRecord):
 
     @classmethod
     def from_json(cls, obj: object, where: str = "trajectory") -> "Trajectory":
-        """Decode a trajectory record, checking it and every record nested
-        in it against their key tables; errors name their place under where."""
-        obj = _record(obj, json_keys(cls), where)
-
-        def records(key, keys):
-            return [_record(item, keys, f"{where}.{key}[{i}]") for i, item in enumerate(obj[key])]
-
-        steps = []
-        for i, step in enumerate(records("steps", json_keys(TrajectoryStep))):
-            invocation = step.get("invocation")
-            if invocation is not None:
-                at = f"{where}.steps[{i}].invocation"
-                keys = json_keys(ObservedInvocation)
-                invocation = ObservedInvocation(**_record(invocation, keys, at))
-            steps.append(TrajectoryStep(**{**step, "invocation": invocation}))
-        return cls(
-            **{
-                **obj,
-                "steps": tuple(steps),
-                "perturbations": tuple(
-                    PerturbationRecord(**r)
-                    for r in records("perturbations", json_keys(PerturbationRecord))
-                ),
-                "skips": tuple(records("skips", _SKIP_KEYS)),
-                "truncations": tuple(
-                    TruncationEvent(**t) for t in records("truncations", json_keys(TruncationEvent))
-                ),
-            }
-        )
-
-
-def _skip_note(target: str, exc: PerturbSkip) -> dict[str, object]:
-    return {"target": target, "reason": type(exc).__name__, "message": str(exc)}
-
-
-_SKIP_KEYS = (("target", "string", True), ("reason", "string", True), ("message", "string", True))
+        # Its own attribute, so that perfbench can trace trajectory decoding.
+        return super().from_json(obj, where)
 
 
 def run_case(
@@ -522,7 +501,7 @@ def run_case(
     if source is None:
         raise SchemaViolation(f"unknown operator id {operator!r}")
     perturbations: list[PerturbationRecord] = []
-    skips: list[dict[str, object]] = []
+    skips: list[SkipNote] = []
     tools = case.tools
     query_text = case.query.text
     applied = False
@@ -538,7 +517,7 @@ def run_case(
                 applied = True
             except PerturbSkip as exc:
                 perturbed_tools.append(tool)
-                skips.append(_skip_note(tool.tool_name, exc))
+                skips.append(SkipNote.of(tool.tool_name, exc))
         tools = tuple(perturbed_tools)
     elif source == "query":
         try:
@@ -547,7 +526,7 @@ def run_case(
             perturbations.append(record)
             applied = True
         except PerturbSkip as exc:
-            skips.append(_skip_note("query", exc))
+            skips.append(SkipNote.of("query", exc))
     steps: list[TrajectoryStep] = []
     truncations: list[TruncationEvent] = []
     outcome = "step_limit_exceeded"
@@ -584,7 +563,7 @@ def run_case(
                 perturbations.append(record)
                 applied = True
             except PerturbSkip as exc:
-                skips.append(_skip_note(f"observation[{step_index}]", exc))
+                skips.append(SkipNote.of(f"observation[{step_index}]", exc))
         observation = returned.rendered()
         truncated, cut = truncate_observation(observation, max_observation_length)
         if cut is not None:

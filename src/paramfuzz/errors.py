@@ -14,7 +14,7 @@ class ParamFuzzError(Exception):
 
 
 class MalformedInput(ParamFuzzError):
-    """Corpus bytes are not valid UTF-8 JSON.
+    """An input file or log line is not valid UTF-8 JSON of the expected kind.
 
     Carries the failing byte offset when known.
     """

@@ -97,14 +97,14 @@ def collect_results(log: CampaignLog) -> CampaignResults:
                 seed=key[2],
                 applied=trajectory.perturbation_applied,
                 case_pass=verdict.case_pass,
-                labels=verdict.labels,
+                labels=tuple(aligned.label for aligned in verdict.labels),
             )
         )
     error_counts: dict[str, int] = {}
     for operator, _, _ in log.errors:
         error_counts[operator] = error_counts.get(operator, 0) + 1
     return CampaignResults(
-        meta=dict(log.header), outcomes=tuple(outcomes), error_counts=error_counts
+        meta=log.header.to_json(), outcomes=tuple(outcomes), error_counts=error_counts
     )
 
 

@@ -9,6 +9,7 @@ import json
 import os
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -235,7 +236,7 @@ def mock_run(tmp_path_factory):
 
 def test_gate_mock_campaign_reproduces_hand_counts_byte_identically(mock_run):
     expected = mock_run["expected"]
-    report = json.loads(open(mock_run["paths"]["json"], encoding="utf-8").read())
+    report = json.loads(Path(mock_run["paths"]["json"]).read_text(encoding="utf-8"))
     for operator in ALL_OPERATORS:
         block = report["operators"][operator]
         assert block["attempted"] == expected["attempted"][operator], operator
@@ -251,14 +252,14 @@ def test_gate_mock_campaign_reproduces_hand_counts_byte_identically(mock_run):
     assert matrix["order"] == expected["transfer_category_order"]
     assert matrix["counts"] == expected["transfer_counts"]
     assert matrix["failing_invocations"] == expected["failing_invocations"]
-    csv_lines = open(mock_run["paths"]["csv"], encoding="utf-8").read().strip().split("\n")
+    csv_lines = Path(mock_run["paths"]["csv"]).read_text(encoding="utf-8").strip().split("\n")
     assert len(csv_lines) == 7
     assert csv_lines[0].split(",") == ["Failure Taxonomy", *ALL_OPERATORS]
-    assert open(mock_run["log_path"], "rb").read() == open(mock_run["rerun_log"], "rb").read()
+    assert Path(mock_run["log_path"]).read_bytes() == Path(mock_run["rerun_log"]).read_bytes()
     for kind in ("json", "csv", "md"):
         assert (
-            open(mock_run["paths"][kind], "rb").read()
-            == open(mock_run["rerun_paths"][kind], "rb").read()
+            Path(mock_run["paths"][kind]).read_bytes()
+            == Path(mock_run["rerun_paths"][kind]).read_bytes()
         )
 
 

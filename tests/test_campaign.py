@@ -5,11 +5,13 @@ import hashlib
 import importlib.resources
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from conftest import log_events, make_case, make_param, make_query, make_tool, scripted_return
 from paramfuzz.campaign import (
+    _EVENTS,
     CampaignConfig,
     LOG_FILE_NAME,
     ScriptBook,
@@ -96,12 +98,12 @@ class TestLogIo:
         events = log_events(log_path)
         log = read_log(log_path)
         assert len(log) == len(events) == 9
-        assert {"event": "campaign_meta", **log.header} == events[0]
+        assert {"event": "campaign_meta", **log.header.to_json()} == events[0]
         assert [{"event": "trajectory", **t.to_json()} for t in log.trajectories.values()] == [
             e for e in events if e["event"] == "trajectory"
         ]
         assert [
-            [aligned.to_json() for aligned in verdict.aligned]
+            [aligned.to_json() for aligned in verdict.labels]
             for verdict in log.classifications.values()
         ] == [e["labels"] for e in events if e["event"] == "classification"]
 
@@ -216,7 +218,7 @@ class TestRunCampaign:
             config = CampaignConfig(
                 corpus_path=corpus, out_dir=str(tmp_path / out), seed=4
             )
-            return open(run_campaign(config), "rb").read()
+            return Path(run_campaign(config)).read_bytes()
 
         assert run("a") == run("b")
 
@@ -269,7 +271,7 @@ class TestRunCampaign:
         events = log_events(serial)
         assert [e["event"] for e in events[1:]] == ["trajectory"] * 2 * len(ALL_OPERATORS)
         assert all(e["outcome"] == "answered" for e in events[1:])
-        assert open(serial, "rb").read() == open(run("parallel", 4), "rb").read()
+        assert Path(serial).read_bytes() == Path(run("parallel", 4)).read_bytes()
 
     def test_resume_skips_finished_pairs(self, tmp_path):
         corpus = two_case_corpus(tmp_path)
@@ -278,19 +280,19 @@ class TestRunCampaign:
             corpus_path=corpus, out_dir=str(out), operators=("RD",), seed=2
         )
         log_path = run_campaign(first)
-        after_first = open(log_path, "rb").read()
+        after_first = Path(log_path).read_bytes()
         resumed = CampaignConfig(
             corpus_path=corpus, out_dir=str(out), operators=("RD", "CK"), seed=2
         )
         run_campaign(resumed)
-        after_second = open(log_path, "rb").read()
+        after_second = Path(log_path).read_bytes()
         assert after_second.startswith(after_first)
         trajectories = [e for e in log_events(log_path) if e["event"] == "trajectory"]
         assert [(e["operator"], e["case_id"]) for e in trajectories] == [
             ("RD", "k1"), ("RD", "k2"), ("CK", "k1"), ("CK", "k2"),
         ]
         third = run_campaign(resumed)
-        assert open(third, "rb").read() == after_second
+        assert Path(third).read_bytes() == after_second
 
     def test_resume_rejects_changed_seed(self, tmp_path):
         corpus = two_case_corpus(tmp_path)
@@ -399,9 +401,9 @@ class TestClassifyLog:
             CampaignConfig(corpus_path=corpus, out_dir=str(tmp_path / "out"), operators=("RD",))
         )
         assert classify_log(read_log(log_path), corpus) == 2
-        before = open(log_path, "rb").read()
+        before = Path(log_path).read_bytes()
         assert classify_log(read_log(log_path), corpus) == 0
-        assert open(log_path, "rb").read() == before
+        assert Path(log_path).read_bytes() == before
 
     def test_adds_its_classifications_to_the_index(self, tmp_path):
         corpus = two_case_corpus(tmp_path)
@@ -424,13 +426,13 @@ class TestClassifyLog:
         events[0]["classifier_version"] = "0.9"
         with open(log_path, "w", encoding="utf-8") as handle:
             handle.write("".join(log_line(e) + "\n" for e in events))
-        before = open(log_path, "rb").read()
+        before = Path(log_path).read_bytes()
         with pytest.raises(CampaignError) as err:
             classify_log(read_log(log_path), corpus)
         assert str(err.value) == (
             "log header has classifier_version '0.9', but this build classifies with '1.0'"
         )
-        assert open(log_path, "rb").read() == before
+        assert Path(log_path).read_bytes() == before
 
     def test_rejects_mismatched_corpus(self, tmp_path):
         corpus = two_case_corpus(tmp_path)
@@ -443,7 +445,7 @@ class TestClassifyLog:
 
     def test_corpus_hash_matches_file_bytes(self, tmp_path):
         corpus = two_case_corpus(tmp_path)
-        digest = hashlib.sha256(open(corpus, "rb").read()).hexdigest()
+        digest = hashlib.sha256(Path(corpus).read_bytes()).hexdigest()
         assert corpus_sha256(corpus) == digest
 
 
@@ -540,9 +542,12 @@ LABEL = "labels.0.label"
 
 LOG_MUTATIONS = {
     "bad_json": _line("{not json"),
+    # A lone surrogate is written as the one byte 0xff (see test_golden_log_error).
+    "line_not_utf8": _line('{"event": "trajectory", "case_id": "m\udcff01"}'),
     "line_not_object": _line("[1, 2]"),
     "untagged_line": _drop(T, "event"),
     "unknown_event": _set(T, "event", "trajectory_v2"),
+    "event_not_string": _set(T, "event", ["trajectory"]),
     "meta_missing_key": _drop(H, "corpus_sha256"),
     "meta_unknown_key": _set(H, "timestamp", "2024-01-01"),
     "meta_seed_not_integer": _set(H, "seed", 0.0),
@@ -633,6 +638,8 @@ LOG_GOLDEN = {
     "truncation_not_integer": ('SchemaViolation', 'log line 2.truncations[0].original_length must be an integer, got string', 'log line 2.truncations[0].original_length'),
     "unknown_event": ('SchemaViolation', "log line 2.event must be one of campaign_meta, trajectory, trajectory_error, classification, got 'trajectory_v2'", 'log line 2.event'),
     "untagged_line": ('MalformedInput', 'log line 2 is not a tagged event', None),
+    "line_not_utf8": ('MalformedInput', 'log line 5 is not valid UTF-8 at byte 37: invalid start byte', None),
+    "event_not_string": ('SchemaViolation', "log line 2.event must be one of campaign_meta, trajectory, trajectory_error, classification, got ['trajectory']", 'log line 2.event'),
 }
 
 
@@ -645,6 +652,7 @@ def test_golden_log_error(mock_log, tmp_path, name):
     log_path.write_text(
         "".join((e if isinstance(e, str) else log_line(e)) + "\n" for e in events),
         encoding="utf-8",
+        errors="surrogateescape",
     )
     before = log_path.read_bytes()
     got = []
@@ -660,3 +668,12 @@ def test_golden_log_error(mock_log, tmp_path, name):
     assert log_path.read_bytes() == before
     assert not (tmp_path / "report").exists()
     assert got[0] == LOG_GOLDEN[name]
+
+
+def test_every_event_round_trips_through_its_record_class(mock_log):
+    _, events = mock_log
+    for number, event in enumerate([*events, _error_event(events)], start=1):
+        raw = {key: value for key, value in event.items() if key != "event"}
+        record = _EVENTS[event["event"]].from_json(copy.deepcopy(raw), f"log line {number}")
+        assert isinstance(record, _EVENTS[event["event"]])
+        assert record.to_json() == raw

@@ -242,6 +242,11 @@ class TestRunSettings:
                     ("backoff_base_s", -0.5, "at least 0"),
                     ("backoff_base_s", float("nan"), "at least 0"),
                     ("rate_per_minute", -1, "at least 0"),
+                    ("temperature", float("nan"), "at least 0"),
+                    ("temperature", -1, "at least 0"),
+                    ("temperature", float("inf"), "finite"),
+                    ("timeout_s", float("inf"), "finite"),
+                    ("backoff_base_s", float("inf"), "finite"),
                 )
             ),
         ],
@@ -298,6 +303,61 @@ class TestMissingInputFile:
         assert capsys.readouterr().err == (
             f"campaign error: cannot open {missing}: No such file or directory\n"
         )
+        assert not (tmp_path / "o").exists()
+
+
+class TestUndecodableInputFile:
+    """A byte that is not UTF-8, or text that is not JSON, in any input file
+    is a validation error at its byte offset; nothing is written."""
+
+    @pytest.fixture
+    def log_path(self, clean_corpus, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run", "--corpus", clean_corpus, "--out", str(out), "--operators", "RD"]) == 0
+        path = out / "campaign.jsonl"
+        with path.open("ab") as handle:
+            handle.write(b'{"event": "trajectory", "case_id": "k\xff1"}\n')
+        return path
+
+    @pytest.mark.parametrize(
+        ("kind", "raw", "message"),
+        [
+            ("corpus", b'{"schema_version": 1, "cases": ["\xff"]}',
+             "corpus is not valid UTF-8 at byte 33: invalid start byte"),
+            ("config", b'{"seed": 1, "driver": "\xfe"}',
+             "config file is not valid UTF-8 at byte 23: invalid start byte"),
+            ("config", b'{"seed": 1,, "driver": "replay"}',
+             "config file is not valid JSON at byte 11: "
+             "Expecting property name enclosed in double quotes"),
+            ("scripts", b'{"scripts": {"k1": [\xff]}}',
+             "script book is not valid UTF-8 at byte 20: invalid start byte"),
+            ("scripts", '{"scripts": {"k\u00e9": [}}'.encode("utf-8"),
+             "script book is not valid JSON at byte 21: Expecting value"),
+        ],
+        ids=["corpus", "config_not_utf8", "config_not_json", "scripts_not_utf8", "scripts_not_json"],
+    )
+    def test_run_input(self, clean_corpus, tmp_path, capsys, kind, raw, message):
+        path = tmp_path / "input.json"
+        path.write_bytes(raw)
+        corpus = str(path) if kind == "corpus" else clean_corpus
+        argv = ["run", "--corpus", corpus, "--out", str(tmp_path / "o")]
+        if kind != "corpus":
+            argv += [f"--{kind}", str(path)]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["classify", "report"])
+    def test_log(self, clean_corpus, tmp_path, capsys, log_path, command):
+        before = log_path.read_bytes()
+        capsys.readouterr()
+        argv = [command, "--log", str(log_path)]
+        argv += ["--corpus", clean_corpus] if command == "classify" else ["--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "validation error: log line 3 is not valid UTF-8 at byte 37: invalid start byte\n"
+        )
+        assert log_path.read_bytes() == before
         assert not (tmp_path / "o").exists()
 
 

@@ -23,8 +23,9 @@ from paramfuzz.corpus import (
     values_equal,
     violations_against_spec,
 )
+from paramfuzz.campaign import CampaignMeta, Classification, TrajectoryError
 from paramfuzz.classify import AlignedLabel, FailureLabel, ObservedInvocation
-from paramfuzz.driver import EndpointConfig, Trajectory, TrajectoryStep, TruncationEvent
+from paramfuzz.driver import EndpointConfig, SkipNote, Trajectory, TrajectoryStep, TruncationEvent
 from paramfuzz.errors import MalformedInput, SchemaViolation, SpanMismatch
 from paramfuzz.perturb import PerturbationRecord
 
@@ -741,6 +742,34 @@ _PARENT_KEY_TABLES = {
         ("observed_index", "integer", False),
         ("oracle_index", "integer", False),
     ),
+    CampaignMeta: (
+        ("corpus_sha256", "string", True),
+        ("seed", "integer", True),
+        ("driver", "string", True),
+        ("operators", "array", True),
+        ("step_limit", "integer", True),
+        ("max_observation_length", "integer", True),
+        ("case_count", "integer", True),
+        ("classifier_version", "string", True),
+        ("prompt_template_version", "string", True),
+        ("package_version", "string", True),
+    ),
+    TrajectoryError: (
+        ("operator", "string", True),
+        ("case_id", "string", True),
+        ("seed", "integer", True),
+        ("error", "string", True),
+        ("message", "string", True),
+    ),
+    Classification: (
+        ("operator", "string", True),
+        ("case_id", "string", True),
+        ("seed", "integer", True),
+        ("classifier_version", "string", True),
+        ("case_pass", "boolean", True),
+        ("labels", "array", True),
+    ),
+    SkipNote: (("target", "string", True), ("reason", "string", True), ("message", "string", True)),
 }
 
 # EndpointConfig's field types: {"str": "string", "float": "number", "int": "integer"}.
@@ -779,7 +808,7 @@ class TestJsonKeys:
             outcome="answered",
             perturbation_applied=False,
             steps=(TrajectoryStep(thought="t", final_answer="Done."),),
-            skips=({"target": "query", "reason": "NoMentions", "message": "m"},),
+            skips=(SkipNote("query", "NoMentions", "m"),),
             truncations=(TruncationEvent(0, 9, 4),),
         )
         assert trajectory.to_json() == {
@@ -797,3 +826,9 @@ class TestJsonKeys:
             "truncations": [{"step_index": 0, "original_length": 9, "truncated_length": 4}],
         }
         assert list(FailureLabel().to_json())[-1] == "passed"
+        assert Trajectory.from_json(trajectory.to_json()) == trajectory
+
+    def test_reads_arrays_as_tuples(self):
+        meta = CampaignMeta("0" * 64, 3, "replay", ("RD", "CK"), 8, 1024, 20, "1.0", "v", "0.1.0")
+        assert meta.to_json()["operators"] == ["RD", "CK"]
+        assert CampaignMeta.from_json(meta.to_json(), "log line 1") == meta

@@ -238,8 +238,8 @@ class TestRunCase:
             case, "RD", ReplayDriver(ScriptedBehavior.replaying(case)), seed=0
         )
         assert trajectory.perturbation_applied
-        assert [s["target"] for s in trajectory.skips] == ["empty_tool"]
-        assert trajectory.skips[0]["reason"] == "NoRequiredParams"
+        assert [s.target for s in trajectory.skips] == ["empty_tool"]
+        assert trajectory.skips[0].reason == "NoRequiredParams"
 
     def test_query_operator_rewrites_the_prompt(self):
         case = make_case()
@@ -271,7 +271,7 @@ class TestRunCase:
         trajectory = run_case(case, "RPF", ProbeDriver())
         assert not trajectory.perturbation_applied
         assert seen[0] == "Nothing annotated here."
-        assert trajectory.skips[0]["reason"] == "NoMentions"
+        assert trajectory.skips[0].reason == "NoMentions"
 
     def test_return_operator_applies_to_every_observation(self):
         case = make_case(

@@ -98,7 +98,18 @@ class TestEndpointConfig:
 
     @pytest.mark.parametrize(
         ("key", "value"),
-        [("max_retries", -1), ("timeout_s", 0.0), ("backoff_base_s", -1.0), ("rate_per_minute", -0.5)],
+        [
+            ("max_retries", -1),
+            ("timeout_s", 0.0),
+            ("backoff_base_s", -1.0),
+            ("rate_per_minute", -0.5),
+            ("temperature", -0.1),
+            ("temperature", float("nan")),
+            ("temperature", float("inf")),
+            ("timeout_s", float("inf")),
+            ("backoff_base_s", float("inf")),
+            ("rate_per_minute", float("inf")),
+        ],
     )
     def test_rejects_values_out_of_range(self, key, value):
         with pytest.raises(SchemaViolation) as err:

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -277,7 +278,7 @@ class TestReportRendering:
         log_path = mini_campaign(tmp_path)
         paths = emit_report(read_log(log_path), str(tmp_path / "report"))
         assert sorted(paths) == ["csv", "json", "md"]
-        loaded = json.loads(open(paths["json"], encoding="utf-8").read())
+        loaded = json.loads(Path(paths["json"]).read_text(encoding="utf-8"))
         assert loaded["rouge_threshold"] == 0.8
         assert loaded["cases"]["RD"]["k1"]["case_pass"] is True
 
@@ -286,4 +287,4 @@ class TestReportRendering:
         first = emit_report(read_log(log_path), str(tmp_path / "r1"))
         second = emit_report(read_log(log_path), str(tmp_path / "r2"))
         for key in ("json", "csv", "md"):
-            assert open(first[key], "rb").read() == open(second[key], "rb").read()
+            assert Path(first[key]).read_bytes() == Path(second[key]).read_bytes()
