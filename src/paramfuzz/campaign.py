@@ -27,15 +27,7 @@ from dataclasses import dataclass, field
 
 from paramfuzz import __version__
 from paramfuzz.classify import CLASSIFIER_VERSION, AlignedLabel, classify_trajectory
-from paramfuzz.corpus import (
-    JsonRecord,
-    TestCase,
-    _json_document,
-    _violation,
-    all_tools,
-    filter_cases,
-    load_corpus,
-)
+from paramfuzz.corpus import TestCase, all_tools, filter_cases, load_corpus
 from paramfuzz.driver import (
     DEFAULT_MAX_OBSERVATION_LENGTH,
     DEFAULT_STEP_LIMIT,
@@ -49,6 +41,7 @@ from paramfuzz.driver import (
 )
 from paramfuzz.errors import CampaignError, DriverError, MalformedInput
 from paramfuzz.perturb import ALL_OPERATORS
+from paramfuzz.records import JsonRecord, json_document, loads, utf8, violation
 
 LOG_FILE_NAME = "campaign.jsonl"
 
@@ -173,16 +166,11 @@ def read_log(path: str) -> CampaignLog:
     with open(path, "rb") as handle:
         for number, raw in enumerate(handle, start=1):
             where = f"log line {number}"
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise MalformedInput(
-                    f"{where} is not valid UTF-8 at byte {exc.start}: {exc.reason}"
-                ) from exc
+            line = utf8(raw, where).strip()
             if not line:
                 continue
             try:
-                event = json.loads(line)
+                event = loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedInput(f"{where} is not valid JSON: {exc.msg}") from exc
             if not isinstance(event, dict) or "event" not in event:
@@ -190,9 +178,7 @@ def read_log(path: str) -> CampaignLog:
             kind = event.pop("event")
             # An unhashable kind, such as a list, cannot be looked up.
             if not isinstance(kind, str) or kind not in _EVENTS:
-                raise _violation(
-                    f"{where}.event", f"must be one of {', '.join(_EVENTS)}, got {kind!r}", None
-                )
+                raise violation(f"{where}.event", f"must be one of {', '.join(_EVENTS)}, got {kind!r}")
             # The header's place is checked before its line is decoded.
             if log is None and kind != "campaign_meta":
                 raise CampaignError(
@@ -261,7 +247,7 @@ class ScriptBook:
             complaint = "names no runnable case"
             if colon and operator not in ALL_OPERATORS:
                 complaint = f"names unknown operator {operator!r}"
-            raise _violation(f"scripts.{key}", complaint, None)
+            raise violation(f"scripts.{key}", complaint)
 
     @classmethod
     def from_json(cls, obj: object) -> "ScriptBook":
@@ -278,7 +264,7 @@ class ScriptBook:
     @classmethod
     def load(cls, path: str) -> "ScriptBook":
         with open(path, "rb") as handle:
-            return cls.from_json(_json_document(handle.read(), "script book"))
+            return cls.from_json(json_document(handle.read(), "script book"))
 
 
 @dataclass(frozen=True)

@@ -25,17 +25,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from paramfuzz.corpus import (
-    JsonRecord,
     OracleInvocation,
     ToolDocument,
-    _build,
-    _record,
     canonical_json,
-    json_keys,
     values_equal,
     violations_against_spec,
 )
 from paramfuzz.errors import SchemaViolation, ToolMismatch
+from paramfuzz.records import JsonRecord, build, check_record, json_keys
 
 CLASSIFIER_VERSION = "1.0"
 
@@ -146,15 +143,15 @@ class FailureLabel(JsonRecord):
     @classmethod
     def from_json(cls, obj: object, where: str = "label") -> "FailureLabel":
         """Decode a label, checking it and its evidence against their key tables."""
-        obj = _record(obj, json_keys(cls) + (("passed", "boolean", True),), where)
-        evidence = _record(obj["evidence"], _EVIDENCE_KEYS, f"{where}.evidence")
+        obj = check_record(obj, json_keys(cls) + (("passed", "boolean", True),), where)
+        evidence = check_record(obj["evidence"], _EVIDENCE_KEYS, f"{where}.evidence")
         evidence = {category: entries for category, entries in evidence.items() if entries is not None}
         for category, entries in evidence.items():
             for i, entry in enumerate(entries):
-                _record(entry, _EVIDENCE_ENTRY_KEYS, f"{where}.evidence.{category}[{i}]")
+                check_record(entry, _EVIDENCE_ENTRY_KEYS, f"{where}.evidence.{category}[{i}]")
         # "passed" is derived from the flags, so it is checked but not passed on.
         values = {key: value for key, value in obj.items() if key != "passed"}
-        return _build(cls, where, None, **{**values, "evidence": evidence})
+        return build(cls, where, **{**values, "evidence": evidence})
 
 
 _EVIDENCE_KEYS = tuple((category, "array", False) for category in CATEGORIES)

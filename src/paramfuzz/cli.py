@@ -16,6 +16,7 @@ an input or output file that cannot be opened), 3 demo assertion failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import sys
@@ -28,20 +29,7 @@ from paramfuzz.campaign import (
     read_log,
     run_campaign,
 )
-from paramfuzz.corpus import (
-    _each,
-    _expect,
-    _json_document,
-    _record,
-    _string,
-    all_tools,
-    filter_cases,
-    lint_case,
-    load_corpus,
-    query_to_json,
-    return_to_json,
-    tool_to_json,
-)
+from paramfuzz.corpus import all_tools, filter_cases, lint_case, load_corpus
 from paramfuzz.driver import EndpointConfig
 from paramfuzz.errors import (
     CampaignError,
@@ -58,6 +46,7 @@ from paramfuzz.perturb import (
     apply_query_operator,
     apply_return_operator,
 )
+from paramfuzz.records import array_of, check_record, expect, json_document
 from paramfuzz.reporting import collect_results, emit_report
 
 EXIT_OK = 0
@@ -104,14 +93,14 @@ def cmd_perturb(args: argparse.Namespace) -> int:
             except PerturbSkip as exc:
                 print(f"skip {tool.tool_name}: {exc}")
                 continue
-            _print_json({"tool": tool_to_json(perturbed), "record": record.to_json()})
+            _print_json({"tool": perturbed.to_json(), "record": record.to_json()})
     elif source == "query":
         try:
             perturbed_query, record = apply_query_operator(operator, case.query)
         except PerturbSkip as exc:
             print(f"skip query: {exc}")
             return EXIT_OK
-        _print_json({"query": query_to_json(perturbed_query), "record": record.to_json()})
+        _print_json({"query": perturbed_query.to_json(), "record": record.to_json()})
     else:
         if not case.scripted_returns:
             print("skip return: case has no scripted returns")
@@ -122,7 +111,7 @@ def cmd_perturb(args: argparse.Namespace) -> int:
         except PerturbSkip as exc:
             print(f"skip return: {exc}")
             return EXIT_OK
-        _print_json({"return": return_to_json(perturbed_return), "record": record.to_json()})
+        _print_json({"return": perturbed_return.to_json(), "record": record.to_json()})
     return EXIT_OK
 
 
@@ -147,8 +136,8 @@ def _load_config_file(path: str | None) -> dict[str, object]:
     if path is None:
         return {}
     with open(path, "rb") as handle:
-        obj = _json_document(handle.read(), "config file")
-    return _record(obj, tuple((key, jtype, False) for key, jtype, _ in _RUN_SETTINGS), "config")
+        obj = json_document(handle.read(), "config file")
+    return check_record(obj, tuple((key, jtype, False) for key, jtype, _ in _RUN_SETTINGS), "config")
 
 
 def _build_campaign_config(args: argparse.Namespace) -> CampaignConfig:
@@ -170,8 +159,7 @@ def _build_campaign_config(args: argparse.Namespace) -> CampaignConfig:
     if isinstance(operators, str):
         values["operators"] = tuple(op.strip() for op in operators.split(",") if op.strip())
     elif operators is not None:
-        where = "config.operators"
-        values["operators"] = _each(_expect("array", operators, where), where, None, _string)
+        values["operators"] = array_of(functools.partial(expect, "string"), operators, "config.operators")
     if "endpoint" in values:
         values["endpoint"] = EndpointConfig.from_json(values["endpoint"])
     return CampaignConfig(**values)  # type: ignore[arg-type]

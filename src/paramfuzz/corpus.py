@@ -7,45 +7,26 @@ A corpus file is one UTF-8 JSON document:
 Every case bundles an annotated user query, the tool documents visible to
 the agent, an ordered reference trajectory (the oracle), and optional
 scripted returns for deterministic replay. All values are immutable after
-parsing and safe to share across worker threads.
+parsing and safe to share across worker threads. Each model is a record
+class of paramfuzz.records, which reads and writes it.
 
 Span offsets are Unicode code points, never bytes.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import hashlib
 import json
 import re
-import types
-import typing
 from dataclasses import dataclass
+from typing import Any
 
-from paramfuzz.errors import MalformedInput, SchemaViolation, SpanMismatch
+from paramfuzz.errors import SchemaViolation, SpanMismatch
+from paramfuzz.records import JsonRecord, json_document, json_type_name, violation
 
 SCHEMA_VERSION = 1
 
 PARAM_TYPES = ("string", "integer", "number", "boolean", "array", "object")
-
-_JSON_TYPE_NAMES = {
-    str: "string",
-    bool: "boolean",
-    int: "integer",
-    float: "number",
-    list: "array",
-    dict: "object",
-    type(None): "null",
-}
-
-
-def json_type_name(value: object) -> str:
-    """Name the JSON type of a decoded value ("string", "integer", ...)."""
-    for pytype, name in _JSON_TYPE_NAMES.items():
-        if type(value) is pytype:
-            return name
-    return type(value).__name__
 
 
 def _canonicalize(value: object) -> object:
@@ -84,7 +65,7 @@ def canonical_args_hash(arguments: dict[str, object]) -> str:
 
 
 @dataclass(frozen=True)
-class ParameterSpec:
+class ParameterSpec(JsonRecord, omit_none=True):
     """One parameter slot in a tool document.
 
     ``ptype`` is the declared JSON type. ``enum_values``, ``format`` (a
@@ -96,11 +77,10 @@ class ParameterSpec:
     ptype: str
     description: str
     required: bool
-    enum_values: tuple[object, ...] | None = None
+    enum_values: tuple[Any, ...] | None = None
     format: str | None = None
     range: tuple[float, float] | None = None
-    example: object = None
-    has_example: bool = False
+    example: Any = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
@@ -118,9 +98,37 @@ class ParameterSpec:
                     f"parameter {self.name!r} has inverted range [{lo}, {hi}]"
                 )
 
+    @property
+    def has_example(self) -> bool:
+        return self.example is not None
+
+    @classmethod
+    def check_json(cls, values: dict, where: str) -> None:
+        """Check what the model does not: the format is a regex, the range
+        is a pair of numbers on a numeric parameter, and the example is an
+        enum member."""
+        if values.get("format") is not None:
+            try:
+                re.compile(values["format"])
+            except re.error as exc:
+                raise violation(f"{where}.format", f"is not a valid regex: {exc}") from exc
+        value_range = values.get("range")
+        if value_range is not None:
+            if len(value_range) != 2 or not all(type(v) in (int, float) for v in value_range):
+                raise violation(f"{where}.range", "must be a [min, max] pair of numbers")
+            if values["ptype"] not in ("integer", "number"):
+                raise violation(
+                    f"{where}.range",
+                    f"is only meaningful for numeric parameters, not ptype {values['ptype']!r}",
+                )
+        example, enum_values = values.get("example"), values.get("enum_values")
+        if example is not None and enum_values is not None:
+            if not any(values_equal(example, member) for member in enum_values):
+                raise violation(f"{where}.example", f"{canonical_json(example)} is not an enum member")
+
 
 @dataclass(frozen=True)
-class ToolDocument:
+class ToolDocument(JsonRecord, optional=("usage_examples",)):
     """A tool as documented to the agent.
 
     Parameter order is significant and preserved by serialization; the
@@ -156,7 +164,7 @@ class ToolDocument:
 
 
 @dataclass(frozen=True)
-class Mention:
+class Mention(JsonRecord, pair={"span": ("start", "end")}):
     """One annotated parameter-information span inside the query text."""
 
     start: int
@@ -173,8 +181,9 @@ class Mention:
             )
 
 
+# Span-order errors concern the mentions as a whole and name no field.
 @dataclass(frozen=True)
-class AnnotatedQuery:
+class AnnotatedQuery(JsonRecord, located=False):
     """The user query plus ordered, non-overlapping parameter mentions."""
 
     text: str
@@ -205,10 +214,10 @@ class AnnotatedQuery:
 
 
 @dataclass(frozen=True)
-class ToolReturn:
+class ToolReturn(JsonRecord, exclusive=("payload", "raw_text")):
     """A tool's response: either parsed JSON or raw unparseable text."""
 
-    payload: object = None
+    payload: Any = None
     raw_text: str | None = None
 
     def __post_init__(self) -> None:
@@ -227,7 +236,7 @@ class ToolReturn:
 
 
 @dataclass(frozen=True)
-class OracleInvocation:
+class OracleInvocation(JsonRecord):
     """One step of the reference trajectory.
 
     ``needed_params`` names the parameters the task genuinely requires for
@@ -247,7 +256,7 @@ class OracleInvocation:
 
 
 @dataclass(frozen=True)
-class ScriptedReturn:
+class ScriptedReturn(JsonRecord, keys={"value": "return"}):
     """A canned response for one exact (tool, arguments) pair."""
 
     tool_name: str
@@ -255,8 +264,15 @@ class ScriptedReturn:
     value: ToolReturn
 
 
+# A case names its values by bare key ("tools[0]", "solvable"), and its own
+# errors name their fields relative to the case.
 @dataclass(frozen=True)
-class TestCase:
+class TestCase(
+    JsonRecord,
+    bare=("query", "tools", "oracle", "scripted_returns", "solvable"),
+    optional=("scripted_returns",),
+    located=False,
+):
     """The unit of campaign data: query, tools, oracle, scripted returns."""
 
     case_id: str
@@ -294,6 +310,31 @@ class TestCase:
                         case_id=self.case_id,
                         field=f"oracle[{position}].arguments.{arg_name}",
                     )
+        seen_scripts: set[tuple[str, str]] = set()
+        for entry in self.scripted_returns:
+            key = (entry.tool_name, canonical_args_hash(entry.arguments))
+            if key in seen_scripts:
+                raise SchemaViolation(
+                    f"duplicate scripted return for tool {entry.tool_name!r} with "
+                    "identical arguments",
+                    case_id=self.case_id,
+                    field="scripted_returns",
+                )
+            seen_scripts.add(key)
+
+    @classmethod
+    def from_json(cls, obj: object, where: str) -> "TestCase":
+        """Decode a case. Every error in it names the case: by its case_id,
+        or by where when the case_id is not a non-empty string."""
+        case_id = None
+        if isinstance(obj, dict):
+            raw_id = obj.get("case_id")
+            case_id = raw_id if isinstance(raw_id, str) and raw_id else where
+        try:
+            return super().from_json(obj, where)
+        except (SchemaViolation, SpanMismatch) as exc:
+            exc.case_id = case_id
+            raise
 
     def tool(self, name: str) -> ToolDocument | None:
         for tool in self.tools:
@@ -319,398 +360,21 @@ class LintFinding:
     message: str
 
 
-# JSON type -> (decoded Python types, noun). bool is never a number here.
-_JSON_TYPES = {
-    "string": ((str,), "a string"),
-    "boolean": ((bool,), "a boolean"),
-    "integer": ((int,), "an integer"),
-    "number": ((int, float), "a number"),
-    "array": ((list,), "a JSON array"),
-    "object": ((dict,), "a JSON object"),
-}
+@dataclass(frozen=True)
+class Corpus(JsonRecord, bare=("cases",)):
+    """A corpus file: its schema version and its cases."""
 
-
-def _violation(field: str, complaint: str, case_id: str | None) -> SchemaViolation:
-    return SchemaViolation(f"{field} {complaint}", case_id=case_id, field=field)
-
-
-def _expect(jtype: str, value: object, where: str, case_id: str | None = None):
-    """Return a decoded value whose JSON type is jtype; raise naming where."""
-    pytypes, noun = _JSON_TYPES[jtype]
-    if type(value) not in pytypes:
-        raise _violation(where, f"must be {noun}, got {json_type_name(value)}", case_id)
-    return value
-
-
-_string = functools.partial(_expect, "string")
-
-
-def _record(
-    obj: object,
-    keys: tuple[tuple[str, str | None, bool], ...],
-    where: str,
-    case_id: str | None = None,
-) -> dict:
-    """Check one record against its key table and return it.
-
-    keys lists (key, JSON type or None for any value, required). The record
-    must be an object that has every required key and no key outside the
-    table, and each key must hold its type. A null optional key counts as
-    absent.
-    """
-    _expect("object", obj, where, case_id)
-    present = 0
-    for key, _, required in keys:
-        if key in obj:
-            present += 1
-        elif required:
-            raise SchemaViolation(
-                f"{where} is missing required key {key!r}", case_id=case_id, field=f"{where}.{key}"
-            )
-    if present != len(obj):
-        unknown = min(set(obj).difference(key for key, _, _ in keys))
-        raise SchemaViolation(
-            f"{where} has unknown key {unknown!r}", case_id=case_id, field=f"{where}.{unknown}"
-        )
-    # Every logged record passes here, so a value of its type costs no call.
-    for key, jtype, required in keys:
-        value = obj.get(key)
-        if jtype and (required or value is not None) and type(value) not in _JSON_TYPES[jtype][0]:
-            _expect(jtype, value, f"{where}.{key}", case_id)
-    return obj
-
-
-# Annotation -> JSON type, for json_keys; a JsonRecord is an object too.
-_JSON_TYPE_OF_ANNOTATION = {
-    str: "string",
-    int: "integer",
-    float: "number",
-    bool: "boolean",
-    tuple: "array",
-    dict: "object",
-}
-
-
-def _is_record(hint: object) -> bool:
-    return isinstance(hint, type) and issubclass(hint, JsonRecord)
-
-
-def _decode_tuple(model, items: list, where: str) -> tuple:
-    if model is None:
-        return tuple(items)
-    decode = model.from_json
-    return tuple([decode(item, f"{where}[{i}]") for i, item in enumerate(items)])
-
-
-@functools.cache
-def _json_table(model: type) -> tuple[tuple, tuple]:
-    """json_keys's table, and from_json's plan: a (field, decode) pair for
-    each field whose value it converts, a nested record or a tuple."""
-    hints = typing.get_type_hints(model)
-    keys, plan = [], []
-    for field in dataclasses.fields(model):
-        hint, required = hints[field.name], True
-        if typing.get_origin(hint) in (typing.Union, types.UnionType):
-            others = [arg for arg in typing.get_args(hint) if arg is not type(None)]
-            if len(others) == 1:
-                hint, required = others[0], False
-        origin = typing.get_origin(hint) or hint
-        jtype = "object" if _is_record(origin) else _JSON_TYPE_OF_ANNOTATION.get(origin)
-        if jtype is None:
-            raise TypeError(f"{model.__name__}.{field.name}: {hint!r} has no JSON type")
-        keys.append((field.name, jtype, required))
-        if _is_record(origin):
-            plan.append((field.name, origin.from_json))
-        elif origin is tuple:
-            item = (typing.get_args(hint) or (None,))[0]
-            decode = functools.partial(_decode_tuple, item if _is_record(item) else None)
-            plan.append((field.name, decode))
-    return tuple(keys), tuple(plan)
-
-
-def json_keys(model: type) -> tuple[tuple[str, str, bool], ...]:
-    """The key table of a dataclass, for _record: one (field, JSON type,
-    required) per field, in field order.
-
-    str, int, float and bool are strings, integers, numbers and booleans;
-    tuple[...] is an array; dict[...] and a JsonRecord are objects. A field
-    is required unless its annotation admits None. Any other annotation is
-    a TypeError.
-    """
-    return _json_table(model)[0]
-
-
-# Values that a record writes as they are; a tuple becomes a list, and any
-# other value is a nested record.
-_PLAIN_JSON = frozenset((str, int, float, bool, type(None), dict))
-
-
-def _json_value(value: object) -> object:
-    kind = type(value)
-    if kind in _PLAIN_JSON:
-        return value
-    if kind is tuple:
-        return [_json_value(item) for item in value]
-    return value.to_json()  # type: ignore[attr-defined]
-
-
-class JsonRecord:
-    """A dataclass that is logged as one JSON object, keyed by json_keys."""
-
-    def to_json(self) -> dict[str, object]:
-        record = {}
-        for key, _, _ in json_keys(type(self)):
-            value = getattr(self, key)
-            # Every logged record passes here; most values are plain, so
-            # they skip the call.
-            if type(value) not in _PLAIN_JSON:
-                value = _json_value(value)
-            record[key] = value
-        return record
+    schema_version: int
+    cases: tuple[TestCase, ...]
 
     @classmethod
-    def from_json(cls, obj: object, where: str):
-        """Decode a record, checking it against its key table. A nested
-        record, or each record of a tuple, is decoded by its own from_json
-        at where.key or where.key[i]; any other array becomes a tuple."""
-        keys, plan = _json_table(cls)
-        values = _record(obj, keys, where)
-        if plan:
-            values = dict(values)
-            for key, decode in plan:
-                if values.get(key) is not None:
-                    values[key] = decode(values[key], f"{where}.{key}")
-        return _build(cls, where, None, **values)
-
-
-def _each(items: list, where: str, case_id: str | None, parse) -> tuple:
-    """Parse each item of a checked JSON array, located as where[i]."""
-    return tuple(parse(item, f"{where}[{i}]", case_id) for i, item in enumerate(items))
-
-
-def _build(model, where: str, case_id: str | None, /, **values):
-    """Construct a model, tagging its error with the case.
-
-    A model names its field relative to itself; the reader prefixes the
-    record's location, or gives that location when the model named none.
-    The helper's own parameters are positional-only so that model fields
-    such as TestCase.case_id pass through values.
-    """
-    try:
-        return model(**values)
-    except (SchemaViolation, SpanMismatch) as exc:
-        exc.case_id = case_id
-        if isinstance(exc, SchemaViolation):
-            exc.field = ".".join(part for part in (where, exc.field) if part) or None
-        raise
-
-
-# Key tables. Most keys are also the field names of the record's model.
-_PARAMETER_KEYS = (
-    ("name", "string", True),
-    ("ptype", "string", True),
-    ("description", "string", True),
-    ("required", "boolean", True),
-    ("enum_values", "array", False),
-    ("format", "string", False),
-    ("range", "array", False),
-    ("example", None, False),
-)
-_TOOL_KEYS = (
-    ("tool_name", "string", True),
-    ("description", "string", True),
-    ("parameters", "array", True),
-    ("usage_examples", "array", False),
-)
-_MENTION_KEYS = (
-    ("span", "array", True),
-    ("param_name", "string", True),
-    ("tool_name", "string", True),
-    ("value_text", "string", True),
-)
-_QUERY_KEYS = (("text", "string", True), ("mentions", "array", True))
-_ORACLE_KEYS = (
-    ("tool_name", "string", True),
-    ("arguments", "object", True),
-    ("needed_params", "array", True),
-)
-_SCRIPTED_RETURN_KEYS = (
-    ("tool_name", "string", True),
-    ("arguments", "object", True),
-    ("return", None, True),
-)
-# The corpus and each case name their values by bare key ("cases",
-# "tools", "solvable"), so the parser checks those types itself.
-_CASE_KEYS = (
-    ("case_id", "string", True),
-    ("query", None, True),
-    ("tools", None, True),
-    ("oracle", None, True),
-    ("solvable", None, True),
-    ("scripted_returns", None, False),
-)
-_CORPUS_KEYS = (("schema_version", "integer", True), ("cases", None, True))
-
-
-def _parse_parameter(obj: object, where: str, case_id: str) -> ParameterSpec:
-    obj = _record(obj, _PARAMETER_KEYS, where, case_id)
-    if obj.get("format") is not None:
-        try:
-            re.compile(obj["format"])
-        except re.error as exc:
-            raise _violation(f"{where}.format", f"is not a valid regex: {exc}", case_id) from exc
-    value_range = obj.get("range")
-    if value_range is not None:
-        if len(value_range) != 2 or not all(type(v) in (int, float) for v in value_range):
-            raise _violation(f"{where}.range", "must be a [min, max] pair of numbers", case_id)
-        if obj["ptype"] not in ("integer", "number"):
-            raise _violation(
-                f"{where}.range",
-                f"is only meaningful for numeric parameters, not ptype {obj['ptype']!r}",
-                case_id,
-            )
-        value_range = tuple(value_range)
-    enum_values = obj.get("enum_values")
-    if enum_values is not None:
-        enum_values = tuple(enum_values)
-    example = obj.get("example")
-    if example is not None and enum_values is not None:
-        if not any(values_equal(example, member) for member in enum_values):
-            raise _violation(
-                f"{where}.example", f"{canonical_json(example)} is not an enum member", case_id
-            )
-    has_example = example is not None
-    return _build(
-        ParameterSpec,
-        where,
-        case_id,
-        **{**obj, "enum_values": enum_values, "range": value_range, "has_example": has_example},
-    )
-
-
-def _parse_tool(obj: object, where: str, case_id: str) -> ToolDocument:
-    obj = _record(obj, _TOOL_KEYS, where, case_id)
-    parameters = _each(obj["parameters"], f"{where}.parameters", case_id, _parse_parameter)
-    examples = _each(obj.get("usage_examples") or [], f"{where}.usage_examples", case_id, _string)
-    return _build(
-        ToolDocument, where, case_id, **{**obj, "parameters": parameters, "usage_examples": examples}
-    )
-
-
-def _parse_mention(obj: object, where: str, case_id: str) -> Mention:
-    obj = _record(obj, _MENTION_KEYS, where, case_id)
-    span = obj["span"]
-    if len(span) != 2 or not all(type(v) is int for v in span):
-        raise _violation(f"{where}.span", "must be a [start, end) pair of integers", case_id)
-    return _build(
-        Mention,
-        where,
-        case_id,
-        start=span[0],
-        end=span[1],
-        param_name=obj["param_name"],
-        tool_name=obj["tool_name"],
-        value_text=obj["value_text"],
-    )
-
-
-def _parse_query(obj: object, case_id: str) -> AnnotatedQuery:
-    obj = _record(obj, _QUERY_KEYS, "query", case_id)
-    mentions = _each(obj["mentions"], "query.mentions", case_id, _parse_mention)
-    # Span-order errors concern the mentions as a whole and name no field.
-    return _build(AnnotatedQuery, "", case_id, text=obj["text"], mentions=mentions)
-
-
-def _parse_oracle_invocation(obj: object, where: str, case_id: str) -> OracleInvocation:
-    obj = _record(obj, _ORACLE_KEYS, where, case_id)
-    needed = _each(obj["needed_params"], f"{where}.needed_params", case_id, _string)
-    return _build(OracleInvocation, where, case_id, **{**obj, "needed_params": frozenset(needed)})
-
-
-def _parse_tool_return(obj: object, where: str, case_id: str) -> ToolReturn:
-    _expect("object", obj, where, case_id)
-    if set(obj) == {"raw_text"}:
-        _expect("string", obj["raw_text"], f"{where}.raw_text", case_id)
-    elif set(obj) != {"payload"}:
-        raise _violation(where, "must have exactly one of the keys 'payload' or 'raw_text'", case_id)
-    return _build(ToolReturn, where, case_id, **obj)
-
-
-def _parse_scripted_return(obj: object, where: str, case_id: str) -> ScriptedReturn:
-    obj = _record(obj, _SCRIPTED_RETURN_KEYS, where, case_id)
-    value = _parse_tool_return(obj["return"], f"{where}.return", case_id)
-    return _build(
-        ScriptedReturn,
-        where,
-        case_id,
-        tool_name=obj["tool_name"],
-        arguments=obj["arguments"],
-        value=value,
-    )
-
-
-def _parse_case(obj: object, index: int) -> TestCase:
-    where = f"cases[{index}]"
-    case_id = None
-    if isinstance(obj, dict):
-        raw_id = obj.get("case_id")
-        case_id = raw_id if isinstance(raw_id, str) and raw_id else where
-    obj = _record(obj, _CASE_KEYS, where, case_id)
-
-    def items(key, parse):
-        return _each(_expect("array", obj[key], key, case_id), key, case_id, parse)
-
-    tools = items("tools", _parse_tool)
-    oracle = items("oracle", _parse_oracle_invocation)
-    scripted: tuple[ScriptedReturn, ...] = ()
-    if obj.get("scripted_returns") is not None:
-        scripted = items("scripted_returns", _parse_scripted_return)
-    seen_scripts: set[tuple[str, str]] = set()
-    for entry in scripted:
-        key = (entry.tool_name, canonical_args_hash(entry.arguments))
-        if key in seen_scripts:
+    def check_json(cls, values: dict, where: str) -> None:
+        if values["schema_version"] != SCHEMA_VERSION:
             raise SchemaViolation(
-                f"duplicate scripted return for tool {entry.tool_name!r} with "
-                "identical arguments",
-                case_id=case_id,
-                field="scripted_returns",
+                f"unsupported schema_version {values['schema_version']!r}; "
+                f"this reader understands {SCHEMA_VERSION}",
+                field="schema_version",
             )
-        seen_scripts.add(key)
-    # Case-level errors name their fields relative to the case already.
-    return _build(
-        TestCase,
-        "",
-        case_id,
-        case_id=obj["case_id"],
-        query=_parse_query(obj["query"], case_id),
-        tools=tools,
-        oracle=oracle,
-        scripted_returns=scripted,
-        solvable=_expect("boolean", obj["solvable"], "solvable", case_id),
-    )
-
-
-def _json_document(raw: bytes | str, what: str) -> object:
-    """Decode one UTF-8 JSON document. An encoding or JSON failure is
-    MalformedInput naming what and the byte offset."""
-    if isinstance(raw, (bytes, bytearray)):
-        try:
-            text = bytes(raw).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedInput(
-                f"{what} is not valid UTF-8 at byte {exc.start}: {exc.reason}",
-                byte_offset=exc.start,
-            ) from exc
-    else:
-        text = raw
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        byte_offset = len(text[: exc.pos].encode("utf-8"))
-        raise MalformedInput(
-            f"{what} is not valid JSON at byte {byte_offset}: {exc.msg}",
-            byte_offset=byte_offset,
-        ) from exc
 
 
 def parse_corpus(raw: bytes | str) -> list[TestCase]:
@@ -720,18 +384,7 @@ def parse_corpus(raw: bytes | str) -> list[TestCase]:
     failures, SchemaViolation for structural problems, and SpanMismatch
     when a mention span does not address its own value text.
     """
-    document = _json_document(raw, "corpus")
-    document = _record(document, _CORPUS_KEYS, "corpus")
-    if document["schema_version"] != SCHEMA_VERSION:
-        raise SchemaViolation(
-            f"unsupported schema_version {document['schema_version']!r}; "
-            f"this reader understands {SCHEMA_VERSION}",
-            field="schema_version",
-        )
-    cases = [
-        _parse_case(raw_case, index)
-        for index, raw_case in enumerate(_expect("array", document["cases"], "cases"))
-    ]
+    cases = Corpus.from_json(json_document(raw, "corpus"), "corpus").cases
     seen_ids: set[str] = set()
     for case in cases:
         if case.case_id in seen_ids:
@@ -754,7 +407,7 @@ def parse_corpus(raw: bytes | str) -> list[TestCase]:
                     case_id=case.case_id,
                     field="tools",
                 )
-    return cases
+    return list(cases)
 
 
 def load_corpus(path: str) -> list[TestCase]:
@@ -763,89 +416,9 @@ def load_corpus(path: str) -> list[TestCase]:
         return parse_corpus(handle.read())
 
 
-def _parameter_to_json(spec: ParameterSpec) -> dict[str, object]:
-    out: dict[str, object] = {
-        "name": spec.name,
-        "ptype": spec.ptype,
-        "description": spec.description,
-        "required": spec.required,
-    }
-    if spec.enum_values is not None:
-        out["enum_values"] = list(spec.enum_values)
-    if spec.format is not None:
-        out["format"] = spec.format
-    if spec.range is not None:
-        out["range"] = list(spec.range)
-    if spec.has_example:
-        out["example"] = spec.example
-    return out
-
-
-def tool_to_json(tool: ToolDocument) -> dict[str, object]:
-    """Convert one tool document to its corpus-JSON shape."""
-    return {
-        "tool_name": tool.tool_name,
-        "description": tool.description,
-        "parameters": [_parameter_to_json(p) for p in tool.parameters],
-        "usage_examples": list(tool.usage_examples),
-    }
-
-
-def query_to_json(query: AnnotatedQuery) -> dict[str, object]:
-    """Convert one annotated query to its corpus-JSON shape."""
-    return {
-        "text": query.text,
-        "mentions": [
-            {
-                "span": [m.start, m.end],
-                "param_name": m.param_name,
-                "tool_name": m.tool_name,
-                "value_text": m.value_text,
-            }
-            for m in query.mentions
-        ],
-    }
-
-
-def return_to_json(value: ToolReturn) -> dict[str, object]:
-    """Convert one tool return to its corpus-JSON shape."""
-    if value.raw_text is not None:
-        return {"raw_text": value.raw_text}
-    return {"payload": value.payload}
-
-
-def case_to_json(case: TestCase) -> dict[str, object]:
-    """Convert one case back to its corpus-JSON shape."""
-    return {
-        "case_id": case.case_id,
-        "query": query_to_json(case.query),
-        "tools": [tool_to_json(t) for t in case.tools],
-        "oracle": [
-            {
-                "tool_name": inv.tool_name,
-                "arguments": inv.arguments,
-                "needed_params": sorted(inv.needed_params),
-            }
-            for inv in case.oracle
-        ],
-        "scripted_returns": [
-            {
-                "tool_name": entry.tool_name,
-                "arguments": entry.arguments,
-                "return": return_to_json(entry.value),
-            }
-            for entry in case.scripted_returns
-        ],
-        "solvable": case.solvable,
-    }
-
-
 def serialize_corpus(cases: list[TestCase]) -> str:
     """Serialize cases to corpus-JSON; parse(serialize(x)) == x."""
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "cases": [case_to_json(case) for case in cases],
-    }
+    document = Corpus(schema_version=SCHEMA_VERSION, cases=tuple(cases)).to_json()
     return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
 
 

@@ -23,19 +23,7 @@ import unicodedata
 from dataclasses import dataclass
 
 from paramfuzz.classify import ObservedInvocation
-from paramfuzz.corpus import (
-    JsonRecord,
-    TestCase,
-    ToolDocument,
-    ToolReturn,
-    _build,
-    _each,
-    _expect,
-    _record,
-    canonical_json,
-    json_keys,
-    tool_to_json,
-)
+from paramfuzz.corpus import TestCase, ToolDocument, ToolReturn, canonical_json
 from paramfuzz.errors import (
     AuthFailure,
     DriverError,
@@ -51,6 +39,7 @@ from paramfuzz.perturb import (
     apply_query_operator,
     apply_return_operator,
 )
+from paramfuzz.records import JsonRecord, array_of, build, check_record, expect, json_keys
 
 DEFAULT_STEP_LIMIT = 8
 DEFAULT_MAX_OBSERVATION_LENGTH = 1024
@@ -138,16 +127,15 @@ _STEP_KEYS = (
 _ACTION_KEYS = (("tool_name", "string", True), ("arguments", "object", True))
 
 
-def _parse_step(obj: object, where: str, case_id: str | None) -> AgentStep:
-    obj = _record(obj, _STEP_KEYS, where, case_id)
+def _parse_step(obj: object, where: str) -> AgentStep:
+    obj = check_record(obj, _STEP_KEYS, where)
     invocation = None
     if obj.get("action") is not None:
-        action = _record(obj["action"], _ACTION_KEYS, f"{where}.action", case_id)
+        action = check_record(obj["action"], _ACTION_KEYS, f"{where}.action")
         invocation = ObservedInvocation.of(action["tool_name"], action["arguments"])
-    return _build(
+    return build(
         AgentStep,
         where,
-        case_id,
         thought=obj.get("thought") or "",
         invocation=invocation,
         final_answer=obj.get("final_answer"),
@@ -175,8 +163,7 @@ class ScriptedBehavior:
     def from_json(cls, steps: object, where: str = "script") -> "ScriptedBehavior":
         """Parse a script: a JSON array of steps, each a thought plus
         exactly one of an action or a final answer."""
-        parsed = _each(_expect("array", steps, where), where, None, _parse_step)
-        return _build(cls, where, None, steps=parsed)
+        return build(cls, where, steps=array_of(_parse_step, steps, where))
 
     @classmethod
     def replaying(cls, case: TestCase) -> "ScriptedBehavior":
@@ -215,7 +202,7 @@ def render_function_declarations(tools: list[ToolDocument] | tuple[ToolDocument,
     Perturbed fields pass through verbatim; a corrupted type or a blanked
     description must reach the model exactly as corrupted.
     """
-    return json.dumps([tool_to_json(t) for t in tools], indent=2, ensure_ascii=False)
+    return json.dumps([t.to_json() for t in tools], indent=2, ensure_ascii=False)
 
 
 @dataclass(frozen=True)
@@ -247,13 +234,13 @@ class EndpointConfig:
         """Read the config file's endpoint object. Each known key must hold
         the JSON type of its field; unknown keys are ignored."""
         known = {
-            key: _expect(jtype, obj[key], f"config.endpoint.{key}")
+            key: expect(jtype, obj[key], f"config.endpoint.{key}")
             for key, jtype, _ in json_keys(cls)
             if key in obj
         }
         if "base_url" not in known or "model" not in known:
             raise SchemaViolation("endpoint config needs base_url and model")
-        return _build(cls, "config.endpoint", None, **known)
+        return build(cls, "config.endpoint", **known)
 
 
 class _RateLimiter:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from paramfuzz.corpus import JsonRecord
+from paramfuzz.records import JsonRecord
 
 DOCUMENT_OPERATORS = ("RD", "RE", "WD", "SD", "CO", "WT")
 QUERY_OPERATORS = ("RPF", "RPL", "CP", "AN")

@@ -61,7 +61,7 @@ def remove_examples(doc: ToolDocument) -> tuple[ToolDocument, PerturbationRecord
     if not doc.usage_examples and not param_targets:
         raise NoExamples(f"tool {doc.tool_name!r} carries no examples to erase")
     parameters = tuple(
-        dataclasses.replace(p, example=None, has_example=False) if p.has_example else p
+        dataclasses.replace(p, example=None) if p.has_example else p
         for p in doc.parameters
     )
     record = PerturbationRecord(

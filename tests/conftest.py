@@ -43,7 +43,6 @@ def make_param(name="query", ptype="string", description="What to search for.",
         format=None,
         range=None,
         example=None,
-        has_example=False,
     )
     defaults.update(extra)
     return ParameterSpec(**defaults)
@@ -54,7 +53,7 @@ def make_tool(tool_name="searcher", parameters=None, description="Find things.",
     if parameters is None:
         parameters = (
             make_param("query", "string", "What to search for.", True,
-                       example="books", has_example=True),
+                       example="books"),
             make_param("limit", "integer", "Maximum results.", False, range=(1, 50)),
         )
     return ToolDocument(
@@ -162,7 +161,6 @@ def random_tool(rng: random.Random, name: str | None = None,
                 extra["example"] = rng.randint(0, 99)
             else:
                 extra["example"] = None
-            extra["has_example"] = extra["example"] is not None
         params.append(
             make_param(pname, ptype, description, rng.random() < 0.5, **extra)
         )

@@ -16,7 +16,6 @@ from paramfuzz.corpus import (
     canonical_args_hash,
     canonical_json,
     filter_cases,
-    json_keys,
     lint_case,
     parse_corpus,
     serialize_corpus,
@@ -28,6 +27,7 @@ from paramfuzz.classify import AlignedLabel, FailureLabel, ObservedInvocation
 from paramfuzz.driver import EndpointConfig, SkipNote, Trajectory, TrajectoryStep, TruncationEvent
 from paramfuzz.errors import MalformedInput, SchemaViolation, SpanMismatch
 from paramfuzz.perturb import PerturbationRecord
+from paramfuzz.records import JsonRecord, json_keys
 
 
 class TestCanonicalJson:
@@ -798,6 +798,10 @@ class TestJsonKeys:
         model = dataclasses.make_dataclass("Odd", [("ok", int), ("odd", annotation)])
         with pytest.raises(TypeError, match="Odd.odd"):
             json_keys(model)
+
+    def test_an_unknown_shape_rule_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            type("Odd", (JsonRecord,), {}, exclsive=("a", "b"))
 
     def test_writes_tuples_as_lists_and_nested_records_by_their_to_json(self):
         trajectory = Trajectory(

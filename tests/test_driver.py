@@ -7,7 +7,6 @@ import pytest
 
 from conftest import make_case, make_param, make_query, make_tool, random_tool, scripted_return
 from paramfuzz.classify import ObservedInvocation
-from paramfuzz.corpus import tool_to_json
 from paramfuzz.driver import (
     AgentContext,
     AgentStep,
@@ -153,7 +152,7 @@ class TestFunctionDeclarations:
         rng = random.Random(99)
         tools = [random_tool(rng, name=f"tool_{i}") for i in range(4)]
         text = render_function_declarations(tools)
-        assert json.loads(text) == [tool_to_json(t) for t in tools]
+        assert json.loads(text) == [t.to_json() for t in tools]
 
     def test_corrupted_fields_pass_through_verbatim(self):
         tool = make_tool(
