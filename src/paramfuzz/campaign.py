@@ -11,8 +11,12 @@ are its fields, tagged with its event kind: the CampaignMeta header first
 (trajectory_error) per run, and one Classification (classification) per
 trajectory, appended by classify_log.
 
-read_log checks every line and indexes the log by (operator, case_id,
-seed) once; running, classifying and reporting all share that index.
+A CampaignLog indexes a log by (operator, case_id, seed) and keeps of
+each trajectory only what classifying and reporting read: whether the
+perturbation applied, and the invocations. run_campaign returns the index
+of the log it wrote, built as it writes each record, so `run --report`
+never reads its own log back. read_log checks every line of a log file in
+full and builds the same index; classify and report start from it.
 Runs are resumable: pairs already present in the log are skipped, and a
 resumed run must match the header's corpus hash, seed and driver.
 """
@@ -24,9 +28,15 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from typing import TextIO
 
 from paramfuzz import __version__
-from paramfuzz.classify import CLASSIFIER_VERSION, AlignedLabel, classify_trajectory
+from paramfuzz.classify import (
+    CLASSIFIER_VERSION,
+    AlignedLabel,
+    ObservedInvocation,
+    classify_trajectory,
+)
 from paramfuzz.corpus import TestCase, all_tools, filter_cases, load_corpus
 from paramfuzz.driver import (
     DEFAULT_MAX_OBSERVATION_LENGTH,
@@ -40,8 +50,8 @@ from paramfuzz.driver import (
     run_case,
 )
 from paramfuzz.errors import CampaignError, DriverError, MalformedInput
-from paramfuzz.perturb import ALL_OPERATORS
-from paramfuzz.records import JsonRecord, json_document, loads, utf8, violation
+from paramfuzz.perturb import ALL_OPERATORS, donor_pool
+from paramfuzz.records import JsonRecord, check_record, json_document, loads, utf8, violation
 
 LOG_FILE_NAME = "campaign.jsonl"
 
@@ -118,24 +128,49 @@ def _pair(key: Key) -> str:
     return f"({key[0]}, {key[1]}, seed {key[2]})"
 
 
+@dataclass(frozen=True)
+class TrajectoryEntry:
+    """What classifying and reporting read of one logged trajectory."""
+
+    applied: bool
+    invocations: tuple[ObservedInvocation, ...]
+
+
 @dataclass
 class CampaignLog:
     """One campaign log, checked and indexed by (operator, case_id, seed).
 
     ``trajectories`` keeps log order; ``errors`` lists the keys of runs
-    that died in the driver. classify_log adds its classifications here as
-    well as to the file, so a caller that classifies and then reports
-    reads the log once. len() is the number of events.
+    that died in the driver. Each record written through ``write`` is
+    indexed as well, so a caller that runs, classifies and then reports
+    never reads the file back. len() is the number of events.
     """
 
     path: str
     header: CampaignMeta
-    trajectories: dict[Key, Trajectory] = field(default_factory=dict)
+    trajectories: dict[Key, TrajectoryEntry] = field(default_factory=dict)
     errors: list[Key] = field(default_factory=list)
     classifications: dict[Key, Classification] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return 1 + len(self.trajectories) + len(self.errors) + len(self.classifications)
+
+    def add(self, record: Trajectory | TrajectoryError | Classification) -> None:
+        """Index one record that follows the header."""
+        key = (record.operator, record.case_id, record.seed)
+        if isinstance(record, Trajectory):
+            self.trajectories[key] = TrajectoryEntry(
+                record.perturbation_applied, tuple(record.invocations)
+            )
+        elif isinstance(record, TrajectoryError):
+            self.errors.append(key)
+        else:
+            self.classifications[key] = record
+
+    def write(self, handle: TextIO, record: Trajectory | TrajectoryError | Classification) -> None:
+        """Append one record to the open log file and index it."""
+        handle.write(_event_line(record))
+        self.add(record)
 
 
 def _first_line(lines: dict[Key, int], key: Key, number: int, what: str) -> None:
@@ -150,7 +185,8 @@ def _first_line(lines: dict[Key, int], key: Key, number: int, what: str) -> None
 
 
 def read_log(path: str) -> CampaignLog:
-    """Read a JSON-lines campaign log into one checked index.
+    """Read a JSON-lines campaign log into one checked index. Every line
+    is decoded and checked in full before its entry is indexed.
 
     A line that is not JSON or not a tagged object is MalformedInput. A
     line whose shape breaks the key table of its event kind is a
@@ -206,13 +242,9 @@ def read_log(path: str) -> CampaignLog:
                         f"{where} has classifier_version {record.classifier_version!r}, but the "
                         f"header on line {header_line} has {log.header.classifier_version!r}"
                     )
-                log.classifications[key] = record
             else:
                 _first_line(runs, key, number, "run")
-                if kind == "trajectory":
-                    log.trajectories[key] = record
-                else:
-                    log.errors.append(key)
+            log.add(record)
     if log is None:
         raise CampaignError(f"log {path} has no campaign_meta header")
     return log
@@ -251,9 +283,9 @@ class ScriptBook:
 
     @classmethod
     def from_json(cls, obj: object) -> "ScriptBook":
-        raw = obj.get("scripts") if isinstance(obj, dict) else None
-        if not isinstance(raw, dict):
+        if not isinstance(obj, dict) or not isinstance(obj.get("scripts"), dict):
             raise MalformedInput("script book needs a top-level 'scripts' object")
+        raw = check_record(obj, (("scripts", "object", True),), "script book")["scripts"]
         return cls(
             scripts={
                 key: ScriptedBehavior.from_json(steps, f"scripts.{key}")
@@ -332,8 +364,11 @@ def _check_resume(meta: CampaignMeta, existing: CampaignMeta) -> None:
             )
 
 
-def run_campaign(config: CampaignConfig) -> str:
-    """Execute (or resume) the campaign; returns the log path.
+def run_campaign(config: CampaignConfig) -> CampaignLog:
+    """Execute (or resume) the campaign; returns the index of its log.
+
+    A fresh run's index is its header plus each record as it is written; a
+    resumed run's is read_log of the existing file plus the new records.
 
     With the http driver and more than one worker, trajectories are
     computed by a bounded thread pool; they are always written in job
@@ -342,7 +377,7 @@ def run_campaign(config: CampaignConfig) -> str:
     cases = filter_cases(load_corpus(config.corpus_path))
     if not cases:
         raise CampaignError("no cases survive filtering; nothing to run")
-    donors = all_tools(cases)
+    donors = donor_pool(all_tools(cases))
     script_book = ScriptBook()
     if config.scripts_path is not None:
         script_book = ScriptBook.load(config.scripts_path)
@@ -365,13 +400,13 @@ def run_campaign(config: CampaignConfig) -> str:
         prompt_template_version=PROMPT_TEMPLATE_VERSION,
         package_version=__version__,
     )
-    done: set[Key] = set()
-    needs_header = True
-    if os.path.exists(log_path) and os.path.getsize(log_path) > 0:
+    resumed = os.path.exists(log_path) and os.path.getsize(log_path) > 0
+    if resumed:
         log = read_log(log_path)
         _check_resume(meta, log.header)
-        needs_header = False
-        done.update(log.trajectories, log.errors)
+    else:
+        log = CampaignLog(log_path, meta)
+    done = {*log.trajectories, *log.errors}
     pairs = [
         (operator, case)
         for operator in config.ordered_operators
@@ -405,14 +440,14 @@ def run_campaign(config: CampaignConfig) -> str:
     with open(log_path, "a", encoding="utf-8") as handle, concurrent.futures.ThreadPoolExecutor(
         max_workers=config.workers
     ) as pool:
-        if needs_header:
+        if not resumed:
             handle.write(_event_line(meta))
             handle.flush()
         records = map(execute, jobs) if config.workers == 1 else pool.map(execute, jobs)
         for record in records:
-            handle.write(_event_line(record))
+            log.write(handle, record)
             handle.flush()
-    return log_path
+    return log
 
 
 def classify_log(log: CampaignLog, corpus_path: str) -> int:
@@ -436,7 +471,7 @@ def classify_log(log: CampaignLog, corpus_path: str) -> int:
         )
     appended = 0
     with open(log.path, "a", encoding="utf-8") as handle:
-        for key, trajectory in log.trajectories.items():
+        for key, entry in log.trajectories.items():
             if key in log.classifications:
                 continue
             case = cases.get(key[1])
@@ -445,10 +480,9 @@ def classify_log(log: CampaignLog, corpus_path: str) -> int:
                     f"log references case {key[1]!r} absent from the corpus"
                 )
             outcome = classify_trajectory(
-                trajectory.invocations, list(case.oracle), list(case.tools)
+                list(entry.invocations), list(case.oracle), list(case.tools)
             )
             record = Classification(*key, CLASSIFIER_VERSION, outcome.case_pass, outcome.aligned)
-            handle.write(_event_line(record))
-            log.classifications[key] = record
+            log.write(handle, record)
             appended += 1
     return appended

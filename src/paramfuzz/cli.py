@@ -45,6 +45,7 @@ from paramfuzz.perturb import (
     apply_document_operator,
     apply_query_operator,
     apply_return_operator,
+    donor_pool,
 )
 from paramfuzz.records import array_of, check_record, expect, json_document
 from paramfuzz.reporting import collect_results, emit_report
@@ -84,7 +85,7 @@ def cmd_perturb(args: argparse.Namespace) -> int:
             f"unknown operator {operator!r}; valid ids: {', '.join(ALL_OPERATORS)}"
         )
     if source == "document":
-        donors = all_tools(cases)
+        donors = donor_pool(all_tools(cases))
         for tool in case.tools:
             try:
                 perturbed, record = apply_document_operator(
@@ -167,10 +168,9 @@ def _build_campaign_config(args: argparse.Namespace) -> CampaignConfig:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _build_campaign_config(args)
-    log_path = run_campaign(config)
-    print(f"campaign log: {log_path}")
+    log = run_campaign(config)
+    print(f"campaign log: {log.path}")
     if args.classify or args.report:
-        log = read_log(log_path)
         appended = classify_log(log, config.corpus_path)
         print(f"classified {appended} trajectory(ies)")
         if args.report:
@@ -209,7 +209,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
                 driver="replay",
                 scripts_path=str(root / "scripts.json"),
             )
-            log = read_log(run_campaign(config))
+            log = run_campaign(config)
             classify_log(log, config.corpus_path)
             results = collect_results(log)
     outcomes = {outcome.case_id: outcome for outcome in results.outcomes}

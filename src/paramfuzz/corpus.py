@@ -54,13 +54,22 @@ def canonical_json(value: object) -> str:
     )
 
 
+# Types whose values are equal under canonicalization exactly when == says
+# so. Not float: canonically NaN equals NaN.
+_PLAIN_TYPES = frozenset((str, int, bool, type(None)))
+
+
 def values_equal(a: object, b: object) -> bool:
     """Structural equality of two JSON values under canonicalization."""
+    kind = type(a)
+    if kind is type(b) and kind in _PLAIN_TYPES:
+        return a == b
     return canonical_json(a) == canonical_json(b)
 
 
 def canonical_args_hash(arguments: dict[str, object]) -> str:
-    """Order-insensitive fingerprint of an argument map."""
+    """Order-insensitive fingerprint of an argument map. TestCase indexes
+    its scripted returns by canonical_json instead, which is cheaper."""
     return hashlib.sha256(canonical_json(arguments).encode("utf-8")).hexdigest()
 
 
@@ -310,17 +319,19 @@ class TestCase(
                         case_id=self.case_id,
                         field=f"oracle[{position}].arguments.{arg_name}",
                     )
-        seen_scripts: set[tuple[str, str]] = set()
+        returns: dict[tuple[str, str], ToolReturn] = {}
         for entry in self.scripted_returns:
-            key = (entry.tool_name, canonical_args_hash(entry.arguments))
-            if key in seen_scripts:
+            key = (entry.tool_name, canonical_json(entry.arguments))
+            if key in returns:
                 raise SchemaViolation(
                     f"duplicate scripted return for tool {entry.tool_name!r} with "
                     "identical arguments",
                     case_id=self.case_id,
                     field="scripted_returns",
                 )
-            seen_scripts.add(key)
+            returns[key] = entry.value
+        # Not a field: an index of the scripted returns that scripted_lookup reads.
+        object.__setattr__(self, "_returns", returns)
 
     @classmethod
     def from_json(cls, obj: object, where: str) -> "TestCase":
@@ -344,11 +355,7 @@ class TestCase(
 
     def scripted_lookup(self, tool_name: str, arguments: dict[str, object]) -> ToolReturn | None:
         """Find the canned return for an exact (tool, arguments) pair."""
-        wanted = canonical_args_hash(arguments)
-        for entry in self.scripted_returns:
-            if entry.tool_name == tool_name and canonical_args_hash(entry.arguments) == wanted:
-                return entry.value
-        return None
+        return self._returns.get((tool_name, canonical_json(arguments)))
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from paramfuzz.errors import (
 )
 from paramfuzz.perturb import (
     SOURCE_OF_OPERATOR,
+    Donor,
     PerturbationRecord,
     apply_document_operator,
     apply_query_operator,
@@ -473,7 +474,7 @@ def run_case(
     driver,
     *,
     seed: int = 0,
-    donors: list[ToolDocument] | None = None,
+    donors: list[Donor] | None = None,
     step_limit: int = DEFAULT_STEP_LIMIT,
     max_observation_length: int = DEFAULT_MAX_OBSERVATION_LENGTH,
 ) -> Trajectory:

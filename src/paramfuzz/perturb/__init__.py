@@ -24,7 +24,9 @@ from paramfuzz.perturb.base import (
     PerturbationRecord,
 )
 from paramfuzz.perturb.document import (
+    Donor,
     corrupt_types,
+    donor_pool,
     remove_examples,
     remove_required_descriptions,
     shuffle_descriptions,
@@ -51,6 +53,7 @@ __all__ = [
     "QUERY_OPERATORS",
     "RETURN_OPERATORS",
     "SOURCE_OF_OPERATOR",
+    "Donor",
     "PerturbationRecord",
     "append_noise",
     "apply_document_operator",
@@ -60,6 +63,7 @@ __all__ = [
     "complicate_mentions",
     "corrupt_format",
     "corrupt_types",
+    "donor_pool",
     "fuzz_keys",
     "prefix_id_values",
     "remove_examples",
@@ -78,9 +82,10 @@ def apply_document_operator(
     doc: ToolDocument,
     *,
     seed: int = 0,
-    donors: list[ToolDocument] | None = None,
+    donors: list[Donor] | None = None,
 ) -> tuple[ToolDocument, PerturbationRecord]:
-    """Apply one document operator by id."""
+    """Apply one document operator by id; donors is the donor_pool that WD
+    draws from."""
     if operator == "RD":
         return remove_required_descriptions(doc)
     if operator == "RE":

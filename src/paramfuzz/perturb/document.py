@@ -74,34 +74,42 @@ def remove_examples(doc: ToolDocument) -> tuple[ToolDocument, PerturbationRecord
     return dataclasses.replace(doc, parameters=parameters, usage_examples=()), record
 
 
+# One parameter description another tool can lend: (tool, parameter, text).
+Donor = tuple[str, str, str]
+
+
+def donor_pool(tools: list[ToolDocument]) -> list[Donor]:
+    """Every non-empty parameter description of the tools, in order. A
+    campaign builds it once and WD draws every tool's donors from it."""
+    return [
+        (tool.tool_name, p.name, p.description)
+        for tool in tools
+        for p in tool.parameters
+        if p.description
+    ]
+
+
 def substitute_foreign_descriptions(
-    doc: ToolDocument, donors: list[ToolDocument], seed: int
+    doc: ToolDocument, donors: list[Donor], seed: int
 ) -> tuple[ToolDocument, PerturbationRecord]:
     """Replace every parameter description with one from another tool (WD).
 
-    The donor pool is every non-empty parameter description belonging to a
-    tool with a different name. Assignment is a seeded shuffle, cycling
-    when the target has more parameters than the pool. A description is
-    never knowingly mapped to itself; when the pool forces that collision
-    it happens anyway and is reported in the record.
+    The donor pool is every entry of donors that belongs to a tool with a
+    different name. Assignment is a seeded shuffle, cycling when the
+    target has more parameters than the pool. A description is never
+    knowingly mapped to itself; when the pool forces that collision it
+    happens anyway and is reported in the record.
     """
     if not doc.parameters:
         record = PerturbationRecord(
             operator="WD", seed=seed, details={"assignments": [], "collisions": []}
         )
         return doc, record
-    pool = [
-        (donor.tool_name, p.name, p.description)
-        for donor in donors
-        if donor.tool_name != doc.tool_name
-        for p in donor.parameters
-        if p.description
-    ]
-    if not pool:
+    shuffled = [donor for donor in donors if donor[0] != doc.tool_name]
+    if not shuffled:
         raise NoDonor(
             f"no foreign parameter descriptions available for {doc.tool_name!r}"
         )
-    shuffled = list(pool)
     random.Random(seed).shuffle(shuffled)
     assignments: list[dict[str, str]] = []
     collisions: list[str] = []

@@ -18,6 +18,7 @@ Key transforms recurse through every nested object and array.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from typing import Callable
@@ -49,6 +50,9 @@ def split_key_tokens(key: str) -> list[str]:
     return tokens
 
 
+# Both respellings are pure, and payloads repeat the same few keys. The
+# caches hold one entry per distinct key of the corpus's scripted returns.
+@functools.cache
 def to_camel_case(key: str) -> str:
     tokens = split_key_tokens(key)
     if not tokens:
@@ -56,6 +60,7 @@ def to_camel_case(key: str) -> str:
     return tokens[0] + "".join(t.capitalize() for t in tokens[1:])
 
 
+@functools.cache
 def to_snake_case(key: str) -> str:
     tokens = split_key_tokens(key)
     if not tokens:

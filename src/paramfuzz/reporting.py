@@ -83,7 +83,7 @@ class CampaignResults:
 def collect_results(log: CampaignLog) -> CampaignResults:
     """Join each trajectory with its classification."""
     outcomes: list[CaseOutcome] = []
-    for key, trajectory in log.trajectories.items():
+    for key, entry in log.trajectories.items():
         verdict = log.classifications.get(key)
         if verdict is None:
             raise CampaignError(
@@ -95,7 +95,7 @@ def collect_results(log: CampaignLog) -> CampaignResults:
                 operator=key[0],
                 case_id=key[1],
                 seed=key[2],
-                applied=trajectory.perturbation_applied,
+                applied=entry.applied,
                 case_pass=verdict.case_pass,
                 labels=tuple(aligned.label for aligned in verdict.labels),
             )

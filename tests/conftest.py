@@ -7,8 +7,10 @@ fixed seed so every run exercises the same inputs.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +124,33 @@ def swap_pair(doc: ToolDocument, i: int, j: int) -> ToolDocument:
         dataclasses.replace(params[j], description=params[i].description),
     )
     return dataclasses.replace(doc, parameters=tuple(params))
+
+
+# sha256 of each output of `run --report` on the packaged mock_campaign at
+# seed 0. They change only with a deliberate change to the log or reports.
+MOCK_CAMPAIGN_SHA256 = {
+    "campaign.jsonl": "ea30559ca87bdefc8543fcd6d50ffc8b07ce71c279adc06eba627da6e4822359",
+    "report.json": "e3623c335c6e8dfd575d1f180222685c226a14b81fca18a85405deee2f8ef801",
+    "report.md": "1ebed74e6ce3123a0146d84196fc0d7c1674e8776d544ad503645ba13beb136e",
+    "report_table.csv": "cc479e365571597b10ea73ad20f2431b142266d9aa5c41fa6c2fab36c0815d13",
+}
+
+
+DEPTH_SLICE_CASES = 12
+
+
+@pytest.fixture
+def depth_slice(tmp_path, monkeypatch) -> tuple[dict, dict]:
+    """The first DEPTH_SLICE_CASES cases of the benchmark's depth workload
+    at seed 3, as a corpus document, and the script book of those cases."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    generated = importlib.import_module("workloads").generate_depth(3, str(tmp_path / "depth"))
+    corpus = json.loads(Path(generated.files[0]).read_text(encoding="utf-8"))
+    corpus["cases"] = corpus["cases"][:DEPTH_SLICE_CASES]
+    kept = {case["case_id"] for case in corpus["cases"]}
+    book = json.loads(Path(generated.files[1]).read_text(encoding="utf-8"))
+    book["scripts"] = {key: steps for key, steps in book["scripts"].items() if key.partition(":")[2] in kept}
+    return corpus, book
 
 
 def log_events(path) -> list[dict]:

@@ -209,7 +209,7 @@ def mock_run(tmp_path_factory):
             seed=0,
             scripts_path=str(root / "scripts.json"),
         )
-        log_path = run_campaign(config)
+        log_path = run_campaign(config).path
         log = read_log(log_path)
         classify_log(log, config.corpus_path)
         paths = emit_report(log, str(out_dir))
@@ -221,7 +221,7 @@ def mock_run(tmp_path_factory):
             seed=0,
             scripts_path=config.scripts_path,
         )
-        rerun_log = run_campaign(rerun_config)
+        rerun_log = run_campaign(rerun_config).path
         log = read_log(rerun_log)
         classify_log(log, rerun_config.corpus_path)
         rerun_paths = emit_report(log, str(rerun_dir))

@@ -9,7 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from conftest import log_events, make_case, make_param, make_query, make_tool, scripted_return
+from conftest import (
+    MOCK_CAMPAIGN_SHA256,
+    log_events,
+    make_case,
+    make_param,
+    make_query,
+    make_tool,
+    scripted_return,
+)
+from paramfuzz import campaign, cli
 from paramfuzz.campaign import (
     _EVENTS,
     CampaignConfig,
@@ -93,14 +102,23 @@ class TestLogIo:
         corpus = two_case_corpus(tmp_path)
         log_path = run_campaign(
             CampaignConfig(corpus_path=corpus, out_dir=str(tmp_path / "out"), operators=("RD", "CK"))
-        )
+        ).path
         classify_log(read_log(log_path), corpus)
         events = log_events(log_path)
         log = read_log(log_path)
         assert len(log) == len(events) == 9
         assert {"event": "campaign_meta", **log.header.to_json()} == events[0]
-        assert [{"event": "trajectory", **t.to_json()} for t in log.trajectories.values()] == [
-            e for e in events if e["event"] == "trajectory"
+        assert [
+            (key, entry.applied, [invocation.to_json() for invocation in entry.invocations])
+            for key, entry in log.trajectories.items()
+        ] == [
+            (
+                (e["operator"], e["case_id"], e["seed"]),
+                e["perturbation_applied"],
+                [step["invocation"] for step in e["steps"] if step["invocation"] is not None],
+            )
+            for e in events
+            if e["event"] == "trajectory"
         ]
         assert [
             [aligned.to_json() for aligned in verdict.labels]
@@ -110,7 +128,7 @@ class TestLogIo:
     def test_read_log_skips_blank_lines(self, tmp_path):
         log_path = run_campaign(
             CampaignConfig(corpus_path=two_case_corpus(tmp_path), out_dir=str(tmp_path / "out"))
-        )
+        ).path
         path = tmp_path / "log.jsonl"
         path.write_text("\n" + log_line(log_events(log_path)[0]) + "\n\n", encoding="utf-8")
         assert len(read_log(str(path))) == 1
@@ -197,7 +215,7 @@ class TestRunCampaign:
         config = CampaignConfig(
             corpus_path=corpus, out_dir=str(tmp_path / "out"), operators=("RD", "CK"), seed=11
         )
-        log_path = run_campaign(config)
+        log_path = run_campaign(config).path
         assert log_path.endswith(LOG_FILE_NAME)
         events = log_events(log_path)
         assert events[0]["event"] == "campaign_meta"
@@ -218,7 +236,7 @@ class TestRunCampaign:
             config = CampaignConfig(
                 corpus_path=corpus, out_dir=str(tmp_path / out), seed=4
             )
-            return Path(run_campaign(config)).read_bytes()
+            return Path(run_campaign(config).path).read_bytes()
 
         assert run("a") == run("b")
 
@@ -265,7 +283,7 @@ class TestRunCampaign:
                 workers=workers,
                 endpoint=endpoint,
             )
-            return run_campaign(config)
+            return run_campaign(config).path
 
         serial = run("serial", 1)
         events = log_events(serial)
@@ -279,7 +297,7 @@ class TestRunCampaign:
         first = CampaignConfig(
             corpus_path=corpus, out_dir=str(out), operators=("RD",), seed=2
         )
-        log_path = run_campaign(first)
+        log_path = run_campaign(first).path
         after_first = Path(log_path).read_bytes()
         resumed = CampaignConfig(
             corpus_path=corpus, out_dir=str(out), operators=("RD", "CK"), seed=2
@@ -291,7 +309,7 @@ class TestRunCampaign:
         assert [(e["operator"], e["case_id"]) for e in trajectories] == [
             ("RD", "k1"), ("RD", "k2"), ("CK", "k1"), ("CK", "k2"),
         ]
-        third = run_campaign(resumed)
+        third = run_campaign(resumed).path
         assert Path(third).read_bytes() == after_second
 
     def test_resume_rejects_changed_seed(self, tmp_path):
@@ -332,7 +350,7 @@ class TestRunCampaign:
         corpus = write_corpus(tmp_path, cases)
         log_path = run_campaign(
             CampaignConfig(corpus_path=corpus, out_dir=str(tmp_path / "out"), operators=("RD",))
-        )
+        ).path
         events = log_events(log_path)
         assert events[0]["case_count"] == 1
         assert {e["case_id"] for e in events if e["event"] == "trajectory"} == {"k1"}
@@ -366,7 +384,7 @@ class TestRunCampaign:
             operators=("RD", "RE"),
             scripts_path=str(scripts_path),
         )
-        log_path = run_campaign(config)
+        log_path = run_campaign(config).path
         trajectories = {
             (e["operator"], e["case_id"]): e
             for e in log_events(log_path)
@@ -387,7 +405,7 @@ class TestClassifyLog:
         config = CampaignConfig(
             corpus_path=corpus, out_dir=str(tmp_path / "out"), operators=("RD", "CK")
         )
-        log_path = run_campaign(config)
+        log_path = run_campaign(config).path
         assert classify_log(read_log(log_path), corpus) == 4
         events = log_events(log_path)
         classifications = [e for e in events if e["event"] == "classification"]
@@ -399,7 +417,7 @@ class TestClassifyLog:
         corpus = two_case_corpus(tmp_path)
         log_path = run_campaign(
             CampaignConfig(corpus_path=corpus, out_dir=str(tmp_path / "out"), operators=("RD",))
-        )
+        ).path
         assert classify_log(read_log(log_path), corpus) == 2
         before = Path(log_path).read_bytes()
         assert classify_log(read_log(log_path), corpus) == 0
@@ -409,7 +427,7 @@ class TestClassifyLog:
         corpus = two_case_corpus(tmp_path)
         log_path = run_campaign(
             CampaignConfig(corpus_path=corpus, out_dir=str(tmp_path / "out"), operators=("RD",))
-        )
+        ).path
         log = read_log(log_path)
         assert classify_log(log, corpus) == 2
         assert len(log) == 5
@@ -421,7 +439,7 @@ class TestClassifyLog:
         corpus = two_case_corpus(tmp_path)
         log_path = run_campaign(
             CampaignConfig(corpus_path=corpus, out_dir=str(tmp_path / "out"), operators=("RD",))
-        )
+        ).path
         events = log_events(log_path)
         events[0]["classifier_version"] = "0.9"
         with open(log_path, "w", encoding="utf-8") as handle:
@@ -438,7 +456,7 @@ class TestClassifyLog:
         corpus = two_case_corpus(tmp_path)
         log_path = run_campaign(
             CampaignConfig(corpus_path=corpus, out_dir=str(tmp_path / "out"), operators=("RD",))
-        )
+        ).path
         other = write_corpus(tmp_path, [make_case("k1")], name="other.json")
         with pytest.raises(CampaignError):
             classify_log(read_log(log_path), other)
@@ -447,6 +465,68 @@ class TestClassifyLog:
         corpus = two_case_corpus(tmp_path)
         digest = hashlib.sha256(Path(corpus).read_bytes()).hexdigest()
         assert corpus_sha256(corpus) == digest
+
+
+# ------------------------------------------------------- single-pass reports
+
+
+def _digests(out) -> dict[str, str]:
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in MOCK_CAMPAIGN_SHA256}
+
+
+def _run_report(corpus, scripts, out, seed) -> None:
+    argv = ["run", "--corpus", str(corpus), "--scripts", str(scripts), "--out", str(out)]
+    assert cli.main(argv + ["--seed", str(seed), "--report"]) == cli.EXIT_OK
+
+
+class TestSinglePassReport:
+    @pytest.fixture
+    def mock_campaign(self):
+        data = importlib.resources.files("paramfuzz").joinpath("data", "mock_campaign")
+        with importlib.resources.as_file(data) as root:
+            yield root / "corpus.json", root / "scripts.json"
+
+    def test_a_fresh_run_never_reads_its_log_back(self, tmp_path, monkeypatch, mock_campaign):
+        def refuse(path):
+            raise AssertionError(f"read_log({path!r}) during a fresh run --report")
+
+        monkeypatch.setattr(campaign, "read_log", refuse)
+        monkeypatch.setattr(cli, "read_log", refuse)
+        _run_report(*mock_campaign, tmp_path, seed=0)
+        assert _digests(tmp_path) == MOCK_CAMPAIGN_SHA256
+
+    def test_a_resumed_run_reports_like_an_uninterrupted_one(self, tmp_path, mock_campaign):
+        _run_report(*mock_campaign, tmp_path, seed=0)
+        log = tmp_path / LOG_FILE_NAME
+        lines = log.read_bytes().splitlines(keepends=True)
+        assert [json.loads(line)["event"] for line in lines[:101]] == ["campaign_meta"] + ["trajectory"] * 100
+        log.write_bytes(b"".join(lines[:101]))
+        for name in MOCK_CAMPAIGN_SHA256:
+            if name != LOG_FILE_NAME:
+                (tmp_path / name).unlink()
+        _run_report(*mock_campaign, tmp_path, seed=0)
+        assert _digests(tmp_path) == MOCK_CAMPAIGN_SHA256
+
+
+# sha256 of each output of `run --report` at seed 3 on the depth_slice cases,
+# which have what mock_campaign lacks: 25-item payloads, 32 scripted returns
+# per case and a 480-description WD pool.
+_DEPTH_SLICE_SHA256 = {
+    "campaign.jsonl": "c5b902ebbdf95f02edcda385c66ff5e2a1e7c23b05d1ec98e67d7ea2526d315c",
+    "report.json": "4d0adc5776edc8f6bcc38b6730ce31d7668ee0a1596682f3e33518da95707abe",
+    "report.md": "65b6b9d45984a012158984d0656843713c175af7f8704c4c515f15b625a2dd45",
+    "report_table.csv": "0d7ce91ba48fca2f25a7cb536de892871383a86014b90e2ece2aa9d344b79d9b",
+}
+
+
+def test_deep_case_outputs_are_pinned(tmp_path, depth_slice):
+    corpus, book = depth_slice
+    assert book["scripts"]
+    corpus_path, scripts_path = tmp_path / "corpus.json", tmp_path / "scripts.json"
+    for path, document in ((corpus_path, corpus), (scripts_path, book)):
+        path.write_text(json.dumps(document, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8")
+    _run_report(corpus_path, scripts_path, tmp_path / "out", seed=3)
+    assert _digests(tmp_path / "out") == _DEPTH_SLICE_SHA256
 
 
 # ------------------------------------------------- golden campaign-log errors
@@ -462,7 +542,7 @@ def mock_log(tmp_path_factory):
             out_dir=str(tmp_path_factory.mktemp("mock_log")),
             scripts_path=str(root / "scripts.json"),
         )
-        log_path = run_campaign(config)
+        log_path = run_campaign(config).path
         classify_log(read_log(log_path), corpus)
         yield corpus, log_events(log_path)
 

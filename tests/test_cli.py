@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from conftest import log_events, make_case, make_query, scripted_return
+from conftest import MOCK_CAMPAIGN_SHA256, log_events, make_case, make_query, scripted_return
 from paramfuzz.cli import _RUN_SETTINGS, EXIT_CAMPAIGN, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from paramfuzz.campaign import CampaignConfig, log_line
 from paramfuzz.corpus import serialize_corpus
@@ -361,16 +361,6 @@ class TestUndecodableInputFile:
         assert not (tmp_path / "o").exists()
 
 
-# sha256 of each output of `run --report` on the packaged mock_campaign at
-# seed 0. They change only with a deliberate change to the log or reports.
-_MOCK_CAMPAIGN_SHA256 = {
-    "campaign.jsonl": "ea30559ca87bdefc8543fcd6d50ffc8b07ce71c279adc06eba627da6e4822359",
-    "report.json": "e3623c335c6e8dfd575d1f180222685c226a14b81fca18a85405deee2f8ef801",
-    "report.md": "1ebed74e6ce3123a0146d84196fc0d7c1674e8776d544ad503645ba13beb136e",
-    "report_table.csv": "cc479e365571597b10ea73ad20f2431b142266d9aa5c41fa6c2fab36c0815d13",
-}
-
-
 def test_mock_campaign_outputs_are_pinned(tmp_path):
     data = packaged("mock_campaign")
     with importlib.resources.as_file(data) as root:
@@ -381,9 +371,9 @@ def test_mock_campaign_outputs_are_pinned(tmp_path):
     assert code == EXIT_OK
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in _MOCK_CAMPAIGN_SHA256
+        for name in MOCK_CAMPAIGN_SHA256
     }
-    assert digests == _MOCK_CAMPAIGN_SHA256
+    assert digests == MOCK_CAMPAIGN_SHA256
 
 
 _FINAL = {"thought": "done", "final_answer": "Done."}
@@ -414,6 +404,17 @@ class TestMalformedScriptBook:
         err = capsys.readouterr().err
         assert err.startswith("validation error: ")
         assert "Traceback" not in err
+
+    def test_unknown_top_level_key_is_refused(self, clean_corpus, tmp_path, capsys):
+        scripts = tmp_path / "scripts.json"
+        scripts.write_text(json.dumps({"scripts": {}, "scripz": {"k1": [_FINAL]}}), encoding="utf-8")
+        code = main(
+            ["run", "--corpus", clean_corpus, "--scripts", str(scripts),
+             "--out", str(tmp_path / "o"), "--operators", "RD"]
+        )
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == "validation error: script book has unknown key 'scripz'\n"
+        assert not (tmp_path / "o").exists()
 
     def test_model_error_prints_its_location(self, clean_corpus, tmp_path, capsys):
         scripts = tmp_path / "scripts.json"

@@ -1,6 +1,7 @@
 """Corpus model, parser, serializer and lint tests."""
 
 import dataclasses
+import importlib.resources
 import json
 import random
 
@@ -49,6 +50,17 @@ class TestCanonicalJson:
         assert values_equal({"a": 1.0}, {"a": 1})
         assert not values_equal(True, 1)
         assert not values_equal("1", 1)
+
+    def test_values_equal_agrees_with_the_canonical_form(self):
+        palette = [
+            None, True, False, 0, 1, 1.0, 5, 5.0, 2.5, float("nan"), 2**70, "", "1", "a",
+            [], [1], [1.0], [True], {}, {"a": 1}, {"a": 1.0}, {"a": True}, {"a": [1, {"b": 2}]},
+            {"a": [1.0, {"b": 2.0}]}, {"a": [1, {"b": "2"}]},
+        ]
+        for a in palette:
+            for b in palette:
+                assert values_equal(a, b) == (canonical_json(a) == canonical_json(b)), (a, b)
+        assert values_equal(float("nan"), float("nan"))
 
     def test_args_hash_ignores_key_order(self):
         left = canonical_args_hash({"a": 1, "b": 2})
@@ -356,6 +368,61 @@ class TestLint:
         )
         codes = {f.code for f in lint_case(case)}
         assert "DanglingMentionRef" in codes
+
+
+def _linear_lookup(case, tool_name, arguments):
+    """The scripted-return scan that TestCase.scripted_lookup replaced."""
+    wanted = canonical_args_hash(arguments)
+    for entry in case.scripted_returns:
+        if entry.tool_name == tool_name and canonical_args_hash(entry.arguments) == wanted:
+            return entry.value
+    return None
+
+
+def _respelled(value):
+    """The same JSON value with every object's keys reversed and every
+    integer (not bool) written as a float."""
+    if isinstance(value, dict):
+        return {key: _respelled(value[key]) for key in reversed(value)}
+    if isinstance(value, list):
+        return [_respelled(item) for item in value]
+    if type(value) is int and abs(value) < 2**53:
+        return float(value)
+    return value
+
+
+class TestScriptedLookup:
+    @pytest.fixture
+    def corpora(self, depth_slice):
+        data = importlib.resources.files("paramfuzz").joinpath("data")
+        texts = [(data / name / "corpus.json").read_text(encoding="utf-8") for name in ("demo", "mock_campaign")]
+        return [parse_corpus(text) for text in texts] + [parse_corpus(json.dumps(depth_slice[0]))]
+
+    def test_the_index_agrees_with_the_linear_scan(self, corpora):
+        checked = 0
+        for cases in corpora:
+            for case in cases:
+                for entry in case.scripted_returns:
+                    for arguments in (entry.arguments, _respelled(entry.arguments)):
+                        found = case.scripted_lookup(entry.tool_name, arguments)
+                        assert found is _linear_lookup(case, entry.tool_name, arguments)
+                        assert found is entry.value
+                        checked += 1
+        assert checked > 2 * 12 * 32
+
+    def test_a_bool_never_matches_a_number_and_a_miss_is_none(self):
+        case = make_case(
+            scripted=(
+                scripted_return("searcher", {"query": "x", "limit": True}, payload={"hit": "bool"}),
+                scripted_return("searcher", {"query": "x", "limit": 5}, payload={"hit": "int"}),
+            )
+        )
+        assert case.scripted_lookup("searcher", {"limit": True, "query": "x"}).payload == {"hit": "bool"}
+        assert case.scripted_lookup("searcher", {"limit": 5.0, "query": "x"}).payload == {"hit": "int"}
+        for arguments in ({"query": "x", "limit": 1}, {"query": "x", "limit": 1.0}, {"query": "x"}):
+            assert case.scripted_lookup("searcher", arguments) is None
+            assert _linear_lookup(case, "searcher", arguments) is None
+        assert case.scripted_lookup("other", {"query": "x", "limit": 5}) is None
 
 
 class TestShippedCorpora:

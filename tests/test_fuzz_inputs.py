@@ -206,6 +206,17 @@ def _log_with(tmp_path, events, change):
     return str(log)
 
 
+def test_an_unknown_top_level_script_book_key_is_a_validation_error(inputs, capsys):
+    tmp_path, _, scripts, _ = inputs
+    write = _writer(tmp_path / "mutated.json")
+    argv = ["run", "--corpus", str(tmp_path / "corpus.json"), "--operators", "RD", "--out", str(tmp_path / "out")]
+    # A misspelled copy of the scripts, or any other value, under a key the book does not have.
+    for value in (scripts["scripts"], None, {}, [], ""):
+        assert main(argv + ["--scripts", write(dumps({**scripts, "scripz": value}))]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "validation error: script book has unknown key 'scripz'\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_header_operator_that_is_not_a_string_is_a_validation_error(inputs, capsys):
     tmp_path, _, _, events = inputs
     for bad, got in (([], "array"), (1, "integer")):

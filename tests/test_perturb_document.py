@@ -18,6 +18,7 @@ from paramfuzz.perturb import apply_document_operator
 from paramfuzz.perturb.document import (
     TYPE_SUBSTITUTION,
     corrupt_types,
+    donor_pool,
     remove_examples,
     remove_required_descriptions,
     shuffle_descriptions,
@@ -84,7 +85,7 @@ class TestSubstituteForeignDescriptions:
                 make_param("c", "string", "Gamma donor text."),
             ),
         )
-        doc, record = substitute_foreign_descriptions(target, [target, donor], seed=5)
+        doc, record = substitute_foreign_descriptions(target, donor_pool([target, donor]), seed=5)
         donor_texts = {"Alpha donor text.", "Beta donor text.", "Gamma donor text."}
         assert all(p.description in donor_texts for p in doc.parameters)
         assert record.details["collisions"] == []
@@ -94,19 +95,19 @@ class TestSubstituteForeignDescriptions:
     def test_same_seed_same_assignment(self):
         target = three_param_tool()
         donor = random_tool(random.Random(3), name="donor_tool", min_params=4)
-        a, _ = substitute_foreign_descriptions(target, [donor], seed=11)
-        b, _ = substitute_foreign_descriptions(target, [donor], seed=11)
+        a, _ = substitute_foreign_descriptions(target, donor_pool([donor]), seed=11)
+        b, _ = substitute_foreign_descriptions(target, donor_pool([donor]), seed=11)
         assert a == b
 
     def test_raises_without_donor_pool(self):
         target = three_param_tool()
         with pytest.raises(NoDonor):
-            substitute_foreign_descriptions(target, [target], seed=0)
+            substitute_foreign_descriptions(target, donor_pool([target]), seed=0)
 
     def test_collision_recorded_when_pool_forces_identity(self):
         target = make_tool(parameters=(make_param("a", "string", "Same text."),))
         donor = make_tool("donor", parameters=(make_param("z", "string", "Same text."),))
-        doc, record = substitute_foreign_descriptions(target, [donor], seed=0)
+        doc, record = substitute_foreign_descriptions(target, donor_pool([donor]), seed=0)
         assert doc.parameters[0].description == "Same text."
         assert record.details["collisions"] == ["a"]
 
@@ -247,7 +248,7 @@ class TestDocumentProperties:
             donor = random_tool(rng, name="donor_pool_tool", min_params=1)
             pool_texts = {p.description for p in donor.parameters if p.description}
             try:
-                out, record = substitute_foreign_descriptions(doc, [donor], seed=rng.randrange(999))
+                out, record = substitute_foreign_descriptions(doc, donor_pool([donor]), seed=rng.randrange(999))
             except PerturbSkip:
                 assert not pool_texts
                 assert doc.parameters

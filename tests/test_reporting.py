@@ -189,7 +189,7 @@ def mini_campaign(tmp_path, operators=("RD", "CK")):
         operators=operators,
         seed=0,
     )
-    log_path = run_campaign(config)
+    log_path = run_campaign(config).path
     classify_log(read_log(log_path), str(corpus_path))
     return log_path
 
@@ -210,7 +210,7 @@ class TestCollectResults:
             CampaignConfig(
                 corpus_path=str(corpus_path), out_dir=str(tmp_path / "out"), operators=("RD",)
             )
-        )
+        ).path
         with pytest.raises(CampaignError):
             collect_results(read_log(log_path))
 
