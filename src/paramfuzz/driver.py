@@ -40,7 +40,7 @@ from paramfuzz.perturb import (
     apply_query_operator,
     apply_return_operator,
 )
-from paramfuzz.records import JsonRecord, array_of, build, check_record, expect, json_keys
+from paramfuzz.records import JsonRecord, array_of, build, check_record, expect, json_keys, loads
 
 DEFAULT_STEP_LIMIT = 8
 DEFAULT_MAX_OBSERVATION_LENGTH = 1024
@@ -94,7 +94,11 @@ def truncate_observation(text: str, budget: int) -> tuple[str, int | None]:
 
 @dataclass(frozen=True)
 class AgentContext:
-    """Everything a driver may look at to produce the next step."""
+    """Everything a driver may look at to produce the next step.
+
+    run_case passes the same ``tools`` tuple object to every step of one
+    trajectory, so a driver may key per-trajectory work on its identity.
+    """
 
     query: str
     tools: tuple[ToolDocument, ...]
@@ -274,8 +278,8 @@ def _requests_transport(
         raise TransportError(f"request to {url} failed: {exc}") from exc
     try:
         body = response.json()
-    except ValueError:
-        body = response.text
+    except (ValueError, RecursionError):
+        body = response.text  # _complete refuses it as a malformed body
     return response.status_code, body
 
 
@@ -323,12 +327,12 @@ def parse_react_step(content: str) -> AgentStep:
 
 def _best_effort_json(text: str) -> object:
     try:
-        return json.loads(text)
+        return loads(text)
     except ValueError:
         embedded = _JSON_OBJECT.search(text)
         if embedded:
             try:
-                return json.loads(embedded.group(0))
+                return loads(embedded.group(0))
             except ValueError:
                 return None
         return None
@@ -340,7 +344,9 @@ class HttpDriver:
     One request per step. 401/403 raise AuthFailure immediately; 429 and
     5xx retry with exponential backoff until max_retries, then surface as
     RateLimited / TransportError. Safe for concurrent workers: the rate
-    limiter is the only shared state.
+    limiter is the only shared state. The prompt memo is per thread: the
+    last tools tuple a thread saw and its system message, so a trajectory
+    renders its declarations once, not once per step.
     """
 
     driver_id = "http"
@@ -352,19 +358,22 @@ class HttpDriver:
         self.credential = credential if credential is not None else os.environ.get(config.credential_env, "")
         self._transport = transport if transport is not None else _requests_transport
         self._limiter = _RateLimiter(config.rate_per_minute)
+        self._prompt = threading.local()
 
     def next_step(self, ctx: AgentContext) -> AgentStep:
         content = self._complete(self._messages(ctx))
         return parse_react_step(content)
 
     def _messages(self, ctx: AgentContext) -> list[dict[str, str]]:
-        tool_names = ", ".join(t.tool_name for t in ctx.tools) or "(none)"
-        system = SYSTEM_TEMPLATE.format(
-            declarations=render_function_declarations(ctx.tools),
-            tool_names=tool_names,
-        )
+        memo = self._prompt
+        if getattr(memo, "tools", None) is not ctx.tools:
+            memo.system = SYSTEM_TEMPLATE.format(
+                declarations=render_function_declarations(ctx.tools),
+                tool_names=", ".join(t.tool_name for t in ctx.tools) or "(none)",
+            )
+            memo.tools = ctx.tools
         messages = [
-            {"role": "system", "content": system},
+            {"role": "system", "content": memo.system},
             {"role": "user", "content": ctx.query},
         ]
         for thought, invocation, observation in ctx.history:
@@ -413,9 +422,11 @@ class HttpDriver:
             if status != 200:
                 raise TransportError(f"unexpected endpoint response (HTTP {status})")
             try:
-                return str(body["choices"][0]["message"]["content"])  # type: ignore[index]
-            except (KeyError, IndexError, TypeError) as exc:
+                content = str(body["choices"][0]["message"]["content"])  # type: ignore[index]
+                content.encode("utf-8")  # a lone surrogate could never be logged
+            except (KeyError, IndexError, TypeError, UnicodeEncodeError) as exc:
                 raise TransportError(f"malformed completion body: {exc}") from exc
+            return content
         assert last_error is not None
         raise last_error
 

@@ -18,7 +18,7 @@ from conftest import (
     make_tool,
     scripted_return,
 )
-from paramfuzz import campaign, cli
+from paramfuzz import campaign, cli, driver
 from paramfuzz.campaign import (
     _EVENTS,
     CampaignConfig,
@@ -77,6 +77,61 @@ def two_case_corpus(tmp_path):
         ),
     ]
     return write_corpus(tmp_path, cases)
+
+
+class OracleHttp:
+    """An http campaign over two_case_corpus whose requests.post answers
+    each case's oracle calls in turn, then finishes."""
+
+    def __init__(self, tmp_path, monkeypatch):
+        import requests
+
+        self.tmp_path = tmp_path
+        self.corpus = two_case_corpus(tmp_path)
+        oracles = {case.tools[0].tool_name: case.oracle for case in load_corpus(self.corpus)}
+
+        class Response:
+            status_code = 200
+
+            def __init__(self, content):
+                self.body = {"choices": [{"message": {"content": content}}]}
+                self.text = json.dumps(self.body)
+
+            def json(self):
+                return self.body
+
+        def answer_the_oracle(url, headers=None, json=None, timeout=None):
+            messages = json["messages"]
+            tool = re.search(r'"tool_name":\s*"([^"]+)"', messages[0]["content"]).group(1)
+            step = sum(1 for message in messages if message["role"] == "assistant")
+            if step >= len(oracles[tool]):
+                return Response("Thought: The task is complete.\nFinal Answer: Done.")
+            call = oracles[tool][step]
+            return Response(
+                f"Thought: Call {call.tool_name}.\nAction: {call.tool_name}\n"
+                f"Action Input: {canonical_json(call.arguments)}"
+            )
+
+        monkeypatch.setattr(requests, "post", answer_the_oracle)
+        self.endpoint = EndpointConfig(
+            base_url="http://fake", model="m", rate_per_minute=0, backoff_base_s=0.0
+        )
+
+    def run(self, out, workers):
+        config = CampaignConfig(
+            corpus_path=self.corpus,
+            out_dir=str(self.tmp_path / out),
+            driver="http",
+            seed=4,
+            workers=workers,
+            endpoint=self.endpoint,
+        )
+        return run_campaign(config).path
+
+
+@pytest.fixture
+def oracle_http(tmp_path, monkeypatch):
+    return OracleHttp(tmp_path, monkeypatch)
 
 
 class TestDerivedSeed:
@@ -240,56 +295,43 @@ class TestRunCampaign:
 
         assert run("a") == run("b")
 
-    def test_parallel_log_matches_serial(self, tmp_path, monkeypatch):
-        import requests
-
-        corpus = two_case_corpus(tmp_path)
-        oracles = {case.tools[0].tool_name: case.oracle for case in load_corpus(corpus)}
-
-        class Response:
-            status_code = 200
-
-            def __init__(self, content):
-                self.body = {"choices": [{"message": {"content": content}}]}
-                self.text = json.dumps(self.body)
-
-            def json(self):
-                return self.body
-
-        def answer_the_oracle(url, headers=None, json=None, timeout=None):
-            """Answer each case's oracle calls in turn, then finish."""
-            messages = json["messages"]
-            tool = re.search(r'"tool_name":\s*"([^"]+)"', messages[0]["content"]).group(1)
-            step = sum(1 for message in messages if message["role"] == "assistant")
-            if step >= len(oracles[tool]):
-                return Response("Thought: The task is complete.\nFinal Answer: Done.")
-            call = oracles[tool][step]
-            return Response(
-                f"Thought: Call {call.tool_name}.\nAction: {call.tool_name}\n"
-                f"Action Input: {canonical_json(call.arguments)}"
-            )
-
-        monkeypatch.setattr(requests, "post", answer_the_oracle)
-        endpoint = EndpointConfig(
-            base_url="http://fake", model="m", rate_per_minute=0, backoff_base_s=0.0
-        )
-
-        def run(out, workers):
-            config = CampaignConfig(
-                corpus_path=corpus,
-                out_dir=str(tmp_path / out),
-                driver="http",
-                seed=4,
-                workers=workers,
-                endpoint=endpoint,
-            )
-            return run_campaign(config).path
-
-        serial = run("serial", 1)
+    def test_parallel_log_matches_serial(self, oracle_http):
+        serial = oracle_http.run("serial", 1)
         events = log_events(serial)
         assert [e["event"] for e in events[1:]] == ["trajectory"] * 2 * len(ALL_OPERATORS)
         assert all(e["outcome"] == "answered" for e in events[1:])
-        assert Path(serial).read_bytes() == Path(run("parallel", 4)).read_bytes()
+        assert Path(serial).read_bytes() == Path(oracle_http.run("parallel", 4)).read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_http_prompt_is_rendered_once_per_trajectory(self, oracle_http, monkeypatch, workers):
+        render = driver.render_function_declarations
+        rendered = []
+        monkeypatch.setattr(
+            driver, "render_function_declarations", lambda tools: rendered.append(tools) or render(tools)
+        )
+        sent = []
+        messages_of = driver.HttpDriver._messages
+
+        def record(self, ctx):
+            messages = messages_of(self, ctx)
+            sent.append((ctx.tools, messages, copy.deepcopy(messages)))
+            return messages
+
+        monkeypatch.setattr(driver.HttpDriver, "_messages", record)
+        trajectories = len(log_events(oracle_http.run("out", workers))) - 1
+        assert trajectories == 2 * len(ALL_OPERATORS)
+        # A worker whose next trajectory has the very same tools tuple may
+        # reuse the render, so with 4 workers the count is at most one each.
+        if workers == 1:
+            assert len(rendered) == trajectories
+        else:
+            assert 2 <= len(rendered) <= trajectories
+        assert len(sent) == 2 * trajectories
+        for tools, messages, snapshot in sent:
+            assert messages == snapshot
+            assert messages[0]["content"] == driver.SYSTEM_TEMPLATE.format(
+                declarations=render(tools), tool_names=", ".join(t.tool_name for t in tools)
+            )
 
     def test_resume_skips_finished_pairs(self, tmp_path):
         corpus = two_case_corpus(tmp_path)

@@ -11,7 +11,7 @@ import pytest
 from conftest import MOCK_CAMPAIGN_SHA256, log_events, make_case, make_query, scripted_return
 from paramfuzz.cli import _RUN_SETTINGS, EXIT_CAMPAIGN, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from paramfuzz.campaign import CampaignConfig, log_line
-from paramfuzz.corpus import serialize_corpus
+from paramfuzz.corpus import filter_cases, load_corpus, serialize_corpus
 
 
 def packaged(name):
@@ -528,3 +528,58 @@ class TestEntryPoint:
         assert result.stdout == "paramfuzz 0.1.0\n"
         pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
         assert '[project.scripts]\nparamfuzz = "paramfuzz.cli:main"\n' in pyproject
+
+
+class TestMisbehavingEndpoint:
+    @pytest.mark.parametrize(
+        ("content", "error"),
+        [
+            pytest.param('Action: svc_01\nAction Input: {"board": "\\ud800"}', None, id="lone_surrogate_escape"),
+            pytest.param("Action: svc_01\nAction Input: " + "[" * 100_000, None, id="deep_nesting"),
+            pytest.param("Thought: \ud800\nFinal Answer: x", "TransportError", id="lone_surrogate"),
+            pytest.param(None, "TransportError", id="deeply_nested_body"),
+        ],
+    )
+    def test_http_run_logs_every_pair_and_exits_zero(self, tmp_path, monkeypatch, content, error):
+        """content None sends a body of 100,000 '[' in place of a completion."""
+        import requests
+
+        class Response:
+            status_code = 200
+
+            def __init__(self, content):
+                self.text = "[" * 100_000 if content is None else json.dumps(
+                    {"choices": [{"message": {"content": content}}]}
+                )
+
+            def json(self):
+                return json.loads(self.text)
+
+        def post(url, headers=None, json=None, timeout=None):
+            answered = any(message["role"] == "assistant" for message in json["messages"])
+            return Response("Final Answer: Done." if answered else content)
+
+        monkeypatch.setattr(requests, "post", post)
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"driver": "http", "endpoint": {"base_url": "http://fake", "model": "m",
+                                                      "rate_per_minute": 0, "backoff_base_s": 0}}),
+            encoding="utf-8",
+        )
+        with importlib.resources.as_file(packaged("mock_campaign")) as root:
+            cases = filter_cases(load_corpus(str(root / "corpus.json")))
+            code = main(
+                ["run", "--corpus", str(root / "corpus.json"), "--config", str(config),
+                 "--out", str(tmp_path / "o"), "--operators", "RD", "--report"]
+            )
+        assert code == EXIT_OK
+        events = log_events(str(tmp_path / "o" / "campaign.jsonl"))
+        runs = [e for e in events if e["event"] in ("trajectory", "trajectory_error")]
+        assert [e["case_id"] for e in runs] == [case.case_id for case in cases]
+        if error is None:
+            assert all(e["event"] == "trajectory" for e in runs)
+            actions = [e["steps"][0]["invocation"] for e in runs]
+            assert all(a["arguments"] == {} and a["raw_text"] == content for a in actions)
+        else:
+            assert {(e["event"], e["error"]) for e in runs} == {("trajectory_error", error)}
+            assert all(e["message"].startswith("malformed completion body: ") for e in runs)

@@ -4,15 +4,24 @@ Network behavior is tested through an injected fake transport; nothing
 here opens a socket.
 """
 
+import hashlib
+import importlib.resources
+import json
+
 import pytest
 
 from conftest import make_tool
+from paramfuzz.campaign import derived_seed
+from paramfuzz.corpus import all_tools, canonical_json, load_corpus
 from paramfuzz.driver import (
+    PROMPT_TEMPLATE_VERSION,
     AgentContext,
     EndpointConfig,
     HttpDriver,
     parse_react_step,
+    run_case,
 )
+from paramfuzz.perturb import donor_pool
 from paramfuzz.errors import AuthFailure, RateLimited, SchemaViolation, TransportError
 
 
@@ -248,3 +257,90 @@ class TestHttpDriver:
         driver = HttpDriver(fast_config(), credential="sk", transport=transport)
         with pytest.raises(TransportError):
             driver.next_step(simple_context())
+
+
+class OracleTransport:
+    """Answers a case's oracle calls in turn, then finishes, and records
+    every request's messages."""
+
+    def __init__(self, case):
+        self.oracle = case.oracle
+        self.messages = []
+
+    def __call__(self, url, headers, payload, timeout):
+        messages = payload["messages"]
+        self.messages.append(messages)
+        step = sum(1 for message in messages if message["role"] == "assistant")
+        if step >= len(self.oracle):
+            return completion("Thought: The task is complete.\nFinal Answer: Done.")
+        call = self.oracle[step]
+        return completion(
+            f"Thought: Call {call.tool_name}.\nAction: {call.tool_name}\n"
+            f"Action Input: {canonical_json(call.arguments)}"
+        )
+
+
+# sha256 of each request's messages (sorted keys, compact separators) for
+# mock_campaign case m01 under one operator of each source. A change to the
+# prompt bytes needs a new PROMPT_TEMPLATE_VERSION and a new entry here.
+PROMPT_SHA256 = {
+    "react-v1": {
+        "WD": [
+            "e641e1a374adf634af44eec72bf0f7fd492ab1085f7c590b97f0f1d770174a7c",
+            "3a089b52d8601b8b953d53a4ac6ed0f42dd15ba5764cabf279e242676b161b73",
+        ],
+        "AN": [
+            "4c8e1329adc734969056dc83dff498f8bcbbfe7989df972238747b89a89a525b",
+            "ea83aefade46e267d21698b68a9fefc461c21af688a04f6f5913cb09b9d0f060",
+        ],
+        "CK": [
+            "1d4b0aab5d697292d795ca9a7a8c11d49caa014e4a8dd037021da72ce5811d60",
+            "511d8f92ba802ba16cbd74a8935c5a6a6f61ee7c1d2ec86a62cd36111c27d7b9",
+        ],
+    },
+}
+
+
+def test_prompt_bytes_are_pinned_per_template_version():
+    root = importlib.resources.files("paramfuzz").joinpath("data", "mock_campaign")
+    with importlib.resources.as_file(root) as path:
+        cases = load_corpus(str(path / "corpus.json"))
+    case = next(case for case in cases if case.case_id == "m01")
+    donors = donor_pool(all_tools(cases))
+    digests = {}
+    for operator in ("WD", "AN", "CK"):
+        transport = OracleTransport(case)
+        driver = HttpDriver(fast_config(), credential="", transport=transport)
+        trajectory = run_case(case, operator, driver, seed=derived_seed(0, operator, case.case_id), donors=donors)
+        assert trajectory.perturbation_applied and trajectory.outcome == "answered"
+        digests[operator] = [
+            hashlib.sha256(
+                json.dumps(messages, sort_keys=True, separators=(",", ":")).encode("utf-8")
+            ).hexdigest()
+            for messages in transport.messages
+        ]
+    assert digests == PROMPT_SHA256[PROMPT_TEMPLATE_VERSION]
+
+
+class TestMisbehavingCompletion:
+    @pytest.mark.parametrize(
+        "action_input",
+        [
+            pytest.param('{"query": "\\ud800"}', id="lone_surrogate_escape"),
+            pytest.param("[" * 100_000, id="deep_nesting"),
+            pytest.param('here {"query": ' + "[" * 100_000 + "} thanks", id="deep_embedded_object"),
+        ],
+    )
+    def test_undecodable_action_input_is_malformed_input(self, action_input):
+        transport = FakeTransport([completion(f"Action: searcher\nAction Input: {action_input}")])
+        driver = HttpDriver(fast_config(), credential="", transport=transport)
+        step = driver.next_step(simple_context())
+        assert step.invocation.arguments == {}
+        assert step.invocation.raw_text == f"Action: searcher\nAction Input: {action_input}"
+
+    def test_content_that_is_not_utf8_is_a_malformed_body(self):
+        transport = FakeTransport([completion("Thought: \ud800\nFinal Answer: x")])
+        driver = HttpDriver(fast_config(), credential="", transport=transport)
+        with pytest.raises(TransportError, match="^malformed completion body: .*surrogates not allowed"):
+            driver.next_step(simple_context())
+        assert len(transport.requests) == 1
