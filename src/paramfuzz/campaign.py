@@ -257,16 +257,26 @@ class ScriptBook:
     Lookup tries "<operator>:<case_id>" first, then "<case_id>", then
     falls back to replaying the case's own oracle. The fallback means an
     unscripted pair passes classification; fixtures plant failures by
-    scripting exactly the pairs that should misbehave.
+    scripting exactly the pairs that should misbehave. Each campaign has
+    its own book, which builds a case's fallback script once and gives the
+    same object to every operator: the replay driver is stateless and
+    nothing changes a script's arguments.
     """
 
     scripts: dict[str, ScriptedBehavior] = field(default_factory=dict)
+    _replays: dict[str, ScriptedBehavior] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def resolve(self, operator: str, case: TestCase) -> ScriptedBehavior:
         for key in (f"{operator}:{case.case_id}", case.case_id):
             if key in self.scripts:
                 return self.scripts[key]
-        return ScriptedBehavior.replaying(case)
+        replay = self._replays.get(case.case_id)
+        if replay is None:
+            # setdefault: callers that race here still share one script.
+            replay = self._replays.setdefault(case.case_id, ScriptedBehavior.replaying(case))
+        return replay
 
     def check_keys(self, cases: list[TestCase]) -> None:
         """Refuse the first key that names no runnable case or no known

@@ -29,16 +29,24 @@ SCHEMA_VERSION = 1
 PARAM_TYPES = ("string", "integer", "number", "boolean", "array", "object")
 
 
-def _canonicalize(value: object) -> object:
+# The deepest nesting of arrays and objects canonical_json follows. The JSON
+# decoder follows about ten times as deep, less the caller's stack, which is
+# more than a recursive walk at two frames per level has room for.
+MAX_NESTING = 100
+
+
+def _canonicalize(value: object, room: int) -> object:
     # bool is a subclass of int; test it first so True never collapses to 1.
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):
         return int(value) if value.is_integer() else value
+    if isinstance(value, (list, dict)) and not room:
+        raise SchemaViolation(f"arrays and objects nest more than {MAX_NESTING} levels deep")
     if isinstance(value, list):
-        return [_canonicalize(item) for item in value]
+        return [_canonicalize(item, room - 1) for item in value]
     if isinstance(value, dict):
-        return {str(key): _canonicalize(item) for key, item in value.items()}
+        return {str(key): _canonicalize(item, room - 1) for key, item in value.items()}
     raise SchemaViolation(f"value of type {type(value).__name__} is not a JSON value")
 
 
@@ -47,10 +55,11 @@ def canonical_json(value: object) -> str:
 
     Keys are sorted, separators are compact, and integral floats collapse
     to integers so 5 and 5.0 compare equal. Booleans stay distinct from
-    numbers.
+    numbers. A value that nests arrays and objects more than MAX_NESTING
+    levels deep is a SchemaViolation.
     """
     return json.dumps(
-        _canonicalize(value), sort_keys=True, separators=(",", ":"), ensure_ascii=False
+        _canonicalize(value, MAX_NESTING), sort_keys=True, separators=(",", ":"), ensure_ascii=False
     )
 
 
@@ -319,9 +328,12 @@ class TestCase(
                         case_id=self.case_id,
                         field=f"oracle[{position}].arguments.{arg_name}",
                     )
+            # Refused here rather than when replay or classification compares it.
+            self._canonical(invocation.arguments, f"oracle[{position}].arguments")
         returns: dict[tuple[str, str], ToolReturn] = {}
-        for entry in self.scripted_returns:
-            key = (entry.tool_name, canonical_json(entry.arguments))
+        for position, entry in enumerate(self.scripted_returns):
+            arguments = self._canonical(entry.arguments, f"scripted_returns[{position}].arguments")
+            key = (entry.tool_name, arguments)
             if key in returns:
                 raise SchemaViolation(
                     f"duplicate scripted return for tool {entry.tool_name!r} with "
@@ -345,6 +357,14 @@ class TestCase(
             return super().from_json(obj, where)
         except (SchemaViolation, SpanMismatch) as exc:
             exc.case_id = case_id
+            raise
+
+    def _canonical(self, value: object, field: str) -> str:
+        """canonical_json of one of the case's values; a failure names it."""
+        try:
+            return canonical_json(value)
+        except SchemaViolation as exc:
+            exc.case_id, exc.field = self.case_id, field
             raise
 
     def tool(self, name: str) -> ToolDocument | None:

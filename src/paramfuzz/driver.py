@@ -137,7 +137,7 @@ def _parse_step(obj: object, where: str) -> AgentStep:
     invocation = None
     if obj.get("action") is not None:
         action = check_record(obj["action"], _ACTION_KEYS, f"{where}.action")
-        invocation = ObservedInvocation.of(action["tool_name"], action["arguments"])
+        invocation = build(ObservedInvocation.of, f"{where}.action.arguments", **action)
     return build(
         AgentStep,
         where,
@@ -325,15 +325,23 @@ def parse_react_step(content: str) -> AgentStep:
     return AgentStep(thought=thought, final_answer=content.strip())
 
 
+def _decoded(text: str) -> object:
+    """loads of text. A value nested deeper than canonical_json follows is
+    refused too, so that run_case can look up every argument map it gets."""
+    value = loads(text)
+    canonical_json(value)
+    return value
+
+
 def _best_effort_json(text: str) -> object:
     try:
-        return loads(text)
-    except ValueError:
+        return _decoded(text)
+    except (ValueError, SchemaViolation):
         embedded = _JSON_OBJECT.search(text)
         if embedded:
             try:
-                return loads(embedded.group(0))
-            except ValueError:
+                return _decoded(embedded.group(0))
+            except (ValueError, SchemaViolation):
                 return None
         return None
 

@@ -350,7 +350,9 @@ def emit_report(log: CampaignLog, out_dir: str) -> dict[str, str]:
         "md": os.path.join(out_dir, REPORT_MD_NAME),
     }
     with open(paths["json"], "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+        # Streamed: the indented document is never held in memory whole.
+        json.dump(report, handle, indent=2, sort_keys=True, ensure_ascii=False)
+        handle.write("\n")
     with open(paths["csv"], "w", encoding="utf-8") as handle:
         handle.write(render_csv(report))
     with open(paths["md"], "w", encoding="utf-8") as handle:

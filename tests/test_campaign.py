@@ -31,7 +31,7 @@ from paramfuzz.campaign import (
     read_log,
     run_campaign,
 )
-from paramfuzz.corpus import canonical_json, load_corpus, serialize_corpus
+from paramfuzz.corpus import canonical_json, filter_cases, load_corpus, serialize_corpus
 from paramfuzz.driver import EndpointConfig, ScriptedBehavior
 from paramfuzz.errors import CampaignError, MalformedInput, ParamFuzzError
 from paramfuzz.perturb import ALL_OPERATORS
@@ -214,6 +214,39 @@ class TestScriptBook:
         case = make_case("k9")
         behavior = ScriptBook().resolve("RD", case)
         assert behavior.steps[0].invocation.arguments == dict(case.oracle[0].arguments)
+
+    def test_a_campaign_builds_each_fallback_once(self, tmp_path, monkeypatch):
+        """run_campaign builds a case's fallback script once, however many
+        of its pairs are unscripted, and every operator gets that object."""
+        built = []
+        replaying = ScriptedBehavior.replaying
+
+        def counted(case):
+            built.append(case.case_id)
+            return replaying(case)
+
+        monkeypatch.setattr(ScriptedBehavior, "replaying", counted)
+        data = importlib.resources.files("paramfuzz").joinpath("data", "mock_campaign")
+        with importlib.resources.as_file(data) as root:
+            config = CampaignConfig(
+                corpus_path=str(root / "corpus.json"),
+                out_dir=str(tmp_path / "out"),
+                scripts_path=str(root / "scripts.json"),
+            )
+            run_campaign(config)
+            cases = filter_cases(load_corpus(config.corpus_path))
+            book = ScriptBook.load(config.scripts_path)
+        unscripted = [
+            case
+            for case in cases
+            if case.case_id not in book.scripts
+            and any(f"{operator}:{case.case_id}" not in book.scripts for operator in ALL_OPERATORS)
+        ]
+        assert len(unscripted) > 1
+        assert sorted(built) == sorted(case.case_id for case in unscripted)
+        case = unscripted[0]
+        first, second = [op for op in ALL_OPERATORS if f"{op}:{case.case_id}" not in book.scripts][:2]
+        assert book.resolve(first, case) is book.resolve(second, case)
 
     def test_from_json_requires_scripts_object(self):
         with pytest.raises(MalformedInput):

@@ -4,11 +4,13 @@ import dataclasses
 import importlib.resources
 import json
 import random
+import sys
 
 import pytest
 
 from conftest import make_case, make_param, make_query, make_tool, random_tool, scripted_return
 from paramfuzz.corpus import (
+    MAX_NESTING,
     AnnotatedQuery,
     Mention,
     OracleInvocation,
@@ -28,7 +30,7 @@ from paramfuzz.classify import AlignedLabel, FailureLabel, ObservedInvocation
 from paramfuzz.driver import EndpointConfig, SkipNote, Trajectory, TrajectoryStep, TruncationEvent
 from paramfuzz.errors import MalformedInput, SchemaViolation, SpanMismatch
 from paramfuzz.perturb import PerturbationRecord
-from paramfuzz.records import JsonRecord, json_keys
+from paramfuzz.records import JsonRecord, json_keys, loads
 
 
 class TestCanonicalJson:
@@ -45,6 +47,26 @@ class TestCanonicalJson:
 
     def test_non_ascii_not_escaped(self):
         assert canonical_json("café") == '"café"'
+
+    def test_follows_max_nesting_and_refuses_deeper(self):
+        deepest = "[" * MAX_NESTING + "]" * MAX_NESTING
+        assert canonical_json(json.loads(deepest)) == deepest
+        with pytest.raises(SchemaViolation, match=f"^arrays and objects nest more than {MAX_NESTING} levels deep$"):
+            canonical_json([json.loads(deepest)])
+
+    def test_refuses_the_deepest_value_the_decoder_accepts(self):
+        """loads follows nesting to near the recursion limit; canonical_json
+        refuses such a value with a typed error, not a RecursionError."""
+        depth = sys.getrecursionlimit()
+        while True:
+            try:
+                value = loads("[" * depth + "]" * depth)
+                break
+            except ValueError:
+                depth -= 1
+        assert depth > 8 * MAX_NESTING
+        with pytest.raises(SchemaViolation):
+            canonical_json(value)
 
     def test_values_equal_follows_canonical_form(self):
         assert values_equal({"a": 1.0}, {"a": 1})

@@ -26,6 +26,7 @@ import pytest
 from paramfuzz import cli
 from paramfuzz.campaign import read_log
 from paramfuzz.cli import EXIT_CAMPAIGN, EXIT_OK, EXIT_VALIDATION, main
+from paramfuzz.corpus import MAX_NESTING
 
 CASE_ID = "d3_wrong_region"
 # Deeper than the JSON decoder can follow at the interpreter's recursion limit.
@@ -275,3 +276,38 @@ def test_deep_nesting_is_malformed_input(inputs, capsys):
     log.write_text(dumps(events[0]) + "\n" + "[" * 100_000 + "\n", encoding="utf-8")
     assert main(["report", "--log", str(log), "--out", str(tmp_path / "report")]) == EXIT_VALIDATION
     assert "log line 2 is not valid JSON: arrays and objects nest too deeply" in capsys.readouterr().err
+
+
+DEEPER_THAN_CANONICAL = json.loads("[" * 600 + "]" * 600)
+
+
+@pytest.mark.parametrize("record", ["oracle", "scripted_returns"])
+def test_arguments_nested_past_canonical_json_are_a_validation_error(inputs, capsys, record):
+    """Nesting the decoder follows but canonical_json refuses, in the
+    arguments replay and classification compare."""
+    tmp_path, corpus, _, _ = inputs
+    corpus = copy.deepcopy(corpus)
+    arguments = corpus["cases"][0][record][0]["arguments"]
+    arguments[next(iter(arguments))] = DEEPER_THAN_CANONICAL
+    path = _writer(tmp_path / "deep.json")(json.dumps(corpus))
+    assert main(["validate", "--corpus", path]) == EXIT_VALIDATION
+    expected = (
+        f"validation error: {record}[0].arguments: arrays and objects nest more than "
+        f"{MAX_NESTING} levels deep (case {CASE_ID})"
+    )
+    assert expected in capsys.readouterr().err
+
+
+def test_script_arguments_nested_past_canonical_json_are_a_validation_error(inputs, capsys):
+    tmp_path, _, scripts, _ = inputs
+    scripts = copy.deepcopy(scripts)
+    arguments = scripts["scripts"][CASE_ID][0]["action"]["arguments"]
+    arguments[next(iter(arguments))] = DEEPER_THAN_CANONICAL
+    path = _writer(tmp_path / "deep.json")(json.dumps(scripts))
+    argv = ["run", "--corpus", str(tmp_path / "corpus.json"), "--scripts", path, "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_VALIDATION
+    expected = (
+        f"validation error: scripts.{CASE_ID}[0].action.arguments: arrays and objects nest more "
+        f"than {MAX_NESTING} levels deep"
+    )
+    assert expected in capsys.readouterr().err

@@ -338,6 +338,25 @@ class TestMisbehavingCompletion:
         assert step.invocation.arguments == {}
         assert step.invocation.raw_text == f"Action: searcher\nAction Input: {action_input}"
 
+    def test_action_input_nested_past_canonical_json_is_malformed_input(self):
+        """An argument map the decoder follows but canonical_json refuses
+        reaches run_case as empty arguments, its text kept."""
+        root = importlib.resources.files("paramfuzz").joinpath("data", "mock_campaign")
+        with importlib.resources.as_file(root) as path:
+            cases = load_corpus(str(path / "corpus.json"))
+        case = next(case for case in cases if case.case_id == "m01")
+        tool = case.oracle[0].tool_name
+        action_input = '{"query": ' + "[" * 500 + "]" * 500 + "}"
+        transport = FakeTransport([
+            completion(f"Action: {tool}\nAction Input: {action_input}"),
+            completion("Final Answer: Done."),
+        ])
+        driver = HttpDriver(fast_config(), credential="", transport=transport)
+        trajectory = run_case(case, "RD", driver, seed=0, donors=donor_pool(all_tools(cases)))
+        assert [(i.arguments, i.raw_text) for i in trajectory.invocations] == [
+            ({}, f"Action: {tool}\nAction Input: {action_input}")
+        ]
+
     def test_content_that_is_not_utf8_is_a_malformed_body(self):
         transport = FakeTransport([completion("Thought: \ud800\nFinal Answer: x")])
         driver = HttpDriver(fast_config(), credential="", transport=transport)

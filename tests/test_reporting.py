@@ -1,12 +1,16 @@
 """Aggregation and report rendering tests."""
 
+import importlib.resources
 import json
+import os
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import make_case, scripted_return
+from conftest import log_events, make_case, scripted_return
+from paramfuzz import reporting
 from paramfuzz.campaign import CampaignConfig, classify_log, log_line, read_log, run_campaign
 from paramfuzz.classify import CATEGORIES, FailureLabel
 from paramfuzz.corpus import serialize_corpus
@@ -166,7 +170,9 @@ class TestTransferMatrix:
         assert all(v is None for row in matrix["normalized"] for v in row)
 
 
-def mini_campaign(tmp_path, operators=("RD", "CK")):
+def mini_campaign(tmp_path, operators=("RD", "CK"), scripts=None):
+    """The path of the classified log of one case under operators; scripts,
+    when given, is the script book's "scripts" object."""
     corpus_path = tmp_path / "corpus.json"
     corpus_path.write_text(
         serialize_corpus(
@@ -183,11 +189,16 @@ def mini_campaign(tmp_path, operators=("RD", "CK")):
         ),
         encoding="utf-8",
     )
+    scripts_path = None
+    if scripts is not None:
+        scripts_path = str(tmp_path / "scripts.json")
+        Path(scripts_path).write_text(json.dumps({"scripts": scripts}), encoding="utf-8")
     config = CampaignConfig(
         corpus_path=str(corpus_path),
         out_dir=str(tmp_path / "out"),
         operators=operators,
         seed=0,
+        scripts_path=scripts_path,
     )
     log_path = run_campaign(config).path
     classify_log(read_log(log_path), str(corpus_path))
@@ -288,3 +299,61 @@ class TestReportRendering:
         second = emit_report(read_log(log_path), str(tmp_path / "r2"))
         for key in ("json", "csv", "md"):
             assert Path(first[key]).read_bytes() == Path(second[key]).read_bytes()
+
+    def test_report_json_is_the_indented_document_with_a_newline(self, tmp_path):
+        """Non-ASCII evidence is written as is, not escaped."""
+        steps = [
+            {"thought": "Search.", "action": {"tool_name": "searcher", "arguments": {"query": "Zürich 東京"}}},
+            {"thought": "Done.", "final_answer": "Done."},
+        ]
+        log = read_log(mini_campaign(tmp_path, scripts={"k1": steps}))
+        text = Path(emit_report(log, str(tmp_path / "report"))["json"]).read_text(encoding="utf-8")
+        report = build_report(collect_results(log))
+        assert text == json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert '\\"Zürich 東京\\"' in text
+
+
+REPLICAS = 5
+
+
+def test_emit_report_never_holds_the_whole_report_json(tmp_path, monkeypatch):
+    """Once the report is built, emit_report's traced peak rises by less
+    than the size of the report.json it writes, on the packaged
+    mock_campaign log replicated REPLICAS times under renamed case ids.
+
+    The rise is measured from the report's own objects, which outweigh
+    its JSON text, so the guard sees only what writing it allocates."""
+    data = importlib.resources.files("paramfuzz").joinpath("data", "mock_campaign")
+    with importlib.resources.as_file(data) as root:
+        config = CampaignConfig(
+            corpus_path=str(root / "corpus.json"),
+            out_dir=str(tmp_path / "run"),
+            scripts_path=str(root / "scripts.json"),
+        )
+        log = run_campaign(config)
+        classify_log(log, config.corpus_path)
+    header, *events = log_events(log.path)
+    lines = [log_line(header)] + [
+        log_line({**event, "case_id": f"{event['case_id']}_{copy}"})
+        for copy in range(REPLICAS)
+        for event in events
+    ]
+    replicated = tmp_path / "replicated.jsonl"
+    replicated.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    log = read_log(str(replicated))
+    assert len(log.trajectories) == REPLICAS * len(events) // 2
+    built = []
+
+    def build(results):
+        report = build_report(results)
+        built.append(tracemalloc.get_traced_memory()[0])
+        return report
+
+    monkeypatch.setattr(reporting, "build_report", build)
+    tracemalloc.start()
+    try:
+        paths = emit_report(log, str(tmp_path / "report"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - built[0] < os.path.getsize(paths["json"])
