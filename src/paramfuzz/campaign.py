@@ -9,7 +9,10 @@ The log is append-only JSON lines. Each line is one record whose keys
 are its fields, tagged with its event kind: the CampaignMeta header first
 (campaign_meta), one Trajectory (trajectory) or TrajectoryError
 (trajectory_error) per run, and one Classification (classification) per
-trajectory, appended by classify_log.
+trajectory, appended by classify_log. Most pairs leave a case's calls as
+the oracle makes them, so classify_log classifies each distinct (case,
+calls) outcome once, and encodes its labels once for every line that
+carries them.
 
 A CampaignLog indexes a log by (operator, case_id, seed) and keeps of
 each trajectory only what classifying and reporting read: whether the
@@ -35,6 +38,7 @@ from paramfuzz.classify import (
     CLASSIFIER_VERSION,
     AlignedLabel,
     ObservedInvocation,
+    TrajectoryClassification,
     classify_trajectory,
 )
 from paramfuzz.corpus import TestCase, all_tools, filter_cases, load_corpus
@@ -62,8 +66,11 @@ def derived_seed(campaign_seed: int, operator: str, case_id: str) -> int:
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
 
 
+_LOG_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def log_line(event: dict[str, object]) -> str:
-    return json.dumps(event, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _LOG_ENCODER.encode(event)
 
 
 @dataclass(frozen=True)
@@ -465,8 +472,14 @@ def classify_log(log: CampaignLog, corpus_path: str) -> int:
     log file and to its index.
 
     Classification always runs against the original corpus documents and
-    oracle: the agent saw perturbed inputs, the judge never does. Returns
-    the number of events appended; idempotent on a fully classified log.
+    oracle: the agent saw perturbed inputs, the judge never does. It is a
+    pure function of the case and the calls, so each distinct outcome is
+    classified once: pairs whose case and calls are equal share one
+    outcome object, and the JSON of its labels is encoded once. Calls are
+    equal when their tool names and arguments encode to the same JSON,
+    argument order included, so 1, 1.0 and true stay apart. Arguments are
+    classified in key order, the order the log holds them in. Returns the
+    number of events appended; idempotent on a fully classified log.
     """
     cases = {case.case_id: case for case in load_corpus(corpus_path)}
     if log.header.corpus_sha256 != corpus_sha256(corpus_path):
@@ -479,6 +492,8 @@ def classify_log(log: CampaignLog, corpus_path: str) -> int:
             f"log header has classifier_version {log.header.classifier_version!r}, "
             f"but this build classifies with {CLASSIFIER_VERSION!r}"
         )
+    # (case_id, calls as JSON) -> the outcome and the JSON of its labels.
+    outcomes: dict[tuple[str, str], tuple[TrajectoryClassification, str]] = {}
     appended = 0
     with open(log.path, "a", encoding="utf-8") as handle:
         for key, entry in log.trajectories.items():
@@ -489,10 +504,24 @@ def classify_log(log: CampaignLog, corpus_path: str) -> int:
                 raise CampaignError(
                     f"log references case {key[1]!r} absent from the corpus"
                 )
-            outcome = classify_trajectory(
-                list(entry.invocations), list(case.oracle), list(case.tools)
-            )
-            record = Classification(*key, CLASSIFIER_VERSION, outcome.case_pass, outcome.aligned)
-            log.write(handle, record)
+            calls = (key[1], json.dumps([(call.tool_name, call.arguments) for call in entry.invocations]))
+            shared = outcomes.get(calls)
+            if shared is None:
+                # The log holds arguments in key order, and the evidence
+                # follows their order: classifying them in that order makes a
+                # run's own index and a log read back give the same labels.
+                logged = [
+                    ObservedInvocation(call.tool_name, dict(sorted(call.arguments.items())))
+                    for call in entry.invocations
+                ]
+                outcome = classify_trajectory(logged, list(case.oracle), list(case.tools))
+                labels = log_line([aligned.to_json() for aligned in outcome.aligned])
+                shared = outcomes[calls] = (outcome, labels)
+            outcome, labels = shared
+            # The line is written from a record with no labels, and the
+            # encoded labels take the place of its empty array.
+            line = _event_line(Classification(*key, CLASSIFIER_VERSION, outcome.case_pass, ()))
+            handle.write(line.replace('"labels":[]', f'"labels":{labels}', 1))
+            log.add(Classification(*key, CLASSIFIER_VERSION, outcome.case_pass, outcome.aligned))
             appended += 1
     return appended

@@ -33,6 +33,23 @@ PARAM_TYPES = ("string", "integer", "number", "boolean", "array", "object")
 # decoder follows about ten times as deep, less the caller's stack, which is
 # more than a recursive walk at two frames per level has room for.
 MAX_NESTING = 100
+_TOO_DEEP = f"arrays and objects nest more than {MAX_NESTING} levels deep"
+
+
+def _nests_too_deep(value: object) -> bool:
+    """Whether value nests arrays and objects more than MAX_NESTING levels
+    deep. It walks one level at a time, so no depth exhausts the stack."""
+    level = [value]
+    for _ in range(MAX_NESTING):
+        level = [
+            item
+            for node in level
+            if type(node) in (dict, list)
+            for item in (node.values() if type(node) is dict else node)
+        ]
+        if not level:
+            return False
+    return any(type(node) in (dict, list) for node in level)
 
 
 def _canonicalize(value: object, room: int) -> object:
@@ -42,7 +59,7 @@ def _canonicalize(value: object, room: int) -> object:
     if isinstance(value, float):
         return int(value) if value.is_integer() else value
     if isinstance(value, (list, dict)) and not room:
-        raise SchemaViolation(f"arrays and objects nest more than {MAX_NESTING} levels deep")
+        raise SchemaViolation(_TOO_DEEP)
     if isinstance(value, list):
         return [_canonicalize(item, room - 1) for item in value]
     if isinstance(value, dict):
@@ -245,6 +262,13 @@ class ToolReturn(JsonRecord, exclusive=("payload", "raw_text")):
     @property
     def is_json(self) -> bool:
         return self.raw_text is None
+
+    @classmethod
+    def check_json(cls, values: dict, where: str) -> None:
+        """Refuse a payload nested more than MAX_NESTING levels deep, as
+        arguments are refused: the return operators walk it recursively."""
+        if _nests_too_deep(values.get("payload")):
+            raise SchemaViolation(_TOO_DEEP, field=f"{where}.payload")
 
     def rendered(self) -> str:
         """The observation string an agent would actually see."""

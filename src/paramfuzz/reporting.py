@@ -7,6 +7,11 @@ byte-identical):
     report_table.csv  the category x operator grid, 15 fixed columns
     report.md         the same numbers for humans
 
+report.json is the indented, key-sorted JSON of build_report's document.
+Its cases block is written one operator at a time, and most of its
+entries repeat (every passing case of an operator has the same labels),
+so each distinct entry of an operator is rendered once.
+
 Failure Rate is case-level: FR = 1 - N_pass/N_total, computed in exact
 rational arithmetic and rendered as a percentage with two decimals,
 half-up. Cells with an empty denominator render "n/a", never 0.00, so
@@ -26,6 +31,7 @@ import os
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
+from typing import TextIO
 
 from paramfuzz.campaign import CampaignLog
 from paramfuzz.classify import CATEGORIES, CATEGORY_TITLES, FailureLabel
@@ -339,6 +345,42 @@ def render_markdown(report: dict[str, object]) -> str:
     return "\n".join(lines)
 
 
+# The memo key of a case entry, and the JSON of a key, as the indented
+# writer encodes it.
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_KEY = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _indented(value: object, depth: int) -> str:
+    """value as json.dumps(indent=2, sort_keys=True) writes it at depth."""
+    text = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+def _write_report_json(report: dict[str, object], handle: TextIO) -> None:
+    """Write json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)
+    and a newline, holding no more of the cases text than one operator's.
+
+    The cases block goes out one operator at a time. Each distinct case
+    entry of the operator is rendered once, keyed by its compact JSON, and
+    the renderings are dropped before the next operator.
+    """
+    head, tail = _indented({**report, "cases": None}, 0).split('\n  "cases": null', 1)
+    cases: dict[str, dict[str, object]] = report["cases"]  # type: ignore[assignment]
+    handle.write(head + '\n  "cases": {')
+    for i, operator in enumerate(sorted(cases)):
+        handle.write(f'{"," if i else ""}\n    {_KEY(operator)}: {{')
+        rendered: dict[str, str] = {}
+        for j, (case_id, entry) in enumerate(sorted(cases[operator].items())):
+            key = _COMPACT(entry)
+            text = rendered.get(key)
+            if text is None:
+                text = rendered[key] = _indented(entry, 3)
+            handle.write(f'{"," if j else ""}\n      {_KEY(case_id)}: {text}')
+        handle.write("\n    }")
+    handle.write(("\n  }" if cases else "}") + tail + "\n")
+
+
 def emit_report(log: CampaignLog, out_dir: str) -> dict[str, str]:
     """Write report.json, report_table.csv and report.md; returns paths."""
     results = collect_results(log)
@@ -350,9 +392,7 @@ def emit_report(log: CampaignLog, out_dir: str) -> dict[str, str]:
         "md": os.path.join(out_dir, REPORT_MD_NAME),
     }
     with open(paths["json"], "w", encoding="utf-8") as handle:
-        # Streamed: the indented document is never held in memory whole.
-        json.dump(report, handle, indent=2, sort_keys=True, ensure_ascii=False)
-        handle.write("\n")
+        _write_report_json(report, handle)
     with open(paths["csv"], "w", encoding="utf-8") as handle:
         handle.write(render_csv(report))
     with open(paths["md"], "w", encoding="utf-8") as handle:

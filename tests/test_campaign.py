@@ -31,6 +31,7 @@ from paramfuzz.campaign import (
     read_log,
     run_campaign,
 )
+from paramfuzz.classify import CLASSIFIER_VERSION, ObservedInvocation, classify_trajectory
 from paramfuzz.corpus import canonical_json, filter_cases, load_corpus, serialize_corpus
 from paramfuzz.driver import EndpointConfig, ScriptedBehavior
 from paramfuzz.errors import CampaignError, MalformedInput, ParamFuzzError
@@ -540,6 +541,119 @@ class TestClassifyLog:
         corpus = two_case_corpus(tmp_path)
         digest = hashlib.sha256(Path(corpus).read_bytes()).hexdigest()
         assert corpus_sha256(corpus) == digest
+
+
+# ------------------------------------------------- one classification per outcome
+
+
+def _direct_lines(log_path, corpus_path) -> list[tuple[str, str]]:
+    """Each classification line of a log, paired with the line that a
+    direct classify_trajectory call on its logged trajectory gives."""
+    cases = {case.case_id: case for case in load_corpus(corpus_path)}
+    calls: dict[tuple, list[ObservedInvocation]] = {}
+    pairs = []
+    for line in Path(log_path).read_text(encoding="utf-8").splitlines():
+        event = json.loads(line)
+        key = (event.get("operator"), event.get("case_id"), event.get("seed"))
+        if event["event"] == "trajectory":
+            calls[key] = [
+                ObservedInvocation.from_json(step["invocation"], "invocation")
+                for step in event["steps"]
+                if step["invocation"] is not None
+            ]
+        elif event["event"] == "classification":
+            case = cases[key[1]]
+            outcome = classify_trajectory(calls[key], list(case.oracle), list(case.tools))
+            expected = {
+                "event": "classification",
+                "operator": key[0],
+                "case_id": key[1],
+                "seed": key[2],
+                "classifier_version": CLASSIFIER_VERSION,
+                "case_pass": outcome.case_pass,
+                "labels": [aligned.to_json() for aligned in outcome.aligned],
+            }
+            pairs.append((line, log_line(expected)))
+    return pairs
+
+
+# One case's calls under six operators that a memo keyed too coarsely would
+# merge: 1 and 1.0 for the string query are an integer and a number, equal as
+# Python values and under canonical_json; true for the integer limit is a
+# boolean where 1 is in range, and true == 1 in Python. RD and RE differ only
+# in argument order, which the evidence of their hallucinated names follows;
+# the log holds arguments in key order, so both are classified in that order.
+_NEAR_EQUAL_CALLS = {
+    "RD": {"query": "books about whales", "foo": 1, "bar": 2},
+    "RE": {"bar": 2, "query": "books about whales", "foo": 1},
+    "SD": {"query": 1},
+    "CO": {"query": 1.0},
+    "WT": {"query": "books about whales", "limit": True},
+    "WD": {"query": "books about whales", "limit": 1},
+}
+
+
+def _near_equal_campaign(tmp_path) -> tuple[str, str]:
+    corpus = write_corpus(tmp_path, [make_case("k1")])
+    book = {
+        "scripts": {
+            f"{operator}:k1": [
+                {"thought": "Search.", "action": {"tool_name": "searcher", "arguments": arguments}},
+                {"final_answer": "Done."},
+            ]
+            for operator, arguments in _NEAR_EQUAL_CALLS.items()
+        }
+    }
+    scripts = tmp_path / "scripts.json"
+    scripts.write_text(json.dumps(book), encoding="utf-8")
+    return corpus, str(scripts)
+
+
+@pytest.mark.parametrize("source", ["mock_campaign", "depth_slice", "near_equal_calls"])
+def test_each_classification_line_is_what_a_direct_classification_gives(tmp_path, request, source):
+    if source == "mock_campaign":
+        data = importlib.resources.files("paramfuzz").joinpath("data", "mock_campaign")
+        corpus, scripts = str(data / "corpus.json"), str(data / "scripts.json")
+        operators = ALL_OPERATORS
+    elif source == "depth_slice":
+        document, book = request.getfixturevalue("depth_slice")
+        corpus, scripts = str(tmp_path / "corpus.json"), str(tmp_path / "scripts.json")
+        Path(corpus).write_text(json.dumps(document), encoding="utf-8")
+        Path(scripts).write_text(json.dumps(book), encoding="utf-8")
+        operators = ALL_OPERATORS
+    else:
+        corpus, scripts = _near_equal_campaign(tmp_path)
+        operators = tuple(_NEAR_EQUAL_CALLS)
+    config = CampaignConfig(
+        corpus_path=corpus, out_dir=str(tmp_path / "out"), operators=operators, scripts_path=scripts
+    )
+    log = run_campaign(config)
+    assert classify_log(log, corpus) == len(log.trajectories)
+    pairs = _direct_lines(log.path, corpus)
+    assert len(pairs) == len(log.trajectories)
+    assert [line for line, _ in pairs] == [expected for _, expected in pairs]
+    if source == "near_equal_calls":
+        labels = [json.loads(line)["labels"] for line, _ in pairs]
+        assert labels[0] == labels[1]
+        assert [label["label"]["evidence"]["hallucination_name"][0]["param_name"] for label in labels[0]] == ["bar"]
+        assert len({json.dumps(label) for label in labels}) == 5
+
+
+def test_mock_campaign_classifies_each_distinct_outcome_once(tmp_path, monkeypatch):
+    """run --report at seed 0 runs 300 trajectories, whose (case, calls)
+    take 41 distinct values."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return classify_trajectory(*args)
+
+    monkeypatch.setattr(campaign, "classify_trajectory", counted)
+    data = importlib.resources.files("paramfuzz").joinpath("data", "mock_campaign")
+    with importlib.resources.as_file(data) as root:
+        _run_report(root / "corpus.json", root / "scripts.json", tmp_path, seed=0)
+    assert len(read_log(str(tmp_path / LOG_FILE_NAME)).trajectories) == 300
+    assert len(calls) == 41
 
 
 # ------------------------------------------------------- single-pass reports

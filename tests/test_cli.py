@@ -134,16 +134,23 @@ class TestRunPipeline:
         for name in ("campaign.jsonl", "report.json", "report_table.csv", "report.md"):
             assert (out / name).exists()
 
-    @pytest.mark.parametrize("corpus_set", ["clean_corpus", "mock_campaign"])
-    def test_staged_pipeline_matches_all_in_one(self, clean_corpus, tmp_path, corpus_set):
-        # The mock campaign brings failures, evidence and Rouge-L floats, so
-        # this checks that reporting from labels classified in memory writes
-        # the same bytes as reporting from labels read back from the log.
+    @pytest.mark.parametrize("corpus_set", ["clean_corpus", "mock_campaign", "depth_slice"])
+    def test_staged_pipeline_matches_all_in_one(self, clean_corpus, tmp_path, corpus_set, request):
+        # The mock campaign brings failures, evidence and Rouge-L floats, and
+        # the depth slice 6-call cases, so this checks that reporting from
+        # labels classified in memory writes the same bytes as reporting from
+        # labels read back from the log.
         combined = tmp_path / "combined"
         staged = tmp_path / "staged"
         if corpus_set == "mock_campaign":
             corpus = str(packaged("mock_campaign") / "corpus.json")
             base = ["--corpus", corpus, "--scripts", str(packaged("mock_campaign") / "scripts.json")]
+        elif corpus_set == "depth_slice":
+            document, book = request.getfixturevalue("depth_slice")
+            corpus, scripts = str(tmp_path / "corpus.json"), str(tmp_path / "scripts.json")
+            (tmp_path / "corpus.json").write_text(json.dumps(document), encoding="utf-8")
+            (tmp_path / "scripts.json").write_text(json.dumps(book), encoding="utf-8")
+            base = ["--corpus", corpus, "--scripts", scripts, "--seed", "3"]
         else:
             corpus = clean_corpus
             base = ["--corpus", corpus, "--operators", "RD,CK", "--seed", "9"]

@@ -27,6 +27,7 @@ from paramfuzz import cli
 from paramfuzz.campaign import read_log
 from paramfuzz.cli import EXIT_CAMPAIGN, EXIT_OK, EXIT_VALIDATION, main
 from paramfuzz.corpus import MAX_NESTING
+from paramfuzz.perturb import RETURN_OPERATORS
 
 CASE_ID = "d3_wrong_region"
 # Deeper than the JSON decoder can follow at the interpreter's recursion limit.
@@ -311,3 +312,44 @@ def test_script_arguments_nested_past_canonical_json_are_a_validation_error(inpu
         f"than {MAX_NESTING} levels deep"
     )
     assert expected in capsys.readouterr().err
+
+
+def _mock_campaign_with_deep_payload(tmp_path, depth: int) -> str:
+    """The packaged mock_campaign corpus, with m01's first scripted-return
+    payload nested depth levels deep (the payload object is level 1), as a
+    file."""
+    root = importlib.resources.files("paramfuzz").joinpath("data", "mock_campaign")
+    corpus = json.loads((root / "corpus.json").read_text(encoding="utf-8"))
+    nested: object = 0
+    for _ in range(depth - 1):
+        nested = [nested]
+    case = next(case for case in corpus["cases"] if case["case_id"] == "m01")
+    case["scripted_returns"][0]["return"]["payload"]["items"] = nested
+    return _writer(tmp_path / f"deep{depth}.json")(json.dumps(corpus))
+
+
+def test_a_payload_nested_max_nesting_deep_runs_under_every_return_operator(tmp_path):
+    path = _mock_campaign_with_deep_payload(tmp_path, MAX_NESTING)
+    assert main(["validate", "--corpus", path]) == EXIT_OK
+    out = tmp_path / "out"
+    argv = ["run", "--corpus", path, "--operators", ",".join(RETURN_OPERATORS), "--out", str(out)]
+    assert main(argv + ["--report"]) == EXIT_OK
+    log = read_log(str(out / "campaign.jsonl"))
+    assert not log.errors
+    assert {key[0] for key in log.trajectories if key[1] == "m01"} == set(RETURN_OPERATORS)
+
+
+def test_a_payload_nested_deeper_is_a_validation_error(tmp_path, capsys):
+    """The return operators walk a payload recursively, so a payload deeper
+    than MAX_NESTING is refused when the corpus is read, never run."""
+    path = _mock_campaign_with_deep_payload(tmp_path, MAX_NESTING + 1)
+    expected = (
+        "validation error: scripted_returns[0].return.payload: arrays and objects nest more "
+        f"than {MAX_NESTING} levels deep (case m01)"
+    )
+    assert main(["validate", "--corpus", path]) == EXIT_VALIDATION
+    assert expected in capsys.readouterr().err
+    argv = ["run", "--corpus", path, "--operators", ",".join(RETURN_OPERATORS)]
+    assert main(argv + ["--out", str(tmp_path / "out"), "--report"]) == EXIT_VALIDATION
+    assert expected in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

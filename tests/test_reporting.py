@@ -11,8 +11,19 @@ import pytest
 
 from conftest import log_events, make_case, scripted_return
 from paramfuzz import reporting
-from paramfuzz.campaign import CampaignConfig, classify_log, log_line, read_log, run_campaign
-from paramfuzz.classify import CATEGORIES, FailureLabel
+from paramfuzz.campaign import (
+    CampaignConfig,
+    CampaignLog,
+    CampaignMeta,
+    Classification,
+    TrajectoryEntry,
+    TrajectoryError,
+    classify_log,
+    log_line,
+    read_log,
+    run_campaign,
+)
+from paramfuzz.classify import CATEGORIES, AlignedLabel, FailureLabel
 from paramfuzz.corpus import serialize_corpus
 from paramfuzz.errors import CampaignError, EmptyCampaign
 from paramfuzz.perturb import ALL_OPERATORS
@@ -311,6 +322,47 @@ class TestReportRendering:
         report = build_report(collect_results(log))
         assert text == json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
         assert '\\"Zürich 東京\\"' in text
+
+
+# Case ids that JSON must escape or that UTF-8 writes in two to four bytes.
+AWKWARD_CASE_IDS = ('say "hi"', "back\\slash", "two\nlines", "Zürich 東京", "astral \U0001f600", "k1")
+
+
+def _indexed_log(tmp_path, with_cases: bool) -> CampaignLog:
+    """A log index built in memory: RD and CK over AWKWARD_CASE_IDS, with
+    repeated passing labels and failing ones that carry Rouge-L floats, and
+    WD with only driver errors; or, without cases, the driver errors alone."""
+    header = CampaignMeta(
+        corpus_sha256="0" * 64, seed=0, driver="replay", operators=("RD", "WD", "CK"), step_limit=8,
+        max_observation_length=1024, case_count=len(AWKWARD_CASE_IDS), classifier_version="1.0",
+        prompt_template_version="1", package_version="0",
+    )
+    log = CampaignLog(str(tmp_path / "campaign.jsonl"), header)
+    passing = (AlignedLabel(label(), 0, 0),)
+    failing = (
+        AlignedLabel(label(task_deviation=True, rouge_td=2 / 3), 0, 0),
+        AlignedLabel(label(specification_mismatch=True, task_deviation=True, rouge_td=0.1, rouge_sm=0.1), 1, None),
+    )
+    cases = AWKWARD_CASE_IDS if with_cases else ()
+    for operator in ("RD", "CK"):
+        for number, case_id in enumerate(cases):
+            labels = failing if number % 3 == 1 else passing
+            log.trajectories[(operator, case_id, number)] = TrajectoryEntry(number != 5, ())
+            log.add(Classification(operator, case_id, number, "1.0", labels is passing, labels))
+    for seed in (1, 2):
+        log.add(TrajectoryError("WD", "k1", seed, "TransportError", "endpoint failure"))
+    return log
+
+
+@pytest.mark.parametrize("with_cases", [True, False])
+def test_report_json_is_byte_for_byte_the_reference_encoding(tmp_path, with_cases):
+    log = _indexed_log(tmp_path, with_cases)
+    path = emit_report(log, str(tmp_path / "report"))["json"]
+    report = build_report(collect_results(log))
+    assert report["operators"]["WD"]["driver_errors"] == 2
+    assert "WD" not in report["cases"]
+    expected = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    assert Path(path).read_bytes() == expected.encode("utf-8")
 
 
 REPLICAS = 5
