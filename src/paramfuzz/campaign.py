@@ -201,6 +201,8 @@ def read_log(path: str) -> CampaignLog:
     repeated or not first, a second event for one key, a classification
     with no earlier trajectory, and a classification whose classifier
     version differs from the header's are CampaignErrors naming the lines.
+    A classification whose case_pass is not the conjunction of its labels'
+    passed is a SchemaViolation at "log line N.case_pass".
     """
     log: CampaignLog | None = None
     header_line = 0
@@ -244,6 +246,11 @@ def read_log(path: str) -> CampaignLog:
                         f"{where} classifies {_pair(key)}, but no earlier line holds its trajectory"
                     )
                 _first_line(classified, key, number, "classification")
+                if record.case_pass != all(aligned.label.passed for aligned in record.labels):
+                    raise violation(
+                        f"{where}.case_pass",
+                        f"must be {str(not record.case_pass).lower()}, as the labels say",
+                    )
                 if record.classifier_version != log.header.classifier_version:
                     raise CampaignError(
                         f"{where} has classifier_version {record.classifier_version!r}, but the "

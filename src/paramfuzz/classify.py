@@ -32,7 +32,7 @@ from paramfuzz.corpus import (
     violations_against_spec,
 )
 from paramfuzz.errors import SchemaViolation, ToolMismatch
-from paramfuzz.records import JsonRecord, build, check_record, json_keys
+from paramfuzz.records import JsonRecord, build, check_record, json_keys, violation
 
 CLASSIFIER_VERSION = "1.0"
 
@@ -149,9 +149,12 @@ class FailureLabel(JsonRecord):
         for category, entries in evidence.items():
             for i, entry in enumerate(entries):
                 check_record(entry, _EVIDENCE_ENTRY_KEYS, f"{where}.evidence.{category}[{i}]")
-        # "passed" is derived from the flags, so it is checked but not passed on.
+        # "passed" is derived from the flags, so it is checked against them but not passed on.
         values = {key: value for key, value in obj.items() if key != "passed"}
-        return build(cls, where, **{**values, "evidence": evidence})
+        label = build(cls, where, **{**values, "evidence": evidence})
+        if obj["passed"] != label.passed:
+            raise violation(f"{where}.passed", f"must be {str(label.passed).lower()}, as the flags say")
+        return label
 
 
 _EVIDENCE_KEYS = tuple((category, "array", False) for category in CATEGORIES)

@@ -42,9 +42,7 @@ from paramfuzz.errors import (
 from paramfuzz.perturb import (
     ALL_OPERATORS,
     SOURCE_OF_OPERATOR,
-    apply_document_operator,
-    apply_query_operator,
-    apply_return_operator,
+    apply_operator,
     donor_pool,
 )
 from paramfuzz.records import array_of, check_record, expect, json_document
@@ -84,35 +82,24 @@ def cmd_perturb(args: argparse.Namespace) -> int:
         raise CampaignError(
             f"unknown operator {operator!r}; valid ids: {', '.join(ALL_OPERATORS)}"
         )
+    donors = None
     if source == "document":
         donors = donor_pool(all_tools(cases))
-        for tool in case.tools:
-            try:
-                perturbed, record = apply_document_operator(
-                    operator, tool, seed=args.seed, donors=donors
-                )
-            except PerturbSkip as exc:
-                print(f"skip {tool.tool_name}: {exc}")
-                continue
-            _print_json({"tool": perturbed.to_json(), "record": record.to_json()})
+        targets = [(tool.tool_name, "tool", tool) for tool in case.tools]
     elif source == "query":
-        try:
-            perturbed_query, record = apply_query_operator(operator, case.query)
-        except PerturbSkip as exc:
-            print(f"skip query: {exc}")
-            return EXIT_OK
-        _print_json({"query": perturbed_query.to_json(), "record": record.to_json()})
+        targets = [("query", "query", case.query)]
+    elif case.scripted_returns:
+        targets = [("return", "return", case.scripted_returns[0].value)]
     else:
-        if not case.scripted_returns:
-            print("skip return: case has no scripted returns")
-            return EXIT_OK
-        first = case.scripted_returns[0]
+        print("skip return: case has no scripted returns")
+        return EXIT_OK
+    for label, key, value in targets:
         try:
-            perturbed_return, record = apply_return_operator(operator, first.value)
+            perturbed, record = apply_operator(operator, value, seed=args.seed, donors=donors)
         except PerturbSkip as exc:
-            print(f"skip return: {exc}")
-            return EXIT_OK
-        _print_json({"return": perturbed_return.to_json(), "record": record.to_json()})
+            print(f"skip {label}: {exc}")
+            continue
+        _print_json({key: perturbed.to_json(), "record": record.to_json()})
     return EXIT_OK
 
 

@@ -36,9 +36,7 @@ from paramfuzz.perturb import (
     SOURCE_OF_OPERATOR,
     Donor,
     PerturbationRecord,
-    apply_document_operator,
-    apply_query_operator,
-    apply_return_operator,
+    apply_operator,
 )
 from paramfuzz.records import JsonRecord, array_of, build, check_record, expect, json_keys, loads
 
@@ -509,31 +507,23 @@ def run_case(
         raise SchemaViolation(f"unknown operator id {operator!r}")
     perturbations: list[PerturbationRecord] = []
     skips: list[SkipNote] = []
+
+    def perturb(value, target: str):
+        """The value with the operator applied, or as it was if it skips."""
+        try:
+            value, record = apply_operator(operator, value, seed=seed, donors=donors)
+        except PerturbSkip as exc:
+            skips.append(SkipNote.of(target, exc))
+        else:
+            perturbations.append(record)
+        return value
+
     tools = case.tools
     query_text = case.query.text
-    applied = False
     if source == "document":
-        perturbed_tools = []
-        for tool in case.tools:
-            try:
-                perturbed, record = apply_document_operator(
-                    operator, tool, seed=seed, donors=donors or []
-                )
-                perturbed_tools.append(perturbed)
-                perturbations.append(record)
-                applied = True
-            except PerturbSkip as exc:
-                perturbed_tools.append(tool)
-                skips.append(SkipNote.of(tool.tool_name, exc))
-        tools = tuple(perturbed_tools)
+        tools = tuple(perturb(tool, tool.tool_name) for tool in case.tools)
     elif source == "query":
-        try:
-            perturbed_query, record = apply_query_operator(operator, case.query)
-            query_text = perturbed_query.text
-            perturbations.append(record)
-            applied = True
-        except PerturbSkip as exc:
-            skips.append(SkipNote.of("query", exc))
+        query_text = perturb(case.query, "query").text
     steps: list[TrajectoryStep] = []
     truncations: list[TruncationEvent] = []
     outcome = "step_limit_exceeded"
@@ -565,12 +555,7 @@ def run_case(
                 }
             )
         if source == "return":
-            try:
-                returned, record = apply_return_operator(operator, returned)
-                perturbations.append(record)
-                applied = True
-            except PerturbSkip as exc:
-                skips.append(SkipNote.of(f"observation[{step_index}]", exc))
+            returned = perturb(returned, f"observation[{step_index}]")
         observation = returned.rendered()
         truncated, cut = truncate_observation(observation, max_observation_length)
         if cut is not None:
@@ -594,7 +579,7 @@ def run_case(
         seed=seed,
         driver_id=getattr(driver, "driver_id", "unknown"),
         outcome=outcome,
-        perturbation_applied=applied,
+        perturbation_applied=bool(perturbations),
         steps=tuple(steps),
         perturbations=tuple(perturbations),
         skips=tuple(skips),

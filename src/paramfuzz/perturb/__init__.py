@@ -6,9 +6,9 @@ Fifteen operators, grouped by the input they corrupt:
     query     RPF RPL CP AN
     return    FK AP CK UK CF
 
-Each application returns (perturbed value, PerturbationRecord). The
-dispatch helpers below normalize the per-group signatures so a campaign
-can drive any operator by id.
+Each application returns (perturbed value, PerturbationRecord). apply_operator
+drives any operator by id through the dispatch helper of its source below,
+one per source, which normalizes the per-group signatures.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ __all__ = [
     "PerturbationRecord",
     "append_noise",
     "apply_document_operator",
+    "apply_operator",
     "apply_query_operator",
     "apply_return_operator",
     "camel_case_keys",
@@ -131,3 +132,21 @@ def apply_return_operator(
     if operator == "CF":
         return corrupt_format(ret)
     raise SchemaViolation(f"{operator!r} is not a tool-return operator")
+
+
+_Input = ToolDocument | AnnotatedQuery | ToolReturn
+
+
+def apply_operator(
+    operator: str, value: _Input, *, seed: int = 0, donors: list[Donor] | None = None
+) -> tuple[_Input, PerturbationRecord]:
+    """Apply any operator by id to a value of its source: a tool document,
+    the query or a tool return. seed and donors reach document operators only."""
+    source = SOURCE_OF_OPERATOR.get(operator)
+    if source == "document":
+        return apply_document_operator(operator, value, seed=seed, donors=donors)
+    if source == "query":
+        return apply_query_operator(operator, value)
+    if source == "return":
+        return apply_return_operator(operator, value)
+    raise SchemaViolation(f"unknown operator id {operator!r}")

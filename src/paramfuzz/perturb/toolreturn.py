@@ -13,7 +13,8 @@ All five are deterministic and use no randomness. FK, AP, CK and UK keep
 the output valid JSON and never touch leaf values outside their targets;
 CF is the one operator that destroys parseability on purpose.
 
-Key transforms recurse through every nested object and array.
+FK, CK and UK are one key walker, _respell_keys, with a different new
+name for each key; it recurses through every nested object and array.
 """
 
 from __future__ import annotations
@@ -74,27 +75,9 @@ def fuzz_keys(ret: ToolReturn) -> tuple[ToolReturn, PerturbationRecord]:
     Numbering restarts inside each object. Values are untouched, so the
     multiset of leaf values survives exactly.
     """
-    payload = _require_json(ret, "FK")
-    renames: list[dict[str, object]] = []
-
-    def walk(value: object, path: KeyPath) -> object:
-        if isinstance(value, dict):
-            out = {}
-            for index, (key, item) in enumerate(value.items()):
-                new_key = f"Object_{index + 1}"
-                if new_key != key:
-                    renames.append({"path": list(path), "from": key, "to": new_key})
-                out[new_key] = walk(item, path + (key,))
-            return out
-        if isinstance(value, list):
-            return [walk(item, path + (i,)) for i, item in enumerate(value)]
-        return value
-
-    if not _contains_object(payload):
+    if not _contains_object(_require_json(ret, "FK")):
         raise NoObjects("FK found no JSON object to rename")
-    perturbed = walk(payload, ())
-    record = PerturbationRecord(operator="FK", details={"renames": renames})
-    return ToolReturn(payload=perturbed), record
+    return _respell_keys(ret, "FK", lambda index, key: f"Object_{index + 1}")
 
 
 def _contains_object(value: object) -> bool:
@@ -139,8 +122,9 @@ def prefix_id_values(ret: ToolReturn) -> tuple[ToolReturn, PerturbationRecord]:
 
 
 def _respell_keys(
-    ret: ToolReturn, operator: str, respell: Callable[[str], str]
+    ret: ToolReturn, operator: str, respell: Callable[[int, str], str]
 ) -> tuple[ToolReturn, PerturbationRecord]:
+    """Rename each key of every object to respell(index in its object, key)."""
     payload = _require_json(ret, operator)
     renames: list[dict[str, object]] = []
     collisions: list[dict[str, object]] = []
@@ -148,8 +132,8 @@ def _respell_keys(
     def walk(value: object, path: KeyPath) -> object:
         if isinstance(value, dict):
             out = {}
-            for key, item in value.items():
-                new_key = respell(key)
+            for index, (key, item) in enumerate(value.items()):
+                new_key = respell(index, key)
                 if new_key != key:
                     renames.append({"path": list(path), "from": key, "to": new_key})
                 if new_key in out:
@@ -174,12 +158,12 @@ def camel_case_keys(ret: ToolReturn) -> tuple[ToolReturn, PerturbationRecord]:
     When two keys collapse to one spelling the later key wins and the
     loss is reported as a collision in the record.
     """
-    return _respell_keys(ret, "CK", to_camel_case)
+    return _respell_keys(ret, "CK", lambda index, key: to_camel_case(key))
 
 
 def snake_case_keys(ret: ToolReturn) -> tuple[ToolReturn, PerturbationRecord]:
     """Re-spell every object key as snake_case (UK). Idempotent."""
-    return _respell_keys(ret, "UK", to_snake_case)
+    return _respell_keys(ret, "UK", lambda index, key: to_snake_case(key))
 
 
 def corrupt_format(ret: ToolReturn) -> tuple[ToolReturn, PerturbationRecord]:

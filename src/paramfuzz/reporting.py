@@ -5,7 +5,7 @@ byte-identical):
 
     report.json       full per-case labels plus every aggregate
     report_table.csv  the category x operator grid, 15 fixed columns
-    report.md         the same numbers for humans
+    report.md         the same grid (both from _grid) and counts, for humans
 
 report.json is the indented, key-sorted JSON of build_report's document.
 Its cases block is written one operator at a time, and most of its
@@ -14,8 +14,9 @@ so each distinct entry of an operator is rendered once.
 
 Failure Rate is case-level: FR = 1 - N_pass/N_total, computed in exact
 rational arithmetic and rendered as a percentage with two decimals,
-half-up. Cells with an empty denominator render "n/a", never 0.00, so
-"no failures" cannot be confused with "no data".
+half-up. A cell with an empty denominator is null in report.json and
+"n/a" in the grid, never 0.00, so "no failures" cannot be confused with
+"no data".
 
 Trajectories whose perturbation could not be applied (typed skips) and
 trajectories that died in the driver are excluded from every
@@ -82,9 +83,6 @@ class CampaignResults:
     outcomes: tuple[CaseOutcome, ...]
     error_counts: dict[str, int]
 
-    def for_operator(self, operator: str) -> list[CaseOutcome]:
-        return [o for o in self.outcomes if o.operator == operator]
-
 
 def collect_results(log: CampaignLog) -> CampaignResults:
     """Join each trajectory with its classification."""
@@ -112,23 +110,6 @@ def collect_results(log: CampaignLog) -> CampaignResults:
     return CampaignResults(
         meta=log.header.to_json(), outcomes=tuple(outcomes), error_counts=error_counts
     )
-
-
-def category_rates(outcomes: list[CaseOutcome]) -> dict[str, Fraction]:
-    """Per-category FR: a case passes a category when no invocation
-    label carries that flag."""
-    attempted = [o for o in outcomes if o.applied]
-    if not attempted:
-        raise EmptyCampaign("category rates over zero attempted test cases")
-    rates = {}
-    for category in CATEGORIES:
-        passed = sum(
-            1
-            for outcome in attempted
-            if all(not getattr(label, category) for label in outcome.labels)
-        )
-        rates[category] = failure_rate(passed, len(attempted))
-    return rates
 
 
 def _exceedance(scores: list[float]) -> Fraction | None:
@@ -191,63 +172,50 @@ def transfer_matrix(labels: list[FailureLabel]) -> dict[str, object]:
     }
 
 
+def _rate(n_pass: int, n_total: int) -> str | None:
+    """One cell's failure rate as a percentage; None over no attempted cases."""
+    return percent_string(failure_rate(n_pass, n_total)) if n_total else None
+
+
 def _operator_block(outcomes: list[CaseOutcome], errors: int) -> dict[str, object]:
     attempted = [o for o in outcomes if o.applied]
-    skipped = len(outcomes) - len(attempted)
-    block: dict[str, object] = {
-        "attempted": len(attempted),
-        "skipped_unperturbable": skipped,
-        "driver_errors": errors,
-    }
-    if not attempted:
-        block["failure_rate_percent"] = None
-        block["passed"] = 0
-        block["categories"] = {c: None for c in CATEGORIES}
-        block["rouge_exceedance"] = {
-            "task_deviation": None,
-            "specification_mismatch": None,
-            "joint": None,
-        }
-        return block
     passed = sum(1 for o in attempted if o.case_pass)
-    block["passed"] = passed
-    block["failure_rate_percent"] = percent_string(failure_rate(passed, len(attempted)))
-    block["categories"] = {
-        category: percent_string(rate)
-        for category, rate in category_rates(outcomes).items()
-    }
     labels = [label for outcome in attempted for label in outcome.labels]
-    block["rouge_exceedance"] = {
-        key: percent_string(value) if value is not None else None
-        for key, value in rouge_exceedance(labels).items()
+    # A case passes a category when none of its labels carries the flag.
+    flagged = [{c for label in o.labels for c in label.flagged_categories()} for o in attempted]
+    return {
+        "attempted": len(attempted),
+        "skipped_unperturbable": len(outcomes) - len(attempted),
+        "driver_errors": errors,
+        "passed": passed,
+        "failure_rate_percent": _rate(passed, len(attempted)),
+        "categories": {c: _rate(sum(c not in f for f in flagged), len(attempted)) for c in CATEGORIES},
+        "rouge_exceedance": {
+            key: percent_string(value) if value is not None else None
+            for key, value in rouge_exceedance(labels).items()
+        },
     }
-    return block
 
 
 def build_report(results: CampaignResults) -> dict[str, object]:
     """The full report as one JSON-ready structure."""
-    operators: dict[str, object] = {}
-    for operator in ALL_OPERATORS:
-        outcomes = results.for_operator(operator)
-        if not outcomes and operator not in results.error_counts:
-            continue
-        operators[operator] = _operator_block(
-            outcomes, results.error_counts.get(operator, 0)
-        )
-    all_labels = [
-        label
-        for outcome in results.outcomes
-        if outcome.applied
-        for label in outcome.labels
-    ]
-    cases: dict[str, object] = {}
+    by_operator: dict[str, list[CaseOutcome]] = {}
+    cases: dict[str, dict[str, object]] = {}
+    all_labels: list[FailureLabel] = []
     for outcome in results.outcomes:
-        per_op = cases.setdefault(outcome.operator, {})
-        per_op[outcome.case_id] = {  # type: ignore[index]
+        by_operator.setdefault(outcome.operator, []).append(outcome)
+        cases.setdefault(outcome.operator, {})[outcome.case_id] = {
             "applied": outcome.applied,
             "case_pass": outcome.case_pass,
             "labels": [label.to_json() for label in outcome.labels],
         }
+        if outcome.applied:
+            all_labels.extend(outcome.labels)
+    operators = {
+        op: _operator_block(by_operator.get(op, []), results.error_counts.get(op, 0))
+        for op in ALL_OPERATORS
+        if op in by_operator or op in results.error_counts
+    }
     return {
         "campaign": results.meta,
         "rouge_threshold": ROUGE_THRESHOLD,
@@ -257,30 +225,22 @@ def build_report(results: CampaignResults) -> dict[str, object]:
     }
 
 
-def _grid_cell(report: dict[str, object], operator: str, row: str) -> str:
-    block = report["operators"].get(operator)  # type: ignore[union-attr]
-    if block is None:
-        return NOT_AVAILABLE
-    if row in CATEGORIES:
-        value = block["categories"][row]
-    else:
-        value = block["rouge_exceedance"]["joint"]
-    return value if value is not None else NOT_AVAILABLE
+def _grid(report: dict[str, object]) -> list[list[str]]:
+    """The category x operator grid: the header row over the 15 fixed
+    operator columns, a row per category, then the joint Rouge-L row."""
+    rows = [(CATEGORY_TITLES[c], "categories", c) for c in CATEGORIES]
+    blocks = [report["operators"].get(op) for op in ALL_OPERATORS]  # type: ignore[union-attr]
+    grid = [["Failure Taxonomy", *ALL_OPERATORS]]
+    for title, group, key in rows + [("Rouge-L", "rouge_exceedance", "joint")]:
+        values = [block[group][key] if block is not None else None for block in blocks]
+        grid.append([title] + [v if v is not None else NOT_AVAILABLE for v in values])
+    return grid
 
 
 def render_csv(report: dict[str, object]) -> str:
     """The category x operator grid with the fixed 15-operator columns."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["Failure Taxonomy", *ALL_OPERATORS])
-    for category in CATEGORIES:
-        writer.writerow(
-            [CATEGORY_TITLES[category]]
-            + [_grid_cell(report, op, category) for op in ALL_OPERATORS]
-        )
-    writer.writerow(
-        ["Rouge-L"] + [_grid_cell(report, op, "rouge") for op in ALL_OPERATORS]
-    )
+    csv.writer(buffer, lineterminator="\n").writerows(_grid(report))
     return buffer.getvalue()
 
 
@@ -302,16 +262,10 @@ def render_markdown(report: dict[str, object]) -> str:
         f"scoring at least {report['rouge_threshold']} against the oracle.",
         "",
     ]
-    header = ["Failure Taxonomy", *ALL_OPERATORS]
+    header, *rows = _grid(report)
     lines.append("| " + " | ".join(header) + " |")
     lines.append("|" + "---|" * len(header))
-    for category in CATEGORIES:
-        row = [CATEGORY_TITLES[category]] + [
-            _grid_cell(report, op, category) for op in ALL_OPERATORS
-        ]
-        lines.append("| " + " | ".join(row) + " |")
-    rouge_row = ["Rouge-L"] + [_grid_cell(report, op, "rouge") for op in ALL_OPERATORS]
-    lines.append("| " + " | ".join(rouge_row) + " |")
+    lines.extend("| " + " | ".join(row) + " |" for row in rows)
     lines.append("")
     lines.append("## Overall failure rate by operator")
     lines.append("")

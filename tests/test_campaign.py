@@ -841,10 +841,12 @@ LOG_MUTATIONS = {
     "classification_missing_key": _drop(C, "case_pass"),
     "classification_unknown_key": _set(C, "judge", "human"),
     "classification_case_pass_string": _set(C, "case_pass", "false"),
+    "classification_case_pass_contradicts_labels": _set(C, "case_pass", True),
     "aligned_label_unknown_key": _set(C, "labels.0.weight", 1),
     "label_missing_key": _drop(C, LABEL + ".task_deviation"),
     "label_unknown_key": _set(C, LABEL + ".confidence", 0.9),
     "label_rouge_bool": _set(C, LABEL + ".rouge_td", True),
+    "label_passed_contradicts_flags": _set(C, LABEL + ".passed", True),
     "label_flag_without_evidence": _set(C, LABEL + ".evidence", {}),
     "label_unknown_evidence_category": _set(C, LABEL + ".evidence.vibes", []),
     "evidence_entry_missing_key": _drop(C, LABEL + ".evidence.task_deviation.0.rule"),
@@ -866,6 +868,7 @@ LOG_GOLDEN = {
     "aligned_label_unknown_key": ('SchemaViolation', "log line 302.labels[0] has unknown key 'weight'", 'log line 302.labels[0].weight'),
     "bad_json": ('MalformedInput', 'log line 5 is not valid JSON: Expecting property name enclosed in double quotes', None),
     "classification_case_pass_string": ('SchemaViolation', 'log line 302.case_pass must be a boolean, got string', 'log line 302.case_pass'),
+    "classification_case_pass_contradicts_labels": ('SchemaViolation', 'log line 302.case_pass must be false, as the labels say', 'log line 302.case_pass'),
     "classification_missing_key": ('SchemaViolation', "log line 302 is missing required key 'case_pass'", 'log line 302.case_pass'),
     "classification_of_an_error": ('CampaignError', 'log line 304 classifies (RD, m01, seed 1), but no earlier line holds its trajectory', None),
     "classification_unknown_key": ('SchemaViolation', "log line 302 has unknown key 'judge'", 'log line 302.judge'),
@@ -885,6 +888,7 @@ LOG_GOLDEN = {
     "invocation_unknown_key": ('SchemaViolation', "log line 2.steps[0].invocation has unknown key 'id'", 'log line 2.steps[0].invocation.id'),
     "label_flag_without_evidence": ('SchemaViolation', 'flag task_deviation is set without evidence', 'log line 302.labels[0].label.evidence'),
     "label_missing_key": ('SchemaViolation', "log line 302.labels[0].label is missing required key 'task_deviation'", 'log line 302.labels[0].label.task_deviation'),
+    "label_passed_contradicts_flags": ('SchemaViolation', 'log line 302.labels[0].label.passed must be false, as the flags say', 'log line 302.labels[0].label.passed'),
     "label_rouge_bool": ('SchemaViolation', 'log line 302.labels[0].label.rouge_td must be a number, got boolean', 'log line 302.labels[0].label.rouge_td'),
     "label_unknown_evidence_category": ('SchemaViolation', "log line 302.labels[0].label.evidence has unknown key 'vibes'", 'log line 302.labels[0].label.evidence.vibes'),
     "label_unknown_key": ('SchemaViolation', "log line 302.labels[0].label has unknown key 'confidence'", 'log line 302.labels[0].label.confidence'),

@@ -12,11 +12,35 @@ from conftest import MOCK_CAMPAIGN_SHA256, log_events, make_case, make_query, sc
 from paramfuzz.cli import _RUN_SETTINGS, EXIT_CAMPAIGN, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from paramfuzz.campaign import CampaignConfig, log_line
 from paramfuzz.corpus import filter_cases, load_corpus, serialize_corpus
+from paramfuzz.perturb import ALL_OPERATORS
 
 
 def packaged(name):
     """The packaged data directory of one fixture set."""
     return importlib.resources.files("paramfuzz").joinpath("data", name)
+
+
+# The skip lines and the sha256 of the whole stdout of `perturb` under each
+# operator in ALL_OPERATORS order, per case (see
+# TestPerturb.test_every_operator_prints_its_golden).
+_SKIP_SVC_22 = [
+    "skip svc_22: tool 'svc_22' has no required parameters to strip",
+    "skip svc_22: tool 'svc_22' has 0 parameter(s); swapping needs two",
+    "skip svc_22: tool 'svc_22' has 0 parameter(s); shuffling needs two",
+]
+PERTURB_GOLDEN = {
+    "m01": ([], "7aac245d41957cee7d773b4ef328dc9ffd5259c3b091b2653274bc33bb57889b"),
+    "m22": (
+        _SKIP_SVC_22
+        + ["skip query: query carries no annotated parameter mentions"] * 4
+        + ["skip return: AP found no ID-keyed entries to prefix"],
+        "37c328021ab79985845734655069323374014087f683aacb2eaba22c1cf4f9b4",
+    ),
+    "mixed": (
+        _SKIP_SVC_22 + ["skip return: case has no scripted returns"] * 5,
+        "80bf959170abe0410b6dea254c288b07a7b7fa76b8a377f56b6ace1295df1e2d",
+    ),
+}
 
 
 @pytest.fixture
@@ -116,6 +140,29 @@ class TestPerturb:
     def test_unknown_operator_is_a_campaign_error(self, clean_corpus, capsys):
         code = main(["perturb", "--corpus", clean_corpus, "--operator", "QQ", "--case", "k1"])
         assert code == EXIT_CAMPAIGN
+
+    @pytest.mark.parametrize("case_id", sorted(PERTURB_GOLDEN))
+    def test_every_operator_prints_its_golden(self, tmp_path, capsys, case_id):
+        """m01 perturbs everywhere; m22 (no parameters, no mentions, no ID
+        keys) skips in every source; mixed adds m22's tool to m01 and has no
+        scripted returns, so a document operator can skip one tool and
+        perturb the other. WD draws from the whole corpus at seed 5."""
+        with importlib.resources.as_file(packaged("mock_campaign")) as root:
+            corpus = json.loads((root / "corpus.json").read_text(encoding="utf-8"))
+        by_id = {case["case_id"]: case for case in corpus["cases"]}
+        mixed = {**by_id["m01"], "case_id": "mixed", "scripted_returns": []}
+        mixed["tools"] = by_id["m01"]["tools"] + by_id["m22"]["tools"]
+        corpus["cases"].append(mixed)
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(corpus), encoding="utf-8")
+        out = ""
+        for operator in ALL_OPERATORS:
+            argv = ["perturb", "--corpus", str(path), "--operator", operator, "--case", case_id]
+            assert main(argv + ["--seed", "5"]) == EXIT_OK
+            out += capsys.readouterr().out
+        skips, digest = PERTURB_GOLDEN[case_id]
+        assert [line for line in out.splitlines() if line.startswith("skip ")] == skips
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestRunPipeline:

@@ -1,6 +1,8 @@
 """Aggregation and report rendering tests."""
 
+import csv
 import importlib.resources
+import io
 import json
 import os
 import tracemalloc
@@ -28,9 +30,9 @@ from paramfuzz.corpus import serialize_corpus
 from paramfuzz.errors import CampaignError, EmptyCampaign
 from paramfuzz.perturb import ALL_OPERATORS
 from paramfuzz.reporting import (
+    CampaignResults,
     CaseOutcome,
     build_report,
-    category_rates,
     collect_results,
     emit_report,
     failure_rate,
@@ -95,26 +97,55 @@ class TestPercentString:
         assert percent_string(Fraction(3, 800)) == "0.38"
 
 
-class TestCategoryRates:
+def report_of(*outcomes, error_counts=None):
+    return build_report(CampaignResults(meta={}, outcomes=outcomes, error_counts=error_counts or {}))
+
+
+class TestOperatorBlock:
     def test_counts_cases_not_invocations(self):
-        outcomes = [
+        block = report_of(
             outcome("RD", "k1", labels=[label(task_deviation=True), label(task_deviation=True)]),
             outcome("RD", "k2", labels=[label()]),
-        ]
-        rates = category_rates(outcomes)
-        assert rates["task_deviation"] == Fraction(1, 2)
-        assert rates["missing_information"] == Fraction(0)
+        )["operators"]["RD"]
+        assert block["categories"]["task_deviation"] == "50.00"
+        assert block["categories"]["missing_information"] == "0.00"
 
     def test_unapplied_cases_stay_out_of_the_denominator(self):
-        outcomes = [
+        block = report_of(
             outcome("RD", "k1", labels=[label(task_deviation=True)]),
             outcome("RD", "k2", applied=False, labels=[label()]),
-        ]
-        assert category_rates(outcomes)["task_deviation"] == Fraction(1)
+        )["operators"]["RD"]
+        assert block["categories"]["task_deviation"] == "100.00"
 
-    def test_no_attempted_cases_is_typed(self):
-        with pytest.raises(EmptyCampaign):
-            category_rates([outcome(applied=False)])
+    def test_no_attempted_cases_renders_not_available(self):
+        rows = list(csv.reader(io.StringIO(render_csv(report_of(outcome(applied=False))))))
+        column = rows[0].index("RD")
+        assert [row[column] for row in rows[1:]] == ["n/a"] * 6
+
+    @pytest.mark.parametrize(
+        "outcomes, error_counts, counts",
+        [
+            ((outcome(applied=False), outcome(case_id="k2", applied=False)), {}, (2, 0)),
+            ((), {"RD": 3}, (0, 3)),
+        ],
+        ids=["only_skipped", "only_driver_errors"],
+    )
+    def test_a_block_with_nothing_attempted(self, outcomes, error_counts, counts):
+        assert report_of(*outcomes, error_counts=error_counts)["operators"]["RD"] == {
+            "attempted": 0,
+            "skipped_unperturbable": counts[0],
+            "driver_errors": counts[1],
+            "passed": 0,
+            "failure_rate_percent": None,
+            "categories": {
+                "task_deviation": None,
+                "specification_mismatch": None,
+                "hallucination_name": None,
+                "missing_information": None,
+                "redundant_information": None,
+            },
+            "rouge_exceedance": {"task_deviation": None, "specification_mismatch": None, "joint": None},
+        }
 
 
 class TestRougeExceedance:
@@ -365,6 +396,32 @@ def test_report_json_is_byte_for_byte_the_reference_encoding(tmp_path, with_case
     assert Path(path).read_bytes() == expected.encode("utf-8")
 
 
+def mock_campaign_log(tmp_path) -> CampaignLog:
+    """The classified index of the packaged mock campaign."""
+    data = importlib.resources.files("paramfuzz").joinpath("data", "mock_campaign")
+    with importlib.resources.as_file(data) as root:
+        config = CampaignConfig(
+            corpus_path=str(root / "corpus.json"),
+            out_dir=str(tmp_path / "run"),
+            scripts_path=str(root / "scripts.json"),
+        )
+        log = run_campaign(config)
+        classify_log(log, config.corpus_path)
+    return log
+
+
+def test_csv_and_markdown_grids_agree_cell_for_cell(tmp_path):
+    paths = emit_report(mock_campaign_log(tmp_path), str(tmp_path / "report"))
+    with open(paths["csv"], encoding="utf-8", newline="") as handle:
+        csv_rows = list(csv.reader(handle))
+    lines = Path(paths["md"]).read_text(encoding="utf-8").splitlines()
+    start = lines.index("| " + " | ".join(csv_rows[0]) + " |")
+    assert lines[start + 1] == "|" + "---|" * len(csv_rows[0])
+    md_rows = [line[2:-2].split(" | ") for line in lines[start + 2 : start + 1 + len(csv_rows)]]
+    assert md_rows == csv_rows[1:]
+    assert len(csv_rows) == 7 and any(cell not in ("n/a", "0.00") for row in csv_rows[1:] for cell in row[1:])
+
+
 REPLICAS = 5
 
 
@@ -375,16 +432,7 @@ def test_emit_report_never_holds_the_whole_report_json(tmp_path, monkeypatch):
 
     The rise is measured from the report's own objects, which outweigh
     its JSON text, so the guard sees only what writing it allocates."""
-    data = importlib.resources.files("paramfuzz").joinpath("data", "mock_campaign")
-    with importlib.resources.as_file(data) as root:
-        config = CampaignConfig(
-            corpus_path=str(root / "corpus.json"),
-            out_dir=str(tmp_path / "run"),
-            scripts_path=str(root / "scripts.json"),
-        )
-        log = run_campaign(config)
-        classify_log(log, config.corpus_path)
-    header, *events = log_events(log.path)
+    header, *events = log_events(mock_campaign_log(tmp_path).path)
     lines = [log_line(header)] + [
         log_line({**event, "case_id": f"{event['case_id']}_{copy}"})
         for copy in range(REPLICAS)
