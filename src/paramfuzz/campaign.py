@@ -11,8 +11,8 @@ are its fields, tagged with its event kind: the CampaignMeta header first
 (trajectory_error) per run, and one Classification (classification) per
 trajectory, appended by classify_log. Most pairs leave a case's calls as
 the oracle makes them, so classify_log classifies each distinct (case,
-calls) outcome once, and encodes its labels once for every line that
-carries them.
+calls) outcome once, and encodes its labels once for every later line
+that carries them.
 
 A CampaignLog indexes a log by (operator, case_id, seed) and keeps of
 each trajectory only what classifying and reporting read: whether the
@@ -20,8 +20,9 @@ perturbation applied, and the invocations. run_campaign returns the index
 of the log it wrote, built as it writes each record, so `run --report`
 never reads its own log back. read_log checks every line of a log file in
 full and builds the same index; classify and report start from it.
-Runs are resumable: pairs already present in the log are skipped, and a
-resumed run must match the header's corpus hash, seed and driver.
+Runs are resumable: pairs already present in the log are skipped, a
+final line left unfinished by a stopped run is dropped, and a resumed run
+must match the header's corpus hash, seed and driver.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import TextIO
 
@@ -388,11 +390,38 @@ def _check_resume(meta: CampaignMeta, existing: CampaignMeta) -> None:
             )
 
 
+def _drop_torn_line(log_path: str) -> int:
+    """Cut the bytes after the log's last newline, which a run stopped
+    mid-write leaves, and say so on stderr. A log with no newline holds no
+    whole line and is emptied. Returns the size the log is left with."""
+    with open(log_path, "rb+") as handle:
+        size = end = handle.seek(0, os.SEEK_END)
+        kept = 0
+        while end > 0:
+            start = max(0, end - 65536)
+            handle.seek(start)
+            newline = handle.read(end - start).rfind(b"\n")
+            if newline >= 0:
+                kept = start + newline + 1
+                break
+            end = start
+        if kept < size:
+            handle.truncate(kept)
+            print(
+                f"resuming {log_path}: dropped {size - kept} byte(s) after its last newline"
+                + ("" if kept else "; it held no whole line, so the run starts afresh"),
+                file=sys.stderr,
+            )
+    return kept
+
+
 def run_campaign(config: CampaignConfig) -> CampaignLog:
     """Execute (or resume) the campaign; returns the index of its log.
 
     A fresh run's index is its header plus each record as it is written; a
     resumed run's is read_log of the existing file plus the new records.
+    A resumed run first drops an unfinished final line (_drop_torn_line);
+    any other bad line is read_log's error.
 
     With the http driver and more than one worker, trajectories are
     computed by a bounded thread pool; they are always written in job
@@ -424,7 +453,7 @@ def run_campaign(config: CampaignConfig) -> CampaignLog:
         prompt_template_version=PROMPT_TEMPLATE_VERSION,
         package_version=__version__,
     )
-    resumed = os.path.exists(log_path) and os.path.getsize(log_path) > 0
+    resumed = os.path.exists(log_path) and _drop_torn_line(log_path) > 0
     if resumed:
         log = read_log(log_path)
         _check_resume(meta, log.header)
@@ -482,11 +511,13 @@ def classify_log(log: CampaignLog, corpus_path: str) -> int:
     oracle: the agent saw perturbed inputs, the judge never does. It is a
     pure function of the case and the calls, so each distinct outcome is
     classified once: pairs whose case and calls are equal share one
-    outcome object, and the JSON of its labels is encoded once. Calls are
-    equal when their tool names and arguments encode to the same JSON,
-    argument order included, so 1, 1.0 and true stay apart. Arguments are
-    classified in key order, the order the log holds them in. Returns the
-    number of events appended; idempotent on a fully classified log.
+    outcome object. A first occurrence's line is encoded whole; the JSON of
+    an outcome's labels is encoded apart, once, only when a second pair
+    shares the outcome. Calls are equal when their tool names and arguments
+    encode to the same JSON, argument order included, so 1, 1.0 and true
+    stay apart. Arguments are classified in key order, the order the log
+    holds them in. Returns the number of events appended; idempotent on a
+    fully classified log.
     """
     cases = {case.case_id: case for case in load_corpus(corpus_path)}
     if log.header.corpus_sha256 != corpus_sha256(corpus_path):
@@ -499,8 +530,9 @@ def classify_log(log: CampaignLog, corpus_path: str) -> int:
             f"log header has classifier_version {log.header.classifier_version!r}, "
             f"but this build classifies with {CLASSIFIER_VERSION!r}"
         )
-    # (case_id, calls as JSON) -> the outcome and the JSON of its labels.
-    outcomes: dict[tuple[str, str], tuple[TrajectoryClassification, str]] = {}
+    # (case_id, calls as JSON) -> the outcome, and the JSON of its labels
+    # once a second pair shares it.
+    outcomes: dict[tuple[str, str], tuple[TrajectoryClassification, str | None]] = {}
     appended = 0
     with open(log.path, "a", encoding="utf-8") as handle:
         for key, entry in log.trajectories.items():
@@ -522,13 +554,19 @@ def classify_log(log: CampaignLog, corpus_path: str) -> int:
                     for call in entry.invocations
                 ]
                 outcome = classify_trajectory(logged, list(case.oracle), list(case.tools))
-                labels = log_line([aligned.to_json() for aligned in outcome.aligned])
-                shared = outcomes[calls] = (outcome, labels)
-            outcome, labels = shared
-            # The line is written from a record with no labels, and the
-            # encoded labels take the place of its empty array.
-            line = _event_line(Classification(*key, CLASSIFIER_VERSION, outcome.case_pass, ()))
-            handle.write(line.replace('"labels":[]', f'"labels":{labels}', 1))
-            log.add(Classification(*key, CLASSIFIER_VERSION, outcome.case_pass, outcome.aligned))
+                outcomes[calls] = (outcome, None)
+                record = Classification(*key, CLASSIFIER_VERSION, outcome.case_pass, outcome.aligned)
+                handle.write(_event_line(record))
+            else:
+                outcome, labels = shared
+                if labels is None:
+                    labels = log_line([aligned.to_json() for aligned in outcome.aligned])
+                    outcomes[calls] = (outcome, labels)
+                # The line is written from a record with no labels, and the
+                # encoded labels take the place of its empty array.
+                line = _event_line(Classification(*key, CLASSIFIER_VERSION, outcome.case_pass, ()))
+                handle.write(line.replace('"labels":[]', f'"labels":{labels}', 1))
+                record = Classification(*key, CLASSIFIER_VERSION, outcome.case_pass, outcome.aligned)
+            log.add(record)
             appended += 1
     return appended

@@ -271,10 +271,17 @@ class ToolReturn(JsonRecord, exclusive=("payload", "raw_text")):
             raise SchemaViolation(_TOO_DEEP, field=f"{where}.payload")
 
     def rendered(self) -> str:
-        """The observation string an agent would actually see."""
+        """The observation string an agent would actually see. A scripted
+        return is seen by many pairs, so its text is made once."""
         if self.raw_text is not None:
             return self.raw_text
-        return json.dumps(self.payload, separators=(", ", ": "), ensure_ascii=False)
+        text = self.__dict__.get("_rendered")
+        if text is None:
+            text = json.dumps(self.payload, separators=(", ", ": "), ensure_ascii=False)
+            # Not a field, as TestCase's _returns: equality, repr and
+            # to_json never see it.
+            object.__setattr__(self, "_rendered", text)
+        return text
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ campaign can keep its failure-rate denominators honest.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 
 from paramfuzz.corpus import ParameterSpec, ToolDocument
@@ -89,6 +90,18 @@ def donor_pool(tools: list[ToolDocument]) -> list[Donor]:
     ]
 
 
+# The tools of one WD pair share its seed and, when they describe as many
+# parameters, the length of their pools, so they share one draw. One entry
+# of plain ints is enough for that, and lru_cache is safe across threads.
+@functools.lru_cache(maxsize=1)
+def _shuffled_order(seed: int, length: int) -> tuple[int, ...]:
+    """order[i] is the index of the item that random.Random(seed).shuffle
+    moves to position i of any list of the length."""
+    order = list(range(length))
+    random.Random(seed).shuffle(order)
+    return tuple(order)
+
+
 def substitute_foreign_descriptions(
     doc: ToolDocument, donors: list[Donor], seed: int
 ) -> tuple[ToolDocument, PerturbationRecord]:
@@ -99,30 +112,35 @@ def substitute_foreign_descriptions(
     target has more parameters than the pool. A description is never
     knowingly mapped to itself; when the pool forces that collision it
     happens anyway and is reported in the record.
+
+    The shuffle is random.Random(seed).shuffle of the pool. Its swaps
+    depend only on the seed and the pool's length, so it is drawn once per
+    (seed, pool length) as an order of positions, and the pool is read
+    through that order.
     """
     if not doc.parameters:
         record = PerturbationRecord(
             operator="WD", seed=seed, details={"assignments": [], "collisions": []}
         )
         return doc, record
-    shuffled = [donor for donor in donors if donor[0] != doc.tool_name]
-    if not shuffled:
+    pool = [donor for donor in donors if donor[0] != doc.tool_name]
+    if not pool:
         raise NoDonor(
             f"no foreign parameter descriptions available for {doc.tool_name!r}"
         )
-    random.Random(seed).shuffle(shuffled)
+    order = _shuffled_order(seed, len(pool))
     assignments: list[dict[str, str]] = []
     collisions: list[str] = []
     parameters: list[ParameterSpec] = []
     for index, param in enumerate(doc.parameters):
         chosen = None
-        for probe in range(len(shuffled)):
-            candidate = shuffled[(index + probe) % len(shuffled)]
+        for probe in range(len(pool)):
+            candidate = pool[order[(index + probe) % len(pool)]]
             if candidate[2] != param.description:
                 chosen = candidate
                 break
         if chosen is None:
-            chosen = shuffled[index % len(shuffled)]
+            chosen = pool[order[index % len(pool)]]
             collisions.append(param.name)
         donor_tool, donor_param, donor_description = chosen
         assignments.append(

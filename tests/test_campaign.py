@@ -1,15 +1,19 @@
 """Campaign loop tests: logging, seeding, resume, and parallelism."""
 
+import collections
 import copy
 import hashlib
 import importlib.resources
 import json
+import random
 import re
+import types
 from pathlib import Path
 
 import pytest
 
 from conftest import (
+    DEPTH_SLICE_CASES,
     MOCK_CAMPAIGN_SHA256,
     log_events,
     make_case,
@@ -18,7 +22,7 @@ from conftest import (
     make_tool,
     scripted_return,
 )
-from paramfuzz import campaign, cli, driver
+from paramfuzz import campaign, cli, corpus as corpus_module, driver
 from paramfuzz.campaign import (
     _EVENTS,
     CampaignConfig,
@@ -32,10 +36,10 @@ from paramfuzz.campaign import (
     run_campaign,
 )
 from paramfuzz.classify import CLASSIFIER_VERSION, ObservedInvocation, classify_trajectory
-from paramfuzz.corpus import canonical_json, filter_cases, load_corpus, serialize_corpus
+from paramfuzz.corpus import OracleInvocation, canonical_json, filter_cases, load_corpus, serialize_corpus
 from paramfuzz.driver import EndpointConfig, ScriptedBehavior
 from paramfuzz.errors import CampaignError, MalformedInput, ParamFuzzError
-from paramfuzz.perturb import ALL_OPERATORS
+from paramfuzz.perturb import ALL_OPERATORS, document
 from paramfuzz.reporting import emit_report
 
 
@@ -81,14 +85,15 @@ def two_case_corpus(tmp_path):
 
 
 class OracleHttp:
-    """An http campaign over two_case_corpus whose requests.post answers
-    each case's oracle calls in turn, then finishes."""
+    """An http campaign over a corpus, two_case_corpus unless one is given,
+    whose requests.post answers each case's oracle calls in turn, then
+    finishes. A case is known by its first tool's name."""
 
-    def __init__(self, tmp_path, monkeypatch):
+    def __init__(self, tmp_path, monkeypatch, corpus=None):
         import requests
 
         self.tmp_path = tmp_path
-        self.corpus = two_case_corpus(tmp_path)
+        self.corpus = corpus or two_case_corpus(tmp_path)
         oracles = {case.tools[0].tool_name: case.oracle for case in load_corpus(self.corpus)}
 
         class Response:
@@ -411,6 +416,53 @@ class TestRunCampaign:
         with pytest.raises(CampaignError):
             run_campaign(CampaignConfig(corpus_path=corpus, out_dir=str(out), seed=1))
 
+    def test_a_resume_after_a_cut_at_any_byte_reproduces_the_log(self, tmp_path, capsys):
+        # A small case keeps the log, and so the number of cuts, short.
+        tool = make_tool("s", parameters=(make_param("q", "string", "Q.", True),), usage_examples=())
+        case = make_case(
+            "k", tools=(tool,), query=make_query("Find x.", spans=[("x", "q", "s")]),
+            oracle=(OracleInvocation("s", {"q": "x"}, frozenset({"q"})),),
+            scripted=(scripted_return("s", {"q": "x"}, payload={}),),
+        )
+        corpus = write_corpus(tmp_path, [case])
+
+        def finish(out):
+            log = run_campaign(CampaignConfig(corpus_path=corpus, out_dir=str(out), operators=("RD",)))
+            classify_log(log, corpus)
+            return (out / LOG_FILE_NAME).read_bytes()
+
+        whole = finish(tmp_path / "whole")
+        assert [event["event"] for event in log_events(tmp_path / "whole" / LOG_FILE_NAME)] == [
+            "campaign_meta", "trajectory", "classification",
+        ]
+        out = tmp_path / "cut"
+        out.mkdir()
+        capsys.readouterr()
+        for offset in range(len(whole)):
+            (out / LOG_FILE_NAME).write_bytes(whole[:offset])
+            assert finish(out) == whole, offset
+            torn = whole[:offset].rpartition(b"\n")[2]
+            note = f"resuming {out / LOG_FILE_NAME}: dropped {len(torn)} byte(s) after its last newline"
+            if len(torn) == offset:
+                note += "; it held no whole line, so the run starts afresh"
+            assert capsys.readouterr().err.splitlines() == ([note] if torn else []), offset
+
+    def test_only_the_final_line_may_be_torn(self, tmp_path, mock_log):
+        corpus, events = mock_log
+        lines = [log_line(event).encode("utf-8") + b"\n" for event in events[:3]]
+        out = tmp_path / "out"
+        out.mkdir()
+        log = out / LOG_FILE_NAME
+        log.write_bytes(lines[0] + lines[1][:-20] + b"\n" + lines[2])
+        with pytest.raises(MalformedInput, match="log line 2 is not valid JSON"):
+            run_campaign(CampaignConfig(corpus_path=corpus, out_dir=str(out)))
+        assert log.read_bytes() == lines[0] + lines[1][:-20] + b"\n" + lines[2]
+        # classify and report refuse a torn final line, and leave it be.
+        log.write_bytes(b"".join(lines)[:-20])
+        assert cli.main(["classify", "--log", str(log), "--corpus", corpus]) == cli.EXIT_VALIDATION
+        assert cli.main(["report", "--log", str(log), "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert log.read_bytes() == b"".join(lines)[:-20]
+
     def test_unsolvable_cases_are_filtered_out(self, tmp_path):
         cases = [
             make_case(
@@ -656,6 +708,61 @@ def test_mock_campaign_classifies_each_distinct_outcome_once(tmp_path, monkeypat
     assert len(calls) == 41
 
 
+def test_depth_slice_shares_each_wd_draw_and_each_rendering(tmp_path, depth_slice, monkeypatch):
+    """run --report at seed 3 draws one WD shuffle per WD pair, whose four
+    tools' pools are equally long, and renders each scripted return at
+    most once, however many pairs see it."""
+    shuffled = []
+
+    class CountingRandom(random.Random):
+        def shuffle(self, x):
+            shuffled.append(len(x))
+            super().shuffle(x)
+
+    rendered = []
+
+    def dumps(obj, **options):
+        rendered.append(obj)
+        return json.dumps(obj, **options)
+
+    loaded = []
+
+    def load_corpus(path):
+        loaded.append(corpus_module.load_corpus(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(document, "random", types.SimpleNamespace(Random=CountingRandom))
+    monkeypatch.setattr(corpus_module, "json", types.SimpleNamespace(dumps=dumps))
+    monkeypatch.setattr(campaign, "load_corpus", load_corpus)
+    document._shuffled_order.cache_clear()
+    book = tmp_path / "scripts.json"
+    book.write_text(json.dumps(depth_slice[1]), encoding="utf-8")
+    Path(tmp_path / "corpus.json").write_text(json.dumps(depth_slice[0]), encoding="utf-8")
+    _run_report(tmp_path / "corpus.json", book, tmp_path / "out", seed=3)
+    cases = loaded[0]
+    pool = sum(1 for case in cases for tool in case.tools for p in tool.parameters if p.description)
+    assert pool == len(cases) * 4 * 10
+    assert shuffled.count(pool - 10) == len(cases)
+    assert [n for n in shuffled if n != pool - 10] == [10] * (len(shuffled) - len(cases))
+    scripted = {id(entry.value.payload) for case in cases for entry in case.scripted_returns}
+    renderings = collections.Counter(id(obj) for obj in rendered if id(obj) in scripted)
+    assert len(renderings) >= len(cases) * 4
+    assert max(renderings.values()) == 1
+
+
+def test_http_depth_slice_log_is_the_same_for_1_and_4_workers(tmp_path, depth_slice, monkeypatch):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(depth_slice[0]), encoding="utf-8")
+    http = OracleHttp(tmp_path, monkeypatch, corpus=str(corpus))
+    serial = http.run("serial", 1)
+    trajectories = log_events(serial)[1:]
+    assert len(trajectories) == DEPTH_SLICE_CASES * len(ALL_OPERATORS)
+    assert all(event["outcome"] == "answered" for event in trajectories)
+    wd = [event for event in trajectories if event["operator"] == "WD"]
+    assert [len(event["perturbations"]) for event in wd] == [4] * DEPTH_SLICE_CASES
+    assert Path(http.run("parallel", 4)).read_bytes() == Path(serial).read_bytes()
+
+
 # ------------------------------------------------------- single-pass reports
 
 
@@ -694,6 +801,19 @@ class TestSinglePassReport:
             if name != LOG_FILE_NAME:
                 (tmp_path / name).unlink()
         _run_report(*mock_campaign, tmp_path, seed=0)
+        assert _digests(tmp_path) == MOCK_CAMPAIGN_SHA256
+
+
+    def test_a_run_resumes_over_a_torn_final_line(self, tmp_path, mock_campaign, capsys):
+        _run_report(*mock_campaign, tmp_path, seed=0)
+        log = tmp_path / LOG_FILE_NAME
+        log.write_bytes(log.read_bytes()[:-40])
+        for name in MOCK_CAMPAIGN_SHA256:
+            if name != LOG_FILE_NAME:
+                (tmp_path / name).unlink()
+        capsys.readouterr()
+        _run_report(*mock_campaign, tmp_path, seed=0)
+        assert "after its last newline" in capsys.readouterr().err
         assert _digests(tmp_path) == MOCK_CAMPAIGN_SHA256
 
 

@@ -1,6 +1,9 @@
 """Tool-document operator tests: worked examples plus seeded property runs."""
 
+import dataclasses
 import random
+import sys
+import threading
 
 import pytest
 
@@ -14,7 +17,8 @@ from paramfuzz.errors import (
     SchemaViolation,
     TooFewParams,
 )
-from paramfuzz.perturb import apply_document_operator
+from paramfuzz.perturb import PerturbationRecord, apply_document_operator
+from paramfuzz.perturb import document
 from paramfuzz.perturb.document import (
     TYPE_SUBSTITUTION,
     corrupt_types,
@@ -110,6 +114,101 @@ class TestSubstituteForeignDescriptions:
         doc, record = substitute_foreign_descriptions(target, donor_pool([donor]), seed=0)
         assert doc.parameters[0].description == "Same text."
         assert record.details["collisions"] == ["a"]
+
+
+def per_tool_shuffle(doc, donors, seed):
+    """WD as a reference: filter the pool, random.Random(seed).shuffle that
+    very list, then assign from it."""
+    if not doc.parameters:
+        return doc, PerturbationRecord("WD", seed, {"assignments": [], "collisions": []})
+    shuffled = [donor for donor in donors if donor[0] != doc.tool_name]
+    if not shuffled:
+        raise NoDonor(doc.tool_name)
+    random.Random(seed).shuffle(shuffled)
+    assignments, collisions, parameters = [], [], []
+    for index, param in enumerate(doc.parameters):
+        differing = [
+            shuffled[(index + probe) % len(shuffled)]
+            for probe in range(len(shuffled))
+            if shuffled[(index + probe) % len(shuffled)][2] != param.description
+        ]
+        if differing:
+            chosen = differing[0]
+        else:
+            chosen = shuffled[index % len(shuffled)]
+            collisions.append(param.name)
+        assignments.append({"param": param.name, "donor_tool": chosen[0], "donor_param": chosen[1]})
+        parameters.append(dataclasses.replace(param, description=chosen[2]))
+    details = {"assignments": assignments, "collisions": collisions}
+    return dataclasses.replace(doc, parameters=tuple(parameters)), PerturbationRecord("WD", seed, details)
+
+
+def test_wd_draws_what_a_per_tool_shuffle_draws():
+    """Every tool of a random case under two pairs' seeds, the two pairs'
+    applications merged in a random order as concurrent workers merge
+    them, against the reference. The sweep covers pools of one length and
+    of differing lengths within a case, one-donor pools, collisions and
+    tools with no parameters."""
+    rng = random.Random(118)
+    document._shuffled_order.cache_clear()
+    seen = {"no_params": 0, "one_donor": 0, "collision": 0, "no_donor": 0}
+    for _ in range(300):
+        tools = [random_tool(rng, name=f"t{index}") for index in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            # Every tool describes as many parameters: the pools are as long.
+            tools = [make_tool(f"t{index}", parameters=tools[0].parameters) for index in range(len(tools))]
+        donors = donor_pool(tools)
+        pairs = [[(tool, seed) for tool in tools] for seed in (rng.randrange(1 << 64), rng.randrange(1 << 64))]
+        while pairs:
+            pair = rng.choice(pairs)
+            tool, seed = pair.pop(0)
+            if not pair:
+                pairs.remove(pair)
+            try:
+                expected = per_tool_shuffle(tool, donors, seed)
+            except NoDonor:
+                seen["no_donor"] += 1
+                with pytest.raises(NoDonor):
+                    substitute_foreign_descriptions(tool, donors, seed)
+                continue
+            assert substitute_foreign_descriptions(tool, donors, seed) == expected
+            seen["no_params"] += not tool.parameters
+            seen["one_donor"] += sum(donor[0] != tool.tool_name for donor in donors) == 1
+            seen["collision"] += bool(expected[1].details["collisions"])
+    assert min(seen.values()) >= 10, seen
+    memo = document._shuffled_order.cache_info()
+    assert memo.hits >= 100 and memo.misses >= 100, memo
+
+
+def test_wd_threads_sharing_the_memo_each_get_their_own_draw():
+    """Eight threads, more than the cores, apply WD to the tools of their
+    own pairs under a short switch interval; every result must be the
+    reference's, so no thread reads another pair's draw."""
+    rng = random.Random(119)
+    tools = [random_tool(rng, name=f"t{index}", min_params=1) for index in range(6)]
+    tools += [make_tool(f"u{index}", parameters=tools[0].parameters) for index in range(6)]
+    donors = donor_pool(tools)
+    # Each thread runs two pairs: every tool under one seed, then another.
+    work = [[(tool, seed) for seed in (rng.randrange(1 << 64), rng.randrange(1 << 64)) for tool in tools]
+            for _ in range(8)]
+    results: dict[int, list] = {}
+
+    def apply(index):
+        results[index] = [substitute_foreign_descriptions(tool, donors, seed) for tool, seed in work[index]]
+
+    threads = [threading.Thread(target=apply, args=(index,)) for index in range(len(work))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for index, pairs in enumerate(work):
+        assert results[index] == [per_tool_shuffle(tool, donors, seed) for tool, seed in pairs]
 
 
 class TestSwapDescriptions:
