@@ -534,10 +534,18 @@ def classify_log(log: CampaignLog, corpus_path: str) -> int:
     # once a second pair shares it.
     outcomes: dict[tuple[str, str], tuple[TrajectoryClassification, str | None]] = {}
     appended = 0
+    # read_log takes a whole final line that has lost its newline; it is
+    # ended before the first line is appended, or that line would join it.
+    with open(log.path, "rb") as existing:
+        existing.seek(max(existing.seek(0, os.SEEK_END) - 1, 0))
+        unended = existing.read(1) not in (b"", b"\n")
     with open(log.path, "a", encoding="utf-8") as handle:
         for key, entry in log.trajectories.items():
             if key in log.classifications:
                 continue
+            if unended:
+                handle.write("\n")
+                unended = False
             case = cases.get(key[1])
             if case is None:
                 raise CampaignError(

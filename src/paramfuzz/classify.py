@@ -352,6 +352,11 @@ class TrajectoryClassification:
     case_pass: bool
 
 
+def _sole_flag(category: str, observed: object, expected: str, rule: str) -> FailureLabel:
+    """A label that sets one category, on one evidence entry naming no parameter."""
+    return FailureLabel(**{category: True}, evidence={category: [_entry(None, observed, expected, rule)]})
+
+
 def classify_trajectory(
     trajectory: list[ObservedInvocation],
     oracle: list[OracleInvocation],
@@ -377,19 +382,8 @@ def classify_trajectory(
         doc = docs.get(obs.tool_name)
         if doc is None:
             known = ", ".join(sorted(docs)) or "(none)"
-            label = FailureLabel(
-                hallucination_name=True,
-                evidence={
-                    "hallucination_name": [
-                        _entry(
-                            None,
-                            obs.tool_name,
-                            f"one of the case's tools: {known}",
-                            "unknown_tool",
-                        )
-                    ]
-                },
-            )
+            expected = f"one of the case's tools: {known}"
+            label = _sole_flag("hallucination_name", obs.tool_name, expected, "unknown_tool")
             aligned.append(AlignedLabel(label=label, observed_index=obs_index, oracle_index=None))
             continue
         ordinal = seen_count.get(obs.tool_name, 0)
@@ -408,20 +402,9 @@ def classify_trajectory(
     for oracle_index, invocation in enumerate(oracle):
         if oracle_index in attempted:
             continue
-        label = FailureLabel(
-            missing_information=True,
-            evidence={
-                "missing_information": [
-                    _entry(
-                        None,
-                        None,
-                        f"an invocation of {invocation.tool_name!r} filling "
-                        + (", ".join(sorted(invocation.needed_params)) or "its parameters"),
-                        "invocation_not_attempted",
-                    )
-                ]
-            },
-        )
+        needed = ", ".join(sorted(invocation.needed_params)) or "its parameters"
+        expected = f"an invocation of {invocation.tool_name!r} filling {needed}"
+        label = _sole_flag("missing_information", None, expected, "invocation_not_attempted")
         aligned.append(AlignedLabel(label=label, observed_index=None, oracle_index=oracle_index))
     case_pass = all(item.label.passed for item in aligned)
     return TrajectoryClassification(aligned=tuple(aligned), case_pass=case_pass)

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from typing import Any
 
 from paramfuzz.errors import SchemaViolation, SpanMismatch
-from paramfuzz.records import JsonRecord, json_document, json_type_name, violation
+from paramfuzz.records import JSON_TYPES, JsonRecord, json_document, json_type_name, violation
 
 SCHEMA_VERSION = 1
 
-PARAM_TYPES = ("string", "integer", "number", "boolean", "array", "object")
+PARAM_TYPES = tuple(JSON_TYPES)
 
 
 # The deepest nesting of arrays and objects canonical_json follows. The JSON
@@ -149,7 +149,7 @@ class ParameterSpec(JsonRecord, omit_none=True):
                 raise violation(f"{where}.format", f"is not a valid regex: {exc}") from exc
         value_range = values.get("range")
         if value_range is not None:
-            if len(value_range) != 2 or not all(type(v) in (int, float) for v in value_range):
+            if len(value_range) != 2 or not all(type(v) in JSON_TYPES["number"][0] for v in value_range):
                 raise violation(f"{where}.range", "must be a [min, max] pair of numbers")
             if values["ptype"] not in ("integer", "number"):
                 raise violation(
@@ -525,7 +525,7 @@ def violations_against_spec(spec: ParameterSpec, value: object) -> list[tuple[st
                     f"value {value!r} does not match pattern {spec.format!r}",
                 )
             )
-    if spec.range is not None and isinstance(value, (int, float)) and not isinstance(value, bool):
+    if spec.range is not None and type(value) in JSON_TYPES["number"][0]:
         lo, hi = spec.range
         if not (lo <= value <= hi):
             out.append(
@@ -538,21 +538,10 @@ def violations_against_spec(spec: ParameterSpec, value: object) -> list[tuple[st
 
 
 def _type_matches(ptype: str, value: object) -> bool:
-    if ptype == "string":
-        return isinstance(value, str)
-    if ptype == "boolean":
-        return isinstance(value, bool)
-    if ptype == "integer":
-        if isinstance(value, bool):
-            return False
-        return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if ptype == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if ptype == "array":
-        return isinstance(value, list)
-    if ptype == "object":
-        return isinstance(value, dict)
-    return False
+    # The codec's type table decides, but an integral float is an integer too.
+    if ptype == "integer" and type(value) is float and value.is_integer():
+        return True
+    return type(value) in JSON_TYPES[ptype][0]
 
 
 def lint_case(case: TestCase) -> list[LintFinding]:
@@ -561,8 +550,14 @@ def lint_case(case: TestCase) -> list[LintFinding]:
     The oracle must itself be failure-free; any oracle argument that
     violates its own parameter spec is reported, as is a needed_params set
     that does not square with the schema or the arguments actually passed.
+    Parsing has already refused an oracle step that calls an undeclared
+    tool or passes an undeclared argument.
     """
     findings: list[LintFinding] = []
+
+    def note(code: str, message: str) -> None:
+        findings.append(LintFinding(code, case.case_id, message))
+
     owners: dict[str, list[str]] = {}
     for tool in case.tools:
         for p in tool.parameters:
@@ -570,108 +565,51 @@ def lint_case(case: TestCase) -> list[LintFinding]:
     for name in sorted(owners):
         tools = owners[name]
         if len(tools) > 1:
-            findings.append(
-                LintFinding(
-                    code="DuplicateParamName",
-                    case_id=case.case_id,
-                    message=(
-                        f"parameter name {name!r} appears in several tools "
-                        f"({', '.join(sorted(tools))}), which reads ambiguously"
-                    ),
-                )
+            note(
+                "DuplicateParamName",
+                f"parameter name {name!r} appears in several tools "
+                f"({', '.join(sorted(tools))}), which reads ambiguously",
             )
     covered = {(m.tool_name, m.param_name) for m in case.query.mentions}
     for position, invocation in enumerate(case.oracle):
         for arg_name, arg_value in sorted(invocation.arguments.items()):
             literal = arg_value if isinstance(arg_value, str) else canonical_json(arg_value)
-            if literal and literal in case.query.text:
-                if (invocation.tool_name, arg_name) not in covered:
-                    findings.append(
-                        LintFinding(
-                            code="UncoveredMention",
-                            case_id=case.case_id,
-                            message=(
-                                f"oracle step {position} argument {arg_name!r} value "
-                                f"{literal!r} appears in the query but carries no "
-                                "mention annotation"
-                            ),
-                        )
-                    )
+            if literal and literal in case.query.text and (invocation.tool_name, arg_name) not in covered:
+                note(
+                    "UncoveredMention",
+                    f"oracle step {position} argument {arg_name!r} value {literal!r} "
+                    "appears in the query but carries no mention annotation",
+                )
     for position, invocation in enumerate(case.oracle):
         tool = case.tool(invocation.tool_name)
-        if tool is None:
-            continue
-        schema_names = {p.name for p in tool.parameters}
         for arg_name, arg_value in sorted(invocation.arguments.items()):
-            spec = tool.param(arg_name)
-            if spec is None:
-                continue
-            for rule, detail in violations_against_spec(spec, arg_value):
-                findings.append(
-                    LintFinding(
-                        code="OracleViolatesSpec",
-                        case_id=case.case_id,
-                        message=(
-                            f"oracle step {position} argument {arg_name!r}: "
-                            f"{rule}: {detail}"
-                        ),
-                    )
-                )
-        for name in sorted(invocation.needed_params - schema_names):
-            findings.append(
-                LintFinding(
-                    code="OracleViolatesSpec",
-                    case_id=case.case_id,
-                    message=(
-                        f"oracle step {position} marks {name!r} as needed but "
-                        f"{invocation.tool_name!r} does not declare it"
-                    ),
-                )
+            for rule, detail in violations_against_spec(tool.param(arg_name), arg_value):
+                note("OracleViolatesSpec", f"oracle step {position} argument {arg_name!r}: {rule}: {detail}")
+        for name in sorted(invocation.needed_params - {p.name for p in tool.parameters}):
+            note(
+                "OracleViolatesSpec",
+                f"oracle step {position} marks {name!r} as needed but "
+                f"{invocation.tool_name!r} does not declare it",
             )
-        missing_required = sorted(tool.required_names - invocation.needed_params)
-        for name in missing_required:
-            findings.append(
-                LintFinding(
-                    code="OracleViolatesSpec",
-                    case_id=case.case_id,
-                    message=(
-                        f"oracle step {position} omits schema-required parameter "
-                        f"{name!r} from needed_params"
-                    ),
-                )
+        for name in sorted(tool.required_names - invocation.needed_params):
+            note(
+                "OracleViolatesSpec",
+                f"oracle step {position} omits schema-required parameter {name!r} from needed_params",
             )
         for name in sorted(invocation.needed_params - set(invocation.arguments)):
-            findings.append(
-                LintFinding(
-                    code="OracleViolatesSpec",
-                    case_id=case.case_id,
-                    message=(
-                        f"oracle step {position} marks {name!r} as needed but "
-                        "does not pass it"
-                    ),
-                )
+            note(
+                "OracleViolatesSpec",
+                f"oracle step {position} marks {name!r} as needed but does not pass it",
             )
-    known_tools = {tool.tool_name for tool in case.tools}
     for i, mention in enumerate(case.query.mentions):
         tool = case.tool(mention.tool_name)
-        if mention.tool_name not in known_tools:
-            findings.append(
-                LintFinding(
-                    code="DanglingMentionRef",
-                    case_id=case.case_id,
-                    message=f"mention {i} references unknown tool {mention.tool_name!r}",
-                )
-            )
-        elif tool is not None and tool.param(mention.param_name) is None:
-            findings.append(
-                LintFinding(
-                    code="DanglingMentionRef",
-                    case_id=case.case_id,
-                    message=(
-                        f"mention {i} references parameter {mention.param_name!r}, "
-                        f"which {mention.tool_name!r} does not declare"
-                    ),
-                )
+        if tool is None:
+            note("DanglingMentionRef", f"mention {i} references unknown tool {mention.tool_name!r}")
+        elif tool.param(mention.param_name) is None:
+            note(
+                "DanglingMentionRef",
+                f"mention {i} references parameter {mention.param_name!r}, "
+                f"which {mention.tool_name!r} does not declare",
             )
     return findings
 

@@ -525,19 +525,11 @@ def run_case(
     elif source == "query":
         query_text = perturb(case.query, "query").text
     steps: list[TrajectoryStep] = []
+    history: tuple[tuple[str, ObservedInvocation, str], ...] = ()
     truncations: list[TruncationEvent] = []
     outcome = "step_limit_exceeded"
     for step_index in range(step_limit):
-        ctx = AgentContext(
-            query=query_text,
-            tools=tools,
-            history=tuple(
-                (s.thought, s.invocation, s.observation)
-                for s in steps
-                if s.invocation is not None and s.observation is not None
-            ),
-        )
-        step = driver.next_step(ctx)
+        step = driver.next_step(AgentContext(query=query_text, tools=tools, history=history))
         if step.is_final:
             steps.append(TrajectoryStep(thought=step.thought, final_answer=step.final_answer))
             outcome = "answered"
@@ -566,13 +558,8 @@ def run_case(
                     truncated_length=cut,
                 )
             )
-        steps.append(
-            TrajectoryStep(
-                thought=step.thought,
-                invocation=invocation,
-                observation=truncated,
-            )
-        )
+        steps.append(TrajectoryStep(thought=step.thought, invocation=invocation, observation=truncated))
+        history += ((step.thought, invocation, truncated),)
     return Trajectory(
         case_id=case.case_id,
         operator=operator,

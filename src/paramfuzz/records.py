@@ -63,11 +63,12 @@ def json_type_name(value: object) -> str:
 
 
 # JSON type -> (decoded Python types, noun). bool is never a number here.
-_JSON_TYPES = {
+# The corpus's parameter types are these keys, in this order.
+JSON_TYPES = {
     "string": ((str,), "a string"),
-    "boolean": ((bool,), "a boolean"),
     "integer": ((int,), "an integer"),
     "number": ((int, float), "a number"),
+    "boolean": ((bool,), "a boolean"),
     "array": ((list,), "a JSON array"),
     "object": ((dict,), "a JSON object"),
 }
@@ -79,7 +80,7 @@ def violation(field: str, complaint: str) -> SchemaViolation:
 
 def expect(jtype: str, value: object, where: str):
     """Return a decoded value whose JSON type is jtype; raise naming where."""
-    pytypes, noun = _JSON_TYPES[jtype]
+    pytypes, noun = JSON_TYPES[jtype]
     if type(value) not in pytypes:
         raise violation(where, f"must be {noun}, got {json_type_name(value)}")
     return value
@@ -106,7 +107,7 @@ def check_record(obj: object, keys: tuple[tuple[str, str | None, bool], ...], wh
     # Every logged record passes here, so a value of its type costs no call.
     for key, jtype, required in keys:
         value = obj.get(key)
-        if jtype and (required or value is not None) and type(value) not in _JSON_TYPES[jtype][0]:
+        if jtype and (required or value is not None) and type(value) not in JSON_TYPES[jtype][0]:
             expect(jtype, value, f"{where}.{key}")
     return obj
 
@@ -137,7 +138,7 @@ def build(model, where: str, /, **values):
 
 
 def _pair(names: tuple[str, str], jtype: str, value: list, where: str) -> list:
-    if len(value) != 2 or not all(type(item) in _JSON_TYPES[jtype][0] for item in value):
+    if len(value) != 2 or not all(type(item) in JSON_TYPES[jtype][0] for item in value):
         raise violation(where, f"must be a [{names[0]}, {names[1]}) pair of {jtype}s")
     return value
 

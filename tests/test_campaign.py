@@ -816,6 +816,20 @@ class TestSinglePassReport:
         assert "after its last newline" in capsys.readouterr().err
         assert _digests(tmp_path) == MOCK_CAMPAIGN_SHA256
 
+    def test_classify_ends_a_final_line_that_lost_its_newline(self, tmp_path, mock_campaign):
+        corpus, scripts = mock_campaign
+        logs = {}
+        for name in ("whole", "cut"):
+            out = tmp_path / name
+            argv = ["run", "--corpus", str(corpus), "--scripts", str(scripts), "--out", str(out)]
+            assert cli.main(argv + ["--operators", "RD"]) == cli.EXIT_OK
+            logs[name] = out / LOG_FILE_NAME
+        logs["cut"].write_bytes(logs["cut"].read_bytes()[:-1])
+        for log in logs.values():
+            assert cli.main(["classify", "--log", str(log), "--corpus", str(corpus)]) == cli.EXIT_OK
+        assert logs["cut"].read_bytes() == logs["whole"].read_bytes()
+        assert cli.main(["report", "--log", str(logs["cut"]), "--out", str(tmp_path / "cut")]) == cli.EXIT_OK
+
 
 # sha256 of each output of `run --report` at seed 3 on the depth_slice cases,
 # which have what mock_campaign lacks: 25-item payloads, 32 scripted returns

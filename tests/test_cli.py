@@ -1,17 +1,27 @@
 """Command-line interface tests, driven through main(argv)."""
 
 import argparse
+import collections
 import dataclasses
 import hashlib
 import importlib.resources
 import json
+from pathlib import Path
 
 import pytest
 
-from conftest import MOCK_CAMPAIGN_SHA256, log_events, make_case, make_query, scripted_return
+from conftest import (
+    MOCK_CAMPAIGN_SHA256,
+    log_events,
+    make_case,
+    make_param,
+    make_query,
+    make_tool,
+    scripted_return,
+)
 from paramfuzz.cli import _RUN_SETTINGS, EXIT_CAMPAIGN, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from paramfuzz.campaign import CampaignConfig, log_line
-from paramfuzz.corpus import filter_cases, load_corpus, serialize_corpus
+from paramfuzz.corpus import OracleInvocation, filter_cases, load_corpus, serialize_corpus
 from paramfuzz.perturb import ALL_OPERATORS
 
 
@@ -43,6 +53,10 @@ PERTURB_GOLDEN = {
 }
 
 
+# sha256 of validate's stderr on the benchmark's depth corpus at seed 3.
+_DEPTH_LINT_SHA256 = "e4fe241dad4571ce99d63494b9cbe3a6e2cb713a340afc549ccf68386cb0e126"
+
+
 @pytest.fixture
 def clean_corpus(tmp_path):
     path = tmp_path / "corpus.json"
@@ -71,20 +85,80 @@ class TestValidate:
         assert "1 case(s) parsed, 1 survive filtering, 0 lint finding(s)" in out.out
         assert out.err == ""
 
-    def test_lint_findings_exit_one(self, tmp_path, capsys):
+    def test_lint_findings_exit_one(self, tmp_path, capsys, monkeypatch):
+        """Every lint message, in the order validate prints them; then the
+        finding counts of the benchmark's depth corpus at seed 3."""
+        finder = make_tool(
+            "finder",
+            parameters=(
+                make_param("query", "string", "What to find.", True),
+                make_param("mode", "string", "Speed.", False, enum_values=("fast", "slow")),
+                make_param("code", "string", "Region code.", False, format="[A-Z]{3}"),
+                make_param("count", "integer", "How many.", False),
+            ),
+        )
         dirty = make_case(
             "k_dirty",
+            tools=(make_tool(), finder),
             query=make_query(
-                "Search for books about whales.",
-                spans=[("books about whales", "no_such_param", "searcher")],
+                "Search for books about whales in fast mode, code xyz, 99 hits.",
+                spans=[
+                    ("books about whales", "query", "searcher"),
+                    ("fast", "mode", "ghost"),
+                    ("xyz", "no_such_param", "finder"),
+                ],
+            ),
+            oracle=(
+                OracleInvocation(
+                    tool_name="searcher",
+                    arguments={"query": "books about whales", "limit": 99},
+                    needed_params=frozenset({"query", "nonexistent"}),
+                ),
+                OracleInvocation(
+                    tool_name="finder",
+                    arguments={"mode": "loud", "code": "xyz", "count": "five"},
+                    needed_params=frozenset({"mode"}),
+                ),
             ),
         )
         path = tmp_path / "dirty.json"
         path.write_text(serialize_corpus([dirty]), encoding="utf-8")
         assert main(["validate", "--corpus", str(path)]) == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert "k_dirty" in err and "DanglingMentionRef" in err
-
+        out = capsys.readouterr()
+        assert out.out == "1 case(s) parsed, 1 survive filtering, 12 lint finding(s)\n"
+        assert out.err.splitlines() == [
+            "k_dirty: DuplicateParamName: parameter name 'query' appears in several tools "
+            "(finder, searcher), which reads ambiguously",
+            "k_dirty: UncoveredMention: oracle step 0 argument 'limit' value '99' appears in "
+            "the query but carries no mention annotation",
+            "k_dirty: UncoveredMention: oracle step 1 argument 'code' value 'xyz' appears in "
+            "the query but carries no mention annotation",
+            "k_dirty: OracleViolatesSpec: oracle step 0 argument 'limit': range_violation: "
+            "value 99 is outside [1, 50]",
+            "k_dirty: OracleViolatesSpec: oracle step 0 marks 'nonexistent' as needed but "
+            "'searcher' does not declare it",
+            "k_dirty: OracleViolatesSpec: oracle step 0 marks 'nonexistent' as needed but "
+            "does not pass it",
+            "k_dirty: OracleViolatesSpec: oracle step 1 argument 'code': format_violation: "
+            "value 'xyz' does not match pattern '[A-Z]{3}'",
+            "k_dirty: OracleViolatesSpec: oracle step 1 argument 'count': type_mismatch: "
+            'declared integer, got string "five"',
+            "k_dirty: OracleViolatesSpec: oracle step 1 argument 'mode': enum_violation: "
+            'value "loud" is not one of ["fast", "slow"]',
+            "k_dirty: OracleViolatesSpec: oracle step 1 omits schema-required parameter "
+            "'query' from needed_params",
+            "k_dirty: DanglingMentionRef: mention 1 references unknown tool 'ghost'",
+            "k_dirty: DanglingMentionRef: mention 2 references parameter 'no_such_param', "
+            "which 'finder' does not declare",
+        ]
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        depth = importlib.import_module("workloads").generate_depth(3, str(tmp_path / "depth"))
+        assert main(["validate", "--corpus", depth.files[0]]) == EXIT_VALIDATION
+        out = capsys.readouterr()
+        assert out.out == "60 case(s) parsed, 60 survive filtering, 746 lint finding(s)\n"
+        codes = collections.Counter(line.split(": ")[1] for line in out.err.splitlines())
+        assert codes == {"DuplicateParamName": 600, "UncoveredMention": 146}
+        assert hashlib.sha256(out.err.encode("utf-8")).hexdigest() == _DEPTH_LINT_SHA256
     def test_malformed_corpus_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{]", encoding="utf-8")
