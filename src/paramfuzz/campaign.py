@@ -515,8 +515,7 @@ def classify_log(log: CampaignLog, corpus_path: str) -> int:
     an outcome's labels is encoded apart, once, only when a second pair
     shares the outcome. Calls are equal when their tool names and arguments
     encode to the same JSON, argument order included, so 1, 1.0 and true
-    stay apart. Arguments are classified in key order, the order the log
-    holds them in. Returns the number of events appended; idempotent on a
+    stay apart. Returns the number of events appended; idempotent on a
     fully classified log.
     """
     cases = {case.case_id: case for case in load_corpus(corpus_path)}
@@ -554,14 +553,7 @@ def classify_log(log: CampaignLog, corpus_path: str) -> int:
             calls = (key[1], json.dumps([(call.tool_name, call.arguments) for call in entry.invocations]))
             shared = outcomes.get(calls)
             if shared is None:
-                # The log holds arguments in key order, and the evidence
-                # follows their order: classifying them in that order makes a
-                # run's own index and a log read back give the same labels.
-                logged = [
-                    ObservedInvocation(call.tool_name, dict(sorted(call.arguments.items())))
-                    for call in entry.invocations
-                ]
-                outcome = classify_trajectory(logged, list(case.oracle), list(case.tools))
+                outcome = classify_trajectory(entry.invocations, list(case.oracle), list(case.tools))
                 outcomes[calls] = (outcome, None)
                 record = Classification(*key, CLASSIFIER_VERSION, outcome.case_pass, outcome.aligned)
                 handle.write(_event_line(record))

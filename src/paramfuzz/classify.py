@@ -10,9 +10,21 @@ over five independent categories:
     missing_information     a needed parameter was not filled
     redundant_information   an in-schema argument the oracle never passes
 
-The categories partition argument defects: an out-of-schema name counts
-as hallucination only, never as redundancy or a spec mismatch. Every true
-flag carries evidence entries {param_name, observed, expected, rule}.
+classify_invocation judges each argument once, in key order:
+
+- an undeclared name is a hallucination only: never redundancy or a spec
+  mismatch, and never a deviation, as a corpus oracle passes only
+  declared names;
+- a declared name is checked against its spec, and, against the oracle,
+  is redundant when the oracle does not pass it and a task deviation when
+  the oracle passes an unequal value; so a declared argument can raise
+  spec mismatch together with task deviation (a wrong-typed oracle value)
+  or together with redundancy;
+- after the arguments, each needed parameter the call leaves out is
+  missing, in name order.
+
+Every true flag carries evidence entries {param_name, observed, expected,
+rule}, listed in key order whichever caller passes the arguments.
 
 A Rouge-L score over the canonicalized argument maps is attached whenever
 task deviation or specification mismatch fires, for threshold reporting.
@@ -176,155 +188,53 @@ def _entry(param_name: str | None, observed: object, expected: str, rule: str) -
     }
 
 
-def _check_tool(obs: ObservedInvocation, doc: ToolDocument) -> None:
+def classify_invocation(
+    obs: ObservedInvocation, oracle: OracleInvocation | None, doc: ToolDocument
+) -> FailureLabel:
+    """Label one observed invocation in one pass over its arguments in key
+    order; without an oracle only the document-grounded categories
+    (hallucination, spec mismatch) can fire."""
     if obs.tool_name != doc.tool_name:
         raise ToolMismatch(
             f"invocation of {obs.tool_name!r} classified against document "
             f"for {doc.tool_name!r}"
         )
-
-
-def detect_hallucination_name(
-    obs: ObservedInvocation, doc: ToolDocument
-) -> tuple[bool, list[dict[str, object]]]:
-    """Flag argument names the tool does not declare (case-sensitive)."""
-    _check_tool(obs, doc)
-    declared = [p.name for p in doc.parameters]
-    evidence = [
-        _entry(
-            name,
-            canonical_json(value),
-            "one of the declared parameters: " + (", ".join(declared) or "(none)"),
-            "unknown_parameter",
-        )
-        for name, value in obs.arguments.items()
-        if doc.param(name) is None
-    ]
-    return bool(evidence), evidence
-
-
-def detect_missing(
-    obs: ObservedInvocation, oracle: OracleInvocation, doc: ToolDocument
-) -> tuple[bool, list[dict[str, object]]]:
-    """Flag needed parameters the agent did not fill.
-
-    Evidence distinguishes schema-required omissions (the invocation
-    itself breaks) from task-needed omissions (results lose precision).
-    """
-    _check_tool(obs, doc)
-    evidence = []
-    for name in sorted(oracle.needed_params):
-        if name in obs.arguments:
-            continue
+    evidence: dict[str, list[dict[str, object]]] = {category: [] for category in CATEGORIES}
+    for name, value in sorted(obs.arguments.items()):
         spec = doc.param(name)
-        rule = (
-            "schema_required_missing"
-            if spec is not None and spec.required
-            else "task_needed_missing"
-        )
-        expected = (
-            canonical_json(oracle.arguments[name])
-            if name in oracle.arguments
-            else "a filled value"
-        )
-        evidence.append(_entry(name, None, expected, rule))
-    return bool(evidence), evidence
-
-
-def detect_redundant(
-    obs: ObservedInvocation, oracle: OracleInvocation, doc: ToolDocument
-) -> tuple[bool, list[dict[str, object]]]:
-    """Flag in-schema arguments the reference invocation never passes."""
-    _check_tool(obs, doc)
-    evidence = [
-        _entry(
-            name,
-            canonical_json(value),
-            "omitted; the reference invocation does not pass it",
-            "not_in_oracle",
-        )
-        for name, value in obs.arguments.items()
-        if doc.param(name) is not None and name not in oracle.arguments
-    ]
-    return bool(evidence), evidence
-
-
-def detect_spec_mismatch(
-    obs: ObservedInvocation, doc: ToolDocument
-) -> tuple[bool, list[dict[str, object]]]:
-    """Flag in-schema values that violate their own parameter spec."""
-    _check_tool(obs, doc)
-    evidence = []
-    for name, value in obs.arguments.items():
-        spec = doc.param(name)
+        observed = canonical_json(value)
         if spec is None:
-            continue
-        for rule, detail in violations_against_spec(spec, value):
-            evidence.append(_entry(name, canonical_json(value), detail, rule))
-    return bool(evidence), evidence
-
-
-def detect_task_deviation(
-    obs: ObservedInvocation, oracle: OracleInvocation
-) -> tuple[bool, list[dict[str, object]]]:
-    """Flag shared arguments whose values deviate from the oracle."""
-    evidence = []
-    for name, value in obs.arguments.items():
-        if name not in oracle.arguments:
-            continue
-        if not values_equal(value, oracle.arguments[name]):
-            evidence.append(
-                _entry(
-                    name,
-                    canonical_json(value),
-                    canonical_json(oracle.arguments[name]),
-                    "value_deviation",
-                )
+            declared = ", ".join(p.name for p in doc.parameters) or "(none)"
+            evidence["hallucination_name"].append(
+                _entry(name, observed, f"one of the declared parameters: {declared}", "unknown_parameter")
             )
-    return bool(evidence), evidence
-
-
-def _arguments_rouge(obs: ObservedInvocation, oracle: OracleInvocation) -> float:
-    return rouge_l(
-        tokenize(canonical_json(obs.arguments)),
-        tokenize(canonical_json(oracle.arguments)),
-    )
-
-
-def classify_invocation(
-    obs: ObservedInvocation, oracle: OracleInvocation | None, doc: ToolDocument
-) -> FailureLabel:
-    """Run all five detectors against one observed invocation; without an
-    oracle only the document-grounded detectors (hallucination, spec
-    mismatch) can run."""
-    hn, hn_ev = detect_hallucination_name(obs, doc)
-    sm, sm_ev = detect_spec_mismatch(obs, doc)
+        else:
+            for rule, detail in violations_against_spec(spec, value):
+                evidence["specification_mismatch"].append(_entry(name, observed, detail, rule))
+        if oracle is None:
+            continue
+        if name not in oracle.arguments:
+            if spec is not None:
+                evidence["redundant_information"].append(
+                    _entry(name, observed, "omitted; the reference invocation does not pass it", "not_in_oracle")
+                )
+        elif not values_equal(value, oracle.arguments[name]):
+            expected = canonical_json(oracle.arguments[name])
+            evidence["task_deviation"].append(_entry(name, observed, expected, "value_deviation"))
     if oracle is not None:
-        mi, mi_ev = detect_missing(obs, oracle, doc)
-        ri, ri_ev = detect_redundant(obs, oracle, doc)
-        td, td_ev = detect_task_deviation(obs, oracle)
-    else:
-        mi, mi_ev = False, []
-        ri, ri_ev = False, []
-        td, td_ev = False, []
-    evidence: dict[str, list[dict[str, object]]] = {}
-    for category, flagged, entries in (
-        ("task_deviation", td, td_ev),
-        ("specification_mismatch", sm, sm_ev),
-        ("hallucination_name", hn, hn_ev),
-        ("missing_information", mi, mi_ev),
-        ("redundant_information", ri, ri_ev),
-    ):
-        if flagged:
-            evidence[category] = entries
-    score = _arguments_rouge(obs, oracle) if oracle is not None and (td or sm) else None
+        for name in sorted(oracle.needed_params.difference(obs.arguments)):
+            spec = doc.param(name)
+            rule = "schema_required_missing" if spec is not None and spec.required else "task_needed_missing"
+            expected = canonical_json(oracle.arguments[name]) if name in oracle.arguments else "a filled value"
+            evidence["missing_information"].append(_entry(name, None, expected, rule))
+    flags = {category: bool(entries) for category, entries in evidence.items()}
+    td, sm = flags["task_deviation"], flags["specification_mismatch"]
+    score = None
+    if oracle is not None and (td or sm):
+        score = rouge_l(tokenize(canonical_json(obs.arguments)), tokenize(canonical_json(oracle.arguments)))
     return FailureLabel(
-        task_deviation=td,
-        specification_mismatch=sm,
-        hallucination_name=hn,
-        missing_information=mi,
-        redundant_information=ri,
-        evidence=evidence,
+        **flags,
+        evidence={category: entries for category, entries in evidence.items() if entries},
         rouge_td=score if td else None,
         rouge_sm=score if sm else None,
     )
@@ -358,7 +268,7 @@ def _sole_flag(category: str, observed: object, expected: str, rule: str) -> Fai
 
 
 def classify_trajectory(
-    trajectory: list[ObservedInvocation],
+    trajectory: list[ObservedInvocation] | tuple[ObservedInvocation, ...],
     oracle: list[OracleInvocation],
     tools: list[ToolDocument],
 ) -> TrajectoryClassification:
@@ -380,25 +290,21 @@ def classify_trajectory(
     aligned: list[AlignedLabel] = []
     for obs_index, obs in enumerate(trajectory):
         doc = docs.get(obs.tool_name)
+        indices = oracle_by_tool.get(obs.tool_name, [])
         if doc is None:
             known = ", ".join(sorted(docs)) or "(none)"
             expected = f"one of the case's tools: {known}"
             label = _sole_flag("hallucination_name", obs.tool_name, expected, "unknown_tool")
-            aligned.append(AlignedLabel(label=label, observed_index=obs_index, oracle_index=None))
-            continue
-        ordinal = seen_count.get(obs.tool_name, 0)
-        seen_count[obs.tool_name] = ordinal + 1
-        indices = oracle_by_tool.get(obs.tool_name, [])
-        if indices:
+            oracle_index = None
+        elif indices:
+            ordinal = seen_count.get(obs.tool_name, 0)
+            seen_count[obs.tool_name] = ordinal + 1
             oracle_index = indices[min(ordinal, len(indices) - 1)]
             attempted.add(oracle_index)
             label = classify_invocation(obs, oracle[oracle_index], doc)
-            aligned.append(
-                AlignedLabel(label=label, observed_index=obs_index, oracle_index=oracle_index)
-            )
         else:
-            label = classify_invocation(obs, None, doc)
-            aligned.append(AlignedLabel(label=label, observed_index=obs_index, oracle_index=None))
+            label, oracle_index = classify_invocation(obs, None, doc), None
+        aligned.append(AlignedLabel(label=label, observed_index=obs_index, oracle_index=oracle_index))
     for oracle_index, invocation in enumerate(oracle):
         if oracle_index in attempted:
             continue

@@ -38,7 +38,7 @@ from paramfuzz.perturb import (
     PerturbationRecord,
     apply_operator,
 )
-from paramfuzz.records import JsonRecord, array_of, build, check_record, expect, json_keys, loads
+from paramfuzz.records import JsonRecord, array_of, build, check_record, json_keys, loads
 
 DEFAULT_STEP_LIMIT = 8
 DEFAULT_MAX_OBSERVATION_LENGTH = 1024
@@ -233,17 +233,13 @@ class EndpointConfig:
                 raise SchemaViolation(f"{name} must be finite, got {value}", field=name)
 
     @classmethod
-    def from_json(cls, obj: dict[str, object]) -> "EndpointConfig":
-        """Read the config file's endpoint object. Each known key must hold
-        the JSON type of its field; unknown keys are ignored."""
-        known = {
-            key: expect(jtype, obj[key], f"config.endpoint.{key}")
-            for key, jtype, _ in json_keys(cls)
-            if key in obj
-        }
-        if "base_url" not in known or "model" not in known:
-            raise SchemaViolation("endpoint config needs base_url and model")
-        return build(cls, "config.endpoint", **known)
+    def from_json(cls, obj: object) -> "EndpointConfig":
+        """Read the config file's endpoint object: base_url and model are
+        required, every key must be a field holding its JSON type, and a
+        null key takes its default."""
+        keys = tuple((key, jtype, key in ("base_url", "model")) for key, jtype, _ in json_keys(cls))
+        obj = check_record(obj, keys, "config.endpoint")
+        return build(cls, "config.endpoint", **{key: value for key, value in obj.items() if value is not None})
 
 
 class _RateLimiter:

@@ -1,4 +1,4 @@
-"""Detector and trajectory-classification tests."""
+"""Invocation and trajectory-classification tests."""
 
 import pytest
 
@@ -10,11 +10,6 @@ from paramfuzz.classify import (
     ObservedInvocation,
     classify_invocation,
     classify_trajectory,
-    detect_hallucination_name,
-    detect_missing,
-    detect_redundant,
-    detect_spec_mismatch,
-    detect_task_deviation,
 )
 from paramfuzz.corpus import OracleInvocation
 from paramfuzz.errors import SchemaViolation, ToolMismatch
@@ -44,6 +39,25 @@ def obs(arguments, tool_name="get_threads"):
     return ObservedInvocation.of(tool_name, arguments)
 
 
+def svc_tool():
+    return make_tool(
+        "svc",
+        parameters=(
+            make_param("query", "string", "Q.", True),
+            make_param("limit", "integer", "L.", False, range=(1, 100)),
+            make_param("mode", "string", "M.", False, enum_values=("brief", "full")),
+        ),
+    )
+
+
+def svc_oracle():
+    return OracleInvocation(
+        tool_name="svc",
+        arguments={"query": "alpha", "mode": "brief"},
+        needed_params=frozenset({"query", "mode"}),
+    )
+
+
 class TestCategoryOrder:
     def test_canonical_order(self):
         assert CATEGORIES == (
@@ -64,90 +78,99 @@ class TestCategoryOrder:
         ]
 
 
+def assert_evidence(label, category, entries):
+    """The label flags category exactly when entries is non-empty, with
+    entries as its evidence list."""
+    assert getattr(label, category) is bool(entries)
+    assert label.evidence.get(category, []) == entries
+
+
 class TestDetectors:
+    """Each category's rule, read off classify_invocation's evidence."""
+
     def test_hallucination_name_worked_example(self):
-        flagged, evidence = detect_hallucination_name(
-            obs({"board": "mu", "page_size": "5"}), board_tool()
-        )
-        assert flagged
-        assert evidence == [
+        label = classify_invocation(obs({"board": "mu", "page_size": "5"}), None, board_tool())
+        assert_evidence(label, "hallucination_name", [
             {
                 "param_name": "page_size",
                 "observed": '"5"',
                 "expected": "one of the declared parameters: board, sort",
                 "rule": "unknown_parameter",
             }
-        ]
+        ])
 
     def test_hallucination_is_case_sensitive(self):
-        flagged, evidence = detect_hallucination_name(obs({"Board": "mu"}), board_tool())
-        assert flagged
-        assert evidence[0]["param_name"] == "Board"
+        label = classify_invocation(obs({"Board": "mu"}), None, board_tool())
+        assert_evidence(label, "hallucination_name", [
+            {
+                "param_name": "Board",
+                "observed": '"mu"',
+                "expected": "one of the declared parameters: board, sort",
+                "rule": "unknown_parameter",
+            }
+        ])
 
     def test_missing_schema_required(self):
-        flagged, evidence = detect_missing(obs({}), board_oracle(), board_tool())
-        assert flagged
-        assert evidence[0]["rule"] == "schema_required_missing"
-        assert evidence[0]["expected"] == '"mu"'
+        label = classify_invocation(obs({}), board_oracle(), board_tool())
+        assert_evidence(label, "missing_information", [
+            {"param_name": "board", "observed": None, "expected": '"mu"', "rule": "schema_required_missing"}
+        ])
 
     def test_missing_task_needed(self):
-        oracle = board_oracle(sort="new")
-        flagged, evidence = detect_missing(obs({"board": "mu"}), oracle, board_tool())
-        assert flagged
-        assert [e["rule"] for e in evidence] == ["task_needed_missing"]
-        assert evidence[0]["param_name"] == "sort"
+        label = classify_invocation(obs({"board": "mu"}), board_oracle(sort="new"), board_tool())
+        assert_evidence(label, "missing_information", [
+            {"param_name": "sort", "observed": None, "expected": '"new"', "rule": "task_needed_missing"}
+        ])
 
     def test_missing_nothing(self):
-        flagged, evidence = detect_missing(obs({"board": "mu"}), board_oracle(), board_tool())
-        assert not flagged and evidence == []
+        label = classify_invocation(obs({"board": "mu"}), board_oracle(), board_tool())
+        assert_evidence(label, "missing_information", [])
 
     def test_redundant_in_schema_extra(self):
-        flagged, evidence = detect_redundant(
-            obs({"board": "mu", "sort": "bump"}), board_oracle(), board_tool()
-        )
-        assert flagged
-        assert evidence[0]["param_name"] == "sort"
-        assert evidence[0]["rule"] == "not_in_oracle"
+        label = classify_invocation(obs({"board": "mu", "sort": "bump"}), board_oracle(), board_tool())
+        assert_evidence(label, "redundant_information", [
+            {
+                "param_name": "sort",
+                "observed": '"bump"',
+                "expected": "omitted; the reference invocation does not pass it",
+                "rule": "not_in_oracle",
+            }
+        ])
 
     def test_unknown_name_is_not_redundant(self):
-        flagged, _ = detect_redundant(
-            obs({"board": "mu", "page_size": 5}), board_oracle(), board_tool()
-        )
-        assert not flagged
+        label = classify_invocation(obs({"board": "mu", "page_size": 5}), board_oracle(), board_tool())
+        assert_evidence(label, "redundant_information", [])
 
     def test_spec_mismatch_enum(self):
-        flagged, evidence = detect_spec_mismatch(
-            obs({"board": "mu", "sort": "loud"}), board_tool()
-        )
-        assert flagged
-        assert evidence[0]["rule"] == "enum_violation"
+        label = classify_invocation(obs({"board": "mu", "sort": "loud"}), None, board_tool())
+        assert_evidence(label, "specification_mismatch", [
+            {
+                "param_name": "sort",
+                "observed": '"loud"',
+                "expected": 'value "loud" is not one of ["bump", "new"]',
+                "rule": "enum_violation",
+            }
+        ])
 
     def test_spec_mismatch_ignores_unknown_names(self):
-        flagged, _ = detect_spec_mismatch(obs({"page_size": "5"}), board_tool())
-        assert not flagged
+        label = classify_invocation(obs({"page_size": "5"}), None, board_tool())
+        assert_evidence(label, "specification_mismatch", [])
 
     def test_task_deviation_value(self):
-        flagged, evidence = detect_task_deviation(obs({"board": "g"}), board_oracle())
-        assert flagged
-        assert evidence == [
-            {
-                "param_name": "board",
-                "observed": '"g"',
-                "expected": '"mu"',
-                "rule": "value_deviation",
-            }
-        ]
+        label = classify_invocation(obs({"board": "g"}), board_oracle(), board_tool())
+        assert_evidence(label, "task_deviation", [
+            {"param_name": "board", "observed": '"g"', "expected": '"mu"', "rule": "value_deviation"}
+        ])
 
     def test_task_deviation_canonical_equality(self):
-        oracle = OracleInvocation(
-            tool_name="t", arguments={"n": 3}, needed_params=frozenset({"n"})
-        )
-        flagged, _ = detect_task_deviation(obs({"n": 3.0}, "t"), oracle)
-        assert not flagged
+        tool = make_tool("t", parameters=(make_param("n", "integer", "N.", True),))
+        oracle = OracleInvocation(tool_name="t", arguments={"n": 3}, needed_params=frozenset({"n"}))
+        label = classify_invocation(obs({"n": 3.0}, "t"), oracle, tool)
+        assert_evidence(label, "task_deviation", [])
 
     def test_tool_mismatch_guard(self):
         with pytest.raises(ToolMismatch):
-            detect_hallucination_name(obs({}, "other"), board_tool())
+            classify_invocation(obs({}, "other"), None, board_tool())
 
 
 class TestFailureLabel:
@@ -274,19 +297,7 @@ class TestClassifyTrajectory:
 
     def test_five_demo_shapes(self):
         """The five canonical failure shapes classify cleanly end to end."""
-        tool = make_tool(
-            "svc",
-            parameters=(
-                make_param("query", "string", "Q.", True),
-                make_param("limit", "integer", "L.", False, range=(1, 100)),
-                make_param("mode", "string", "M.", False, enum_values=("brief", "full")),
-            ),
-        )
-        oracle = OracleInvocation(
-            tool_name="svc",
-            arguments={"query": "alpha", "mode": "brief"},
-            needed_params=frozenset({"query", "mode"}),
-        )
+        tool, oracle = svc_tool(), svc_oracle()
         shapes = {
             ("task_deviation",): {"query": "alpha", "mode": "full"},
             ("specification_mismatch", "task_deviation"): {"query": "alpha", "mode": "ultra"},
@@ -299,3 +310,24 @@ class TestClassifyTrajectory:
             assert tuple(sorted(label.flagged_categories())) == tuple(sorted(flags))
             for category in flags:
                 assert label.evidence[category]
+
+
+@pytest.mark.parametrize(
+    ("arguments", "category", "names"),
+    [
+        ({"query": "alpha", "foo": 1, "bar": 2}, "hallucination_name", ["bar", "foo"]),
+        ({"query": "alpha", "mode": "ultra", "limit": 500}, "specification_mismatch", ["limit", "mode"]),
+    ],
+    ids=["two_undeclared_names", "two_spec_violations"],
+)
+def test_evidence_follows_key_order_for_every_caller(arguments, category, names):
+    """An argument map out of key order classifies exactly as its
+    key-ordered copy, through either entry point."""
+    ordered = dict(sorted(arguments.items()))
+    assert list(arguments) != list(ordered)
+    label = classify_invocation(obs(arguments, "svc"), svc_oracle(), svc_tool())
+    expected = classify_invocation(obs(ordered, "svc"), svc_oracle(), svc_tool())
+    assert [entry["param_name"] for entry in label.evidence[category]] == names
+    assert label == expected and label.to_json() == expected.to_json()
+    (aligned,) = classify_trajectory([obs(arguments, "svc")], [svc_oracle()], [svc_tool()]).aligned
+    assert aligned.label == expected and aligned.label.to_json() == expected.to_json()

@@ -358,6 +358,12 @@ class TestRunSettings:
                 "config.endpoint.rate_per_minute must be a number, got string",
                 id="endpoint_rate_as_string",
             ),
+            pytest.param(
+                {"driver": "http", "endpoint": {"base_url": "http://h", "model": "m",
+                                                "max_retires": 0, "temprature": 0.9}},
+                "config.endpoint has unknown key 'max_retires'",
+                id="endpoint_misspelled_key",
+            ),
             *(
                 pytest.param(
                     {"driver": "http", "endpoint": {"base_url": "http://h", "model": "m", key: value}},

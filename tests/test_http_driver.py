@@ -92,12 +92,13 @@ class TestEndpointConfig:
         assert config.base_url == "http://h" and config.model == "m"
         assert config.temperature == 0.0
 
-    def test_from_json_ignores_unknown_keys(self):
-        config = EndpointConfig.from_json(
-            {"base_url": "http://h", "model": "m", "vendor_extra": True, "workers": 2, "max_steps": 8}
-        )
-        assert not hasattr(config, "vendor_extra")
-        assert not hasattr(config, "workers")
+    def test_from_json_refuses_unknown_keys(self):
+        with pytest.raises(SchemaViolation) as err:
+            EndpointConfig.from_json(
+                {"base_url": "http://h", "model": "m", "max_retires": 0, "temprature": 0.9}
+            )
+        assert str(err.value) == "config.endpoint has unknown key 'max_retires'"
+        assert err.value.field == "config.endpoint.max_retires"
 
     def test_from_json_requires_base_url_and_model(self):
         with pytest.raises(SchemaViolation):
