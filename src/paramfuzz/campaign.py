@@ -204,7 +204,9 @@ def read_log(path: str) -> CampaignLog:
     with no earlier trajectory, and a classification whose classifier
     version differs from the header's are CampaignErrors naming the lines.
     A classification whose case_pass is not the conjunction of its labels'
-    passed is a SchemaViolation at "log line N.case_pass".
+    passed is a SchemaViolation at "log line N.case_pass", and so is a
+    trajectory whose perturbation_applied is not whether it records a
+    perturbation, at "log line N.perturbation_applied".
     """
     log: CampaignLog | None = None
     header_line = 0

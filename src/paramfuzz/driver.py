@@ -38,7 +38,7 @@ from paramfuzz.perturb import (
     PerturbationRecord,
     apply_operator,
 )
-from paramfuzz.records import JsonRecord, array_of, build, check_record, json_keys, loads
+from paramfuzz.records import JsonRecord, array_of, build, check_record, json_keys, loads, violation
 
 DEFAULT_STEP_LIMIT = 8
 DEFAULT_MAX_OBSERVATION_LENGTH = 1024
@@ -479,6 +479,16 @@ class Trajectory(JsonRecord):
     def from_json(cls, obj: object, where: str = "trajectory") -> "Trajectory":
         # Its own attribute, so that perfbench can trace trajectory decoding.
         return super().from_json(obj, where)
+
+    @classmethod
+    def check_json(cls, values: dict, where: str) -> None:
+        """Refuse an applied flag that the perturbations contradict: a run
+        applied its operator exactly when it records a perturbation."""
+        applied = bool(values["perturbations"])
+        if values["perturbation_applied"] != applied:
+            raise violation(
+                f"{where}.perturbation_applied", f"must be {str(applied).lower()}, as the perturbations say"
+            )
 
 
 def run_case(

@@ -2,8 +2,9 @@
 
 Two families matter to callers: hard errors (bad input, broken contract)
 and :class:`PerturbSkip` subclasses, which mean "this operator has nothing
-to perturb here". Campaign code records skips and moves on; it never
-swallows hard errors.
+to perturb here": either it cannot run on the input at all, or it ran and
+changed nothing the agent sees (:class:`NoEffect`). Campaign code records
+skips and moves on; it never swallows hard errors.
 """
 
 from __future__ import annotations
@@ -54,12 +55,9 @@ class PerturbSkip(ParamFuzzError):
     """
 
 
-class NoRequiredParams(PerturbSkip):
-    """RD target has no required parameters."""
-
-
-class NoExamples(PerturbSkip):
-    """RE target carries no usage examples and no parameter examples."""
+class NoEffect(PerturbSkip):
+    """The operator's result is what the agent would see unperturbed: the
+    same tool document, query text or rendered tool return."""
 
 
 class NoDonor(PerturbSkip):
@@ -67,27 +65,15 @@ class NoDonor(PerturbSkip):
 
 
 class TooFewParams(PerturbSkip):
-    """SD/CO target has fewer than two parameters."""
-
-
-class NoDistinctPair(PerturbSkip):
-    """SD cannot find (or was given) a pair with differing descriptions."""
+    """CO target has fewer than two parameters."""
 
 
 class NoMentions(PerturbSkip):
-    """Query operator target has no annotated parameter mentions."""
+    """RPF or RPL target has no annotated parameter mentions."""
 
 
 class NotJson(PerturbSkip):
     """Return operator target is raw text, not parsed JSON."""
-
-
-class NoObjects(PerturbSkip):
-    """FK target contains no JSON object at any depth."""
-
-
-class NoIdFields(PerturbSkip):
-    """AP target has no key matching the ID heuristic."""
 
 
 class DriverError(ParamFuzzError):

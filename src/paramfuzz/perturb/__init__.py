@@ -8,13 +8,15 @@ Fifteen operators, grouped by the input they corrupt:
 
 Each application returns (perturbed value, PerturbationRecord). apply_operator
 drives any operator by id through the dispatch helper of its source below,
-one per source, which normalizes the per-group signatures.
+one per source, which normalizes the per-group signatures. Each helper ends
+with the one rule that decides whether an operator applied: a result the
+agent would see exactly as it sees the input is a NoEffect skip.
 """
 
 from __future__ import annotations
 
 from paramfuzz.corpus import AnnotatedQuery, ToolDocument, ToolReturn
-from paramfuzz.errors import SchemaViolation
+from paramfuzz.errors import NoEffect, SchemaViolation
 from paramfuzz.perturb.base import (
     ALL_OPERATORS,
     DOCUMENT_OPERATORS,
@@ -78,6 +80,15 @@ __all__ = [
 ]
 
 
+def _seen_changed(operator: str, value, result: tuple, seen) -> tuple:
+    """Return the operator's (value, record) result, or raise NoEffect when
+    the agent would see its value exactly as it sees the input; seen gives
+    what the agent sees of a value."""
+    if seen(result[0]) == seen(value):
+        raise NoEffect(f"{operator} changes nothing the agent sees")
+    return result
+
+
 def apply_document_operator(
     operator: str,
     doc: ToolDocument,
@@ -88,18 +99,22 @@ def apply_document_operator(
     """Apply one document operator by id; donors is the donor_pool that WD
     draws from."""
     if operator == "RD":
-        return remove_required_descriptions(doc)
-    if operator == "RE":
-        return remove_examples(doc)
-    if operator == "WD":
-        return substitute_foreign_descriptions(doc, donors or [], seed)
-    if operator == "SD":
-        return swap_descriptions(doc)
-    if operator == "CO":
-        return shuffle_descriptions(doc, seed)
-    if operator == "WT":
-        return corrupt_types(doc)
-    raise SchemaViolation(f"{operator!r} is not a document operator")
+        result = remove_required_descriptions(doc)
+    elif operator == "RE":
+        result = remove_examples(doc)
+    elif operator == "WD":
+        result = substitute_foreign_descriptions(doc, donors or [], seed)
+    elif operator == "SD":
+        result = swap_descriptions(doc)
+    elif operator == "CO":
+        result = shuffle_descriptions(doc, seed)
+    elif operator == "WT":
+        result = corrupt_types(doc)
+    else:
+        raise SchemaViolation(f"{operator!r} is not a document operator")
+    # Operators write only strings, None and type names into a document, so
+    # two documents are equal exactly when they render alike.
+    return _seen_changed(operator, doc, result, lambda tool: tool)
 
 
 def apply_query_operator(
@@ -107,31 +122,36 @@ def apply_query_operator(
 ) -> tuple[AnnotatedQuery, PerturbationRecord]:
     """Apply one query operator by id."""
     if operator == "RPF":
-        return remove_first_mention(query)
-    if operator == "RPL":
-        return remove_last_mention(query)
-    if operator == "CP":
-        return complicate_mentions(query)
-    if operator == "AN":
-        return append_noise(query)
-    raise SchemaViolation(f"{operator!r} is not a query operator")
+        result = remove_first_mention(query)
+    elif operator == "RPL":
+        result = remove_last_mention(query)
+    elif operator == "CP":
+        result = complicate_mentions(query)
+    elif operator == "AN":
+        result = append_noise(query)
+    else:
+        raise SchemaViolation(f"{operator!r} is not a query operator")
+    return _seen_changed(operator, query, result, lambda query: query.text)
 
 
 def apply_return_operator(
     operator: str, ret: ToolReturn
 ) -> tuple[ToolReturn, PerturbationRecord]:
-    """Apply one tool-return operator by id."""
+    """Apply one tool-return operator by id. The return is compared before
+    any truncation of the observation."""
     if operator == "FK":
-        return fuzz_keys(ret)
-    if operator == "AP":
-        return prefix_id_values(ret)
-    if operator == "CK":
-        return camel_case_keys(ret)
-    if operator == "UK":
-        return snake_case_keys(ret)
-    if operator == "CF":
-        return corrupt_format(ret)
-    raise SchemaViolation(f"{operator!r} is not a tool-return operator")
+        result = fuzz_keys(ret)
+    elif operator == "AP":
+        result = prefix_id_values(ret)
+    elif operator == "CK":
+        result = camel_case_keys(ret)
+    elif operator == "UK":
+        result = snake_case_keys(ret)
+    elif operator == "CF":
+        result = corrupt_format(ret)
+    else:
+        raise SchemaViolation(f"{operator!r} is not a tool-return operator")
+    return _seen_changed(operator, ret, result, ToolReturn.rendered)
 
 
 _Input = ToolDocument | AnnotatedQuery | ToolReturn

@@ -11,24 +11,22 @@ parameters, without ever breaking document syntax:
     WT  corrupt_types                  remap every declared type
 
 All are pure; WD and CO draw their randomness from an explicit seed.
-Operators that find nothing to perturb raise a typed PerturbSkip so a
-campaign can keep its failure-rate denominators honest.
+An operator that finds nothing to perturb returns the document unchanged,
+and apply_document_operator turns that into a NoEffect skip, so a
+campaign can keep its failure-rate denominators honest. Only the checks
+an operator cannot run without raise a skip of their own: WD's NoDonor
+and CO's TooFewParams.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import random
 
 from paramfuzz.corpus import ParameterSpec, ToolDocument
-from paramfuzz.errors import (
-    NoDistinctPair,
-    NoDonor,
-    NoExamples,
-    NoRequiredParams,
-    TooFewParams,
-)
+from paramfuzz.errors import NoDonor, TooFewParams
 from paramfuzz.perturb.base import PerturbationRecord
 
 TYPE_SUBSTITUTION = {
@@ -44,10 +42,6 @@ TYPE_SUBSTITUTION = {
 def remove_required_descriptions(doc: ToolDocument) -> tuple[ToolDocument, PerturbationRecord]:
     """Blank the description of every required parameter (RD)."""
     targets = [p.name for p in doc.parameters if p.required]
-    if not targets:
-        raise NoRequiredParams(
-            f"tool {doc.tool_name!r} has no required parameters to strip"
-        )
     parameters = tuple(
         dataclasses.replace(p, description="") if p.required else p
         for p in doc.parameters
@@ -59,8 +53,6 @@ def remove_required_descriptions(doc: ToolDocument) -> tuple[ToolDocument, Pertu
 def remove_examples(doc: ToolDocument) -> tuple[ToolDocument, PerturbationRecord]:
     """Erase every usage example and parameter example (RE)."""
     param_targets = [p.name for p in doc.parameters if p.has_example]
-    if not doc.usage_examples and not param_targets:
-        raise NoExamples(f"tool {doc.tool_name!r} carries no examples to erase")
     parameters = tuple(
         dataclasses.replace(p, example=None) if p.has_example else p
         for p in doc.parameters
@@ -118,11 +110,6 @@ def substitute_foreign_descriptions(
     (seed, pool length) as an order of positions, and the pool is read
     through that order.
     """
-    if not doc.parameters:
-        record = PerturbationRecord(
-            operator="WD", seed=seed, details={"assignments": [], "collisions": []}
-        )
-        return doc, record
     pool = [donor for donor in donors if donor[0] != doc.tool_name]
     if not pool:
         raise NoDonor(
@@ -157,18 +144,18 @@ def substitute_foreign_descriptions(
 
 def swap_descriptions(doc: ToolDocument) -> tuple[ToolDocument, PerturbationRecord]:
     """Exchange the descriptions of one pair of parameters (SD): the first
-    index pair (in (i, j) order, i < j) whose descriptions differ."""
-    count = len(doc.parameters)
-    if count < 2:
-        raise TooFewParams(
-            f"tool {doc.tool_name!r} has {count} parameter(s); swapping needs two"
-        )
-    pair = _first_differing_pair(doc)
+    index pair (in (i, j) order, i < j) whose descriptions differ. A tool
+    with no such pair comes back unchanged."""
+    pair = next(
+        (
+            (i, j)
+            for i, j in itertools.combinations(range(len(doc.parameters)), 2)
+            if doc.parameters[i].description != doc.parameters[j].description
+        ),
+        None,
+    )
     if pair is None:
-        raise NoDistinctPair(
-            f"every parameter of {doc.tool_name!r} shares one description; "
-            "swapping would change nothing"
-        )
+        return doc, PerturbationRecord(operator="SD")
     i, j = pair
     parameters = list(doc.parameters)
     parameters[i] = dataclasses.replace(
@@ -187,14 +174,6 @@ def swap_descriptions(doc: ToolDocument) -> tuple[ToolDocument, PerturbationReco
     return dataclasses.replace(doc, parameters=tuple(parameters)), record
 
 
-def _first_differing_pair(doc: ToolDocument) -> tuple[int, int] | None:
-    for i in range(len(doc.parameters)):
-        for j in range(i + 1, len(doc.parameters)):
-            if doc.parameters[i].description != doc.parameters[j].description:
-                return (i, j)
-    return None
-
-
 def shuffle_descriptions(
     doc: ToolDocument, seed: int
 ) -> tuple[ToolDocument, PerturbationRecord]:
@@ -202,7 +181,7 @@ def shuffle_descriptions(
 
     Parameter names keep their positions; description k moves to position
     i whenever permutation[i] == k. The identity draw is rejected and
-    redrawn so the operator always perturbs.
+    redrawn, so a tool whose descriptions differ is always perturbed.
     """
     count = len(doc.parameters)
     if count < 2:
@@ -230,8 +209,7 @@ def corrupt_types(doc: ToolDocument) -> tuple[ToolDocument, PerturbationRecord]:
     """Remap every declared parameter type to a different one (WT).
 
     Uses a fixed derangement of the six JSON types, so no type ever maps
-    to itself and results are reproducible everywhere. A parameter-free
-    document passes through unchanged.
+    to itself and results are reproducible everywhere.
     """
     parameters = tuple(
         dataclasses.replace(p, ptype=TYPE_SUBSTITUTION[p.ptype]) for p in doc.parameters

@@ -13,7 +13,9 @@ mention, so the output still satisfies text[span] == value_text.
 
 CP and AN generate their text with fixed, deterministic rewrites (a
 descriptive phrase and a near-miss value), so the same query always gives
-the same perturbation.
+the same perturbation. On a query with no mentions they leave the text as
+it is, which apply_query_operator reports as a NoEffect skip; RPF and RPL
+cannot run there and raise NoMentions.
 """
 
 from __future__ import annotations
@@ -119,8 +121,6 @@ def remove_last_mention(query: AnnotatedQuery) -> tuple[AnnotatedQuery, Perturba
 
 def complicate_mentions(query: AnnotatedQuery) -> tuple[AnnotatedQuery, PerturbationRecord]:
     """Rewrite every mention into a longer descriptive phrase (CP)."""
-    if not query.mentions:
-        raise NoMentions("query carries no annotated parameter mentions")
     pieces: list[str] = []
     mentions: list[Mention] = []
     replacements: list[dict[str, str]] = []
@@ -159,8 +159,6 @@ def append_noise(query: AnnotatedQuery) -> tuple[AnnotatedQuery, PerturbationRec
     The original text and all mention annotations survive byte-for-byte;
     the appended sentences carry no annotations.
     """
-    if not query.mentions:
-        raise NoMentions("query carries no annotated parameter mentions")
     distractors: list[dict[str, str]] = []
     suffix: list[str] = []
     for m in query.mentions:

@@ -11,7 +11,10 @@ of tool responses:
 
 All five are deterministic and use no randomness. FK, AP, CK and UK keep
 the output valid JSON and never touch leaf values outside their targets;
-CF is the one operator that destroys parseability on purpose.
+CF is the one operator that destroys parseability on purpose. Each needs
+parsed JSON and raises NotJson on raw text. A payload with nothing to
+rename or prefix comes back as it was, and apply_return_operator reports
+a return that renders unchanged as a NoEffect skip.
 
 FK, CK and UK are one key walker, _respell_keys, with a different new
 name for each key; it recurses through every nested object and array.
@@ -25,7 +28,7 @@ import re
 from typing import Callable
 
 from paramfuzz.corpus import ToolReturn, canonical_json
-from paramfuzz.errors import NoIdFields, NoObjects, NotJson
+from paramfuzz.errors import NotJson
 from paramfuzz.perturb.base import PerturbationRecord
 
 KeyPath = tuple[object, ...]
@@ -75,17 +78,7 @@ def fuzz_keys(ret: ToolReturn) -> tuple[ToolReturn, PerturbationRecord]:
     Numbering restarts inside each object. Values are untouched, so the
     multiset of leaf values survives exactly.
     """
-    if not _contains_object(_require_json(ret, "FK")):
-        raise NoObjects("FK found no JSON object to rename")
     return _respell_keys(ret, "FK", lambda index, key: f"Object_{index + 1}")
-
-
-def _contains_object(value: object) -> bool:
-    if isinstance(value, dict):
-        return True
-    if isinstance(value, list):
-        return any(_contains_object(item) for item in value)
-    return False
 
 
 def prefix_id_values(ret: ToolReturn) -> tuple[ToolReturn, PerturbationRecord]:
@@ -115,8 +108,6 @@ def prefix_id_values(ret: ToolReturn) -> tuple[ToolReturn, PerturbationRecord]:
         return value
 
     perturbed = walk(payload, ())
-    if not modified:
-        raise NoIdFields("AP found no ID-keyed entries to prefix")
     record = PerturbationRecord(operator="AP", details={"modified_paths": modified})
     return ToolReturn(payload=perturbed), record
 

@@ -46,22 +46,6 @@ import typing
 
 from paramfuzz.errors import MalformedInput, SchemaViolation
 
-_JSON_TYPE_NAMES = {
-    str: "string",
-    bool: "boolean",
-    int: "integer",
-    float: "number",
-    list: "array",
-    dict: "object",
-    type(None): "null",
-}
-
-
-def json_type_name(value: object) -> str:
-    """Name the JSON type of a decoded value ("string", "integer", ...)."""
-    return _JSON_TYPE_NAMES.get(type(value), type(value).__name__)
-
-
 # JSON type -> (decoded Python types, noun). bool is never a number here.
 # The corpus's parameter types are these keys, in this order.
 JSON_TYPES = {
@@ -72,6 +56,17 @@ JSON_TYPES = {
     "array": ((list,), "a JSON array"),
     "object": ((dict,), "a JSON object"),
 }
+
+# Python type -> the JSON type it decodes from: the last type of each entry,
+# so that an int is an integer and a float a number.
+_JSON_TYPE_OF = {pytypes[-1]: jtype for jtype, (pytypes, _) in JSON_TYPES.items()}
+
+
+def json_type_name(value: object) -> str:
+    """Name the JSON type of a decoded value ("string", "integer", ...)."""
+    if value is None:
+        return "null"
+    return _JSON_TYPE_OF.get(type(value), type(value).__name__)
 
 
 def violation(field: str, complaint: str) -> SchemaViolation:
@@ -143,15 +138,13 @@ def _pair(names: tuple[str, str], jtype: str, value: list, where: str) -> list:
     return value
 
 
-# Annotation -> JSON type, for json_keys; a JsonRecord is an object too.
+# Annotation -> JSON type, for json_keys: a field holds the Python type of
+# its JSON type, except that an array is an immutable tuple or frozenset,
+# and Any is any value. A JsonRecord is an object too.
 _JSON_TYPE_OF_ANNOTATION = {
-    str: "string",
-    int: "integer",
-    float: "number",
-    bool: "boolean",
+    **{pytype: jtype for pytype, jtype in _JSON_TYPE_OF.items() if jtype != "array"},
     tuple: "array",
     frozenset: "array",
-    dict: "object",
     typing.Any: None,
 }
 

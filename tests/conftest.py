@@ -129,10 +129,10 @@ def swap_pair(doc: ToolDocument, i: int, j: int) -> ToolDocument:
 # sha256 of each output of `run --report` on the packaged mock_campaign at
 # seed 0. They change only with a deliberate change to the log or reports.
 MOCK_CAMPAIGN_SHA256 = {
-    "campaign.jsonl": "ea30559ca87bdefc8543fcd6d50ffc8b07ce71c279adc06eba627da6e4822359",
-    "report.json": "e3623c335c6e8dfd575d1f180222685c226a14b81fca18a85405deee2f8ef801",
-    "report.md": "1ebed74e6ce3123a0146d84196fc0d7c1674e8776d544ad503645ba13beb136e",
-    "report_table.csv": "cc479e365571597b10ea73ad20f2431b142266d9aa5c41fa6c2fab36c0815d13",
+    "campaign.jsonl": "32fd21223ca4bc2cb19b99bd22a070826b3a9899bc7c8afb8a8fae06d1ca70f8",
+    "report.json": "20eab7c721b5d9590409b88d3f72ef30b8e58d48ace3e34e162c325406099bdb",
+    "report.md": "19bba7a56621e39cb736b4d0d41d02db7995255b7ce3f5f5f5b487fb66c36df3",
+    "report_table.csv": "2618532b6b7c4c8765382a9bf799a4bdbb845508a51a8e665cce0d1bd9004d4a",
 }
 
 

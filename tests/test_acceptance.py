@@ -39,18 +39,13 @@ from paramfuzz.driver import (
 from paramfuzz.errors import PerturbSkip
 from paramfuzz.perturb import (
     ALL_OPERATORS,
-    append_noise,
+    apply_operator,
     camel_case_keys,
     corrupt_format,
-    corrupt_types,
-    fuzz_keys,
-    remove_examples,
     remove_first_mention,
     remove_last_mention,
-    remove_required_descriptions,
     shuffle_descriptions,
     snake_case_keys,
-    swap_descriptions,
 )
 from paramfuzz.reporting import collect_results, emit_report
 
@@ -79,7 +74,7 @@ def test_gate_operator_property_suites_500_random_inputs_under_10s():
         doc = random_tool(rng)
 
         try:
-            stripped, _ = remove_required_descriptions(doc)
+            stripped, _ = apply_operator("RD", doc)
         except PerturbSkip:
             assert not any(p.required and p.description for p in doc.parameters)
         else:
@@ -88,7 +83,7 @@ def test_gate_operator_property_suites_500_random_inputs_under_10s():
                 assert after.description == expected
 
         try:
-            bare, _ = remove_examples(doc)
+            bare, _ = apply_operator("RE", doc)
         except PerturbSkip:
             pass
         else:
@@ -96,7 +91,7 @@ def test_gate_operator_property_suites_500_random_inputs_under_10s():
             assert all(p.example is None and not p.has_example for p in bare.parameters)
 
         try:
-            retyped, _ = corrupt_types(doc)
+            retyped, _ = apply_operator("WT", doc)
         except PerturbSkip:
             assert not doc.parameters
         else:
@@ -104,7 +99,7 @@ def test_gate_operator_property_suites_500_random_inputs_under_10s():
                 assert after.ptype != before.ptype
 
         try:
-            swapped, record = swap_descriptions(doc)
+            swapped, record = apply_operator("SD", doc)
         except PerturbSkip:
             pass
         else:
@@ -142,7 +137,7 @@ def test_gate_operator_property_suites_500_random_inputs_under_10s():
                 for mention in cut.mentions:
                     assert cut.text[mention.start : mention.end] == mention.value_text
         try:
-            noised, _ = append_noise(query)
+            noised, _ = apply_operator("AN", query)
         except PerturbSkip:
             assert not query.mentions
         else:
@@ -153,9 +148,9 @@ def test_gate_operator_property_suites_500_random_inputs_under_10s():
         payload = random_payload(rng)
         returned = ToolReturn(payload=payload)
         reference = leaf_multiset(payload)
-        for operator in (fuzz_keys, camel_case_keys, snake_case_keys):
+        for operator in ("FK", "CK", "UK"):
             try:
-                renamed, _ = operator(returned)
+                renamed, _ = apply_operator(operator, returned)
             except PerturbSkip:
                 continue
             assert leaf_multiset(renamed.payload) == reference
@@ -240,6 +235,7 @@ def test_gate_mock_campaign_reproduces_hand_counts_byte_identically(mock_run):
     for operator in ALL_OPERATORS:
         block = report["operators"][operator]
         assert block["attempted"] == expected["attempted"][operator], operator
+        assert block["skipped_unperturbable"] == expected["skipped"][operator], operator
         assert (
             block["failure_rate_percent"]
             == expected["overall_failure_rate_percent"][operator]

@@ -835,7 +835,7 @@ class TestSinglePassReport:
 # which have what mock_campaign lacks: 25-item payloads, 32 scripted returns
 # per case and a 480-description WD pool.
 _DEPTH_SLICE_SHA256 = {
-    "campaign.jsonl": "c5b902ebbdf95f02edcda385c66ff5e2a1e7c23b05d1ec98e67d7ea2526d315c",
+    "campaign.jsonl": "a14699ba9cc6a8ee80d365695048b4a2f90d003e39f0fe7923da6b23b2a19362",
     "report.json": "4d0adc5776edc8f6bcc38b6730ce31d7668ee0a1596682f3e33518da95707abe",
     "report.md": "65b6b9d45984a012158984d0656843713c175af7f8704c4c515f15b625a2dd45",
     "report_table.csv": "0d7ce91ba48fca2f25a7cb536de892871383a86014b90e2ece2aa9d344b79d9b",
@@ -959,6 +959,8 @@ LOG_MUTATIONS = {
     "trajectory_seed_string": _set(T, "seed", "1"),
     "trajectory_seed_bool": _set(T, "seed", True),
     "trajectory_applied_string": _set(T, "perturbation_applied", "false"),
+    "trajectory_applied_contradicts_perturbations": _set(T, "perturbation_applied", False),
+    "trajectory_applied_without_perturbations": _set(T, "perturbations", []),
     "step_missing_key": _drop(T, STEP + ".thought"),
     "step_unknown_key": _set(T, STEP + ".tokens", 12),
     "step_not_object": _set(T, STEP, "Calling svc_01."),
@@ -1038,6 +1040,8 @@ LOG_GOLDEN = {
     "step_not_object": ('SchemaViolation', 'log line 2.steps[0] must be a JSON object, got string', 'log line 2.steps[0]'),
     "step_unknown_key": ('SchemaViolation', "log line 2.steps[0] has unknown key 'tokens'", 'log line 2.steps[0].tokens'),
     "trajectory_applied_string": ('SchemaViolation', 'log line 2.perturbation_applied must be a boolean, got string', 'log line 2.perturbation_applied'),
+    "trajectory_applied_contradicts_perturbations": ('SchemaViolation', 'log line 2.perturbation_applied must be true, as the perturbations say', 'log line 2.perturbation_applied'),
+    "trajectory_applied_without_perturbations": ('SchemaViolation', 'log line 2.perturbation_applied must be false, as the perturbations say', 'log line 2.perturbation_applied'),
     "trajectory_missing_key": ('SchemaViolation', "log line 2 is missing required key 'perturbation_applied'", 'log line 2.perturbation_applied'),
     "trajectory_seed_bool": ('SchemaViolation', 'log line 2.seed must be an integer, got boolean', 'log line 2.seed'),
     "trajectory_seed_string": ('SchemaViolation', 'log line 2.seed must be an integer, got string', 'log line 2.seed'),

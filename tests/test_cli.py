@@ -34,21 +34,27 @@ def packaged(name):
 # operator in ALL_OPERATORS order, per case (see
 # TestPerturb.test_every_operator_prints_its_golden).
 _SKIP_SVC_22 = [
-    "skip svc_22: tool 'svc_22' has no required parameters to strip",
-    "skip svc_22: tool 'svc_22' has 0 parameter(s); swapping needs two",
+    "skip svc_22: RD changes nothing the agent sees",
+    "skip svc_22: WD changes nothing the agent sees",
+    "skip svc_22: SD changes nothing the agent sees",
     "skip svc_22: tool 'svc_22' has 0 parameter(s); shuffling needs two",
+    "skip svc_22: WT changes nothing the agent sees",
 ]
 PERTURB_GOLDEN = {
-    "m01": ([], "7aac245d41957cee7d773b4ef328dc9ffd5259c3b091b2653274bc33bb57889b"),
+    "m01": (
+        ["skip return: UK changes nothing the agent sees"],
+        "d6ec51ecf0d729338137efc929defef0f9004cb149c89a456a80904570c9a411",
+    ),
     "m22": (
         _SKIP_SVC_22
-        + ["skip query: query carries no annotated parameter mentions"] * 4
-        + ["skip return: AP found no ID-keyed entries to prefix"],
-        "37c328021ab79985845734655069323374014087f683aacb2eaba22c1cf4f9b4",
+        + ["skip query: query carries no annotated parameter mentions"] * 2
+        + [f"skip query: {operator} changes nothing the agent sees" for operator in ("CP", "AN")]
+        + [f"skip return: {operator} changes nothing the agent sees" for operator in ("AP", "CK", "UK")],
+        "f69d8ff679db850c7ccc3c6f2a4ecc2567503bc2a5e377034668fa7a420ba6bc",
     ),
     "mixed": (
         _SKIP_SVC_22 + ["skip return: case has no scripted returns"] * 5,
-        "80bf959170abe0410b6dea254c288b07a7b7fa76b8a377f56b6ace1295df1e2d",
+        "1b9ed8f64a551e14f9198baf64ae913e40c6a831696de8b9acd55a618ac28d35",
     ),
 }
 
@@ -206,6 +212,14 @@ class TestPerturb:
         assert code == EXIT_OK
         assert "skip query:" in capsys.readouterr().out
 
+    def test_an_operator_that_changes_nothing_prints_skip(self, capsys):
+        """m01's return keys are snake_case already, so UK leaves the
+        return as the agent sees it."""
+        with importlib.resources.as_file(packaged("mock_campaign")) as root:
+            code = main(["perturb", "--corpus", str(root / "corpus.json"), "--operator", "UK", "--case", "m01"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == "skip return: UK changes nothing the agent sees\n"
+
     def test_missing_case_is_a_campaign_error(self, clean_corpus, capsys):
         code = main(["perturb", "--corpus", clean_corpus, "--operator", "RD", "--case", "nope"])
         assert code == EXIT_CAMPAIGN
@@ -217,10 +231,11 @@ class TestPerturb:
 
     @pytest.mark.parametrize("case_id", sorted(PERTURB_GOLDEN))
     def test_every_operator_prints_its_golden(self, tmp_path, capsys, case_id):
-        """m01 perturbs everywhere; m22 (no parameters, no mentions, no ID
-        keys) skips in every source; mixed adds m22's tool to m01 and has no
-        scripted returns, so a document operator can skip one tool and
-        perturb the other. WD draws from the whole corpus at seed 5."""
+        """m01 perturbs everywhere but under UK, whose keys are snake_case
+        already; m22 (no parameters, no mentions, no ID keys) skips in every
+        source; mixed adds m22's tool to m01 and has no scripted returns, so
+        a document operator can skip one tool and perturb the other. WD
+        draws from the whole corpus at seed 5."""
         with importlib.resources.as_file(packaged("mock_campaign")) as root:
             corpus = json.loads((root / "corpus.json").read_text(encoding="utf-8"))
         by_id = {case["case_id"]: case for case in corpus["cases"]}

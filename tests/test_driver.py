@@ -238,7 +238,7 @@ class TestRunCase:
         )
         assert trajectory.perturbation_applied
         assert [s.target for s in trajectory.skips] == ["empty_tool"]
-        assert trajectory.skips[0].reason == "NoRequiredParams"
+        assert trajectory.skips[0].reason == "NoEffect"
 
     def test_query_operator_rewrites_the_prompt(self):
         case = make_case()

@@ -14,15 +14,11 @@ def test_everything_descends_from_the_package_root():
 
 def test_skip_family_membership():
     skips = (
-        errors.NoRequiredParams,
-        errors.NoExamples,
+        errors.NoEffect,
         errors.NoDonor,
         errors.TooFewParams,
-        errors.NoDistinctPair,
         errors.NoMentions,
         errors.NotJson,
-        errors.NoObjects,
-        errors.NoIdFields,
     )
     for exc in skips:
         assert issubclass(exc, errors.PerturbSkip)

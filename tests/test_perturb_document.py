@@ -8,16 +8,8 @@ import threading
 import pytest
 
 from conftest import make_param, make_tool, random_tool, swap_pair
-from paramfuzz.errors import (
-    NoDistinctPair,
-    NoDonor,
-    NoExamples,
-    NoRequiredParams,
-    PerturbSkip,
-    SchemaViolation,
-    TooFewParams,
-)
-from paramfuzz.perturb import PerturbationRecord, apply_document_operator
+from paramfuzz.errors import NoDonor, NoEffect, PerturbSkip, SchemaViolation, TooFewParams
+from paramfuzz.perturb import PerturbationRecord, apply_document_operator, apply_operator
 from paramfuzz.perturb import document
 from paramfuzz.perturb.document import (
     TYPE_SUBSTITUTION,
@@ -57,8 +49,9 @@ class TestRemoveRequiredDescriptions:
 
     def test_raises_without_required_params(self):
         doc = make_tool(parameters=(make_param("a", required=False),))
-        with pytest.raises(NoRequiredParams):
-            remove_required_descriptions(doc)
+        assert remove_required_descriptions(doc)[0] == doc
+        with pytest.raises(NoEffect):
+            apply_operator("RD", doc)
 
 
 class TestRemoveExamples:
@@ -74,8 +67,9 @@ class TestRemoveExamples:
             parameters=(make_param("a"),),
             usage_examples=(),
         )
-        with pytest.raises(NoExamples):
-            remove_examples(doc)
+        assert remove_examples(doc)[0] == doc
+        with pytest.raises(NoEffect):
+            apply_operator("RE", doc)
 
 
 class TestSubstituteForeignDescriptions:
@@ -119,8 +113,6 @@ class TestSubstituteForeignDescriptions:
 def per_tool_shuffle(doc, donors, seed):
     """WD as a reference: filter the pool, random.Random(seed).shuffle that
     very list, then assign from it."""
-    if not doc.parameters:
-        return doc, PerturbationRecord("WD", seed, {"assignments": [], "collisions": []})
     shuffled = [donor for donor in donors if donor[0] != doc.tool_name]
     if not shuffled:
         raise NoDonor(doc.tool_name)
@@ -233,12 +225,15 @@ class TestSwapDescriptions:
                 make_param("b", "string", "Same."),
             )
         )
-        with pytest.raises(NoDistinctPair):
-            swap_descriptions(doc)
+        assert swap_descriptions(doc)[0] == doc
+        with pytest.raises(NoEffect):
+            apply_operator("SD", doc)
 
     def test_single_param_skips(self):
-        with pytest.raises(TooFewParams):
-            swap_descriptions(make_tool(parameters=(make_param("a"),)))
+        doc = make_tool(parameters=(make_param("a"),))
+        assert swap_descriptions(doc)[0] == doc
+        with pytest.raises(NoEffect):
+            apply_operator("SD", doc)
 
 
 class TestShuffleDescriptions:
@@ -317,9 +312,9 @@ class TestDocumentProperties:
         for _ in range(500):
             doc = random_tool(rng)
             try:
-                out, _ = remove_required_descriptions(doc)
-            except PerturbSkip:
-                assert not any(p.required for p in doc.parameters)
+                out, _ = apply_operator("RD", doc)
+            except NoEffect:
+                assert all(p.description == "" for p in doc.parameters if p.required)
                 continue
             for before, after in zip(doc.parameters, out.parameters):
                 if before.required:
@@ -332,8 +327,8 @@ class TestDocumentProperties:
         for _ in range(500):
             doc = random_tool(rng)
             try:
-                out, _ = remove_examples(doc)
-            except PerturbSkip:
+                out, _ = apply_operator("RE", doc)
+            except NoEffect:
                 assert not doc.usage_examples
                 assert not any(p.has_example for p in doc.parameters)
                 continue
@@ -350,7 +345,6 @@ class TestDocumentProperties:
                 out, record = substitute_foreign_descriptions(doc, donor_pool([donor]), seed=rng.randrange(999))
             except PerturbSkip:
                 assert not pool_texts
-                assert doc.parameters
                 continue
             if not doc.parameters:
                 assert out == doc
@@ -366,8 +360,8 @@ class TestDocumentProperties:
         for _ in range(500):
             doc = random_tool(rng)
             try:
-                out, record = swap_descriptions(doc)
-            except PerturbSkip:
+                out, record = apply_operator("SD", doc)
+            except NoEffect:
                 descriptions = {p.description for p in doc.parameters}
                 assert len(doc.parameters) < 2 or len(descriptions) == 1
                 continue

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import make_query, random_query
-from paramfuzz.errors import NoMentions, SchemaViolation
+from paramfuzz.errors import NoEffect, NoMentions, SchemaViolation
 from paramfuzz.perturb import apply_query_operator
 from paramfuzz.perturb.query import (
     _complicate,
@@ -124,8 +124,10 @@ class TestComplicate:
         assert record.details["rewriter"] == "descriptive-phrase"
 
     def test_skip_without_mentions(self):
-        with pytest.raises(NoMentions):
-            complicate_mentions(make_query("Nothing marked.", spans=[]))
+        query = make_query("Nothing marked.", spans=[])
+        assert complicate_mentions(query)[0].text == query.text
+        with pytest.raises(NoEffect):
+            apply_query_operator("CP", query)
 
 
 class TestAppendNoise:
@@ -144,8 +146,10 @@ class TestAppendNoise:
         assert record.details["rewriter"] == "near-miss"
 
     def test_skip_without_mentions(self):
-        with pytest.raises(NoMentions):
-            append_noise(make_query("Nothing marked.", spans=[]))
+        query = make_query("Nothing marked.", spans=[])
+        assert append_noise(query)[0].text == query.text
+        with pytest.raises(NoEffect):
+            apply_query_operator("AN", query)
 
 
 class TestDispatcher:

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_payload
 from paramfuzz.corpus import ToolReturn
-from paramfuzz.errors import NoIdFields, NoObjects, NotJson, SchemaViolation
+from paramfuzz.errors import NoEffect, NotJson, SchemaViolation
 from paramfuzz.perturb import apply_return_operator
 from paramfuzz.perturb.toolreturn import (
     camel_case_keys,
@@ -88,8 +88,10 @@ class TestFuzzKeys:
         assert out.payload == [{"Object_1": 1}, 2, [{"Object_1": 3}]]
 
     def test_no_objects_skips(self):
-        with pytest.raises(NoObjects):
-            fuzz_keys(ToolReturn(payload=[1, 2, 3]))
+        ret = ToolReturn(payload=[1, 2, 3])
+        assert fuzz_keys(ret)[0] == ret
+        with pytest.raises(NoEffect):
+            apply_return_operator("FK", ret)
 
     def test_raw_text_skips(self):
         with pytest.raises(NotJson):
@@ -127,8 +129,10 @@ class TestPrefixIdValues:
         assert out.payload["id"] == 'ID_{"a":1}'
 
     def test_no_id_fields_skips(self):
-        with pytest.raises(NoIdFields):
-            prefix_id_values(ToolReturn(payload={"name": "x"}))
+        ret = ToolReturn(payload={"name": "x"})
+        assert prefix_id_values(ret)[0] == ret
+        with pytest.raises(NoEffect):
+            apply_return_operator("AP", ret)
 
     def test_raw_text_skips(self):
         with pytest.raises(NotJson):
@@ -152,6 +156,8 @@ class TestRespell:
         out, record = snake_case_keys(ret)
         assert out.payload == ret.payload
         assert record.details["renames"] == []
+        with pytest.raises(NoEffect):
+            apply_return_operator("UK", ret)
 
     def test_collision_later_key_wins(self):
         ret = ToolReturn(payload={"user_id": 1, "userId": 2})
@@ -187,7 +193,8 @@ class TestCorruptFormat:
 
 class TestDispatcher:
     def test_routes_all_five(self):
-        ret = ToolReturn(payload={"result_id": 1})
+        # A key that every operator changes: CK and UK both respell it.
+        ret = ToolReturn(payload={"Result_ID": 1})
         for operator in ("FK", "AP", "CK", "UK", "CF"):
             out, record = apply_return_operator(operator, ret)
             assert record.operator == operator
@@ -204,8 +211,8 @@ class TestReturnProperties:
         while done < 500:
             payload = random_payload(rng)
             try:
-                out, _ = fuzz_keys(ToolReturn(payload=payload))
-            except NoObjects:
+                out, _ = apply_return_operator("FK", ToolReturn(payload=payload))
+            except NoEffect:
                 continue
             assert sorted(map(repr, leaves(out.payload))) == sorted(map(repr, leaves(payload)))
             assert json.dumps(out.payload)  # still serializable JSON
@@ -258,8 +265,8 @@ class TestReturnProperties:
 
             payload = idify(payload)
             try:
-                out, record = prefix_id_values(ToolReturn(payload=payload))
-            except NoIdFields:
+                out, record = apply_return_operator("AP", ToolReturn(payload=payload))
+            except NoEffect:
                 assert not any(k.endswith("_id") for k in map(repr, leaves(payload)))
                 continue
 

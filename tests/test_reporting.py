@@ -221,9 +221,10 @@ def mini_campaign(tmp_path, operators=("RD", "CK"), scripts=None):
             [
                 make_case(
                     "k1",
+                    # A key that CK respells, so that both operators apply.
                     scripted=(
                         scripted_return(
-                            "searcher", {"query": "books about whales"}, payload={"hits": 1}
+                            "searcher", {"query": "books about whales"}, payload={"hit_count": 1}
                         ),
                     ),
                 )
