@@ -16,10 +16,14 @@ that carries them.
 
 A CampaignLog indexes a log by (operator, case_id, seed) and keeps of
 each trajectory only what classifying and reporting read: whether the
-perturbation applied, and the invocations. run_campaign returns the index
-of the log it wrote, built as it writes each record, so `run --report`
-never reads its own log back. read_log checks every line of a log file in
-full and builds the same index; classify and report start from it.
+perturbation applied, and the invocations; of each classification, the
+classifier's outcome, one object for all the pairs that share it.
+run_campaign returns the index of the log it wrote, built as it writes
+each record, so `run --report` never reads its own log back; a bare
+`run`, which reads nothing back, has it keep the header and path only.
+read_log checks every line of a log file in full and builds the same
+index; classify and report start from it, and a resumed run reads the
+existing log through it.
 Runs are resumable: pairs already present in the log are skipped, a
 final line left unfinished by a stopped run is dropped, and a resumed run
 must match the header's corpus hash, seed and driver.
@@ -33,7 +37,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import TextIO
 
 from paramfuzz import __version__
 from paramfuzz.classify import (
@@ -150,16 +153,21 @@ class CampaignLog:
     """One campaign log, checked and indexed by (operator, case_id, seed).
 
     ``trajectories`` keeps log order; ``errors`` lists the keys of runs
-    that died in the driver. Each record written through ``write`` is
-    indexed as well, so a caller that runs, classifies and then reports
-    never reads the file back. len() is the number of events.
+    that died in the driver; ``classifications`` holds each classified
+    key's outcome, the one object that classify_log shares among the
+    pairs with equal outcomes (read_log gives each line its own).
+    run_campaign and classify_log index each record they write, so a
+    caller that runs, classifies and then reports never reads the file
+    back; a run that will not be classified indexes nothing and its log
+    holds the path and header alone. len() is the number of events
+    indexed.
     """
 
     path: str
     header: CampaignMeta
     trajectories: dict[Key, TrajectoryEntry] = field(default_factory=dict)
     errors: list[Key] = field(default_factory=list)
-    classifications: dict[Key, Classification] = field(default_factory=dict)
+    classifications: dict[Key, TrajectoryClassification] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return 1 + len(self.trajectories) + len(self.errors) + len(self.classifications)
@@ -174,12 +182,7 @@ class CampaignLog:
         elif isinstance(record, TrajectoryError):
             self.errors.append(key)
         else:
-            self.classifications[key] = record
-
-    def write(self, handle: TextIO, record: Trajectory | TrajectoryError | Classification) -> None:
-        """Append one record to the open log file and index it."""
-        handle.write(_event_line(record))
-        self.add(record)
+            self.classifications[key] = TrajectoryClassification(record.labels, record.case_pass)
 
 
 def _first_line(lines: dict[Key, int], key: Key, number: int, what: str) -> None:
@@ -379,8 +382,13 @@ class CampaignConfig:
 
 
 def corpus_sha256(path: str) -> str:
+    """The file's sha256, read in 64 KiB chunks so the file is never held
+    whole (hashlib.file_digest needs Python 3.11)."""
+    digest = hashlib.sha256()
     with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
+        for chunk in iter(lambda: handle.read(65536), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _check_resume(meta: CampaignMeta, existing: CampaignMeta) -> None:
@@ -417,11 +425,13 @@ def _drop_torn_line(log_path: str) -> int:
     return kept
 
 
-def run_campaign(config: CampaignConfig) -> CampaignLog:
+def run_campaign(config: CampaignConfig, *, index: bool = True) -> CampaignLog:
     """Execute (or resume) the campaign; returns the index of its log.
 
     A fresh run's index is its header plus each record as it is written; a
     resumed run's is read_log of the existing file plus the new records.
+    With index=False, for a caller that reads nothing back, the records
+    are only written and the index holds the path and header alone.
     A resumed run first drops an unfinished final line (_drop_torn_line);
     any other bad line is read_log's error.
 
@@ -462,6 +472,8 @@ def run_campaign(config: CampaignConfig) -> CampaignLog:
     else:
         log = CampaignLog(log_path, meta)
     done = {*log.trajectories, *log.errors}
+    if not index:
+        log = CampaignLog(log_path, log.header)
     pairs = [
         (operator, case)
         for operator in config.ordered_operators
@@ -500,8 +512,10 @@ def run_campaign(config: CampaignConfig) -> CampaignLog:
             handle.flush()
         records = map(execute, jobs) if config.workers == 1 else pool.map(execute, jobs)
         for record in records:
-            log.write(handle, record)
+            handle.write(_event_line(record))
             handle.flush()
+            if index:
+                log.add(record)
     return log
 
 
@@ -513,12 +527,12 @@ def classify_log(log: CampaignLog, corpus_path: str) -> int:
     oracle: the agent saw perturbed inputs, the judge never does. It is a
     pure function of the case and the calls, so each distinct outcome is
     classified once: pairs whose case and calls are equal share one
-    outcome object. A first occurrence's line is encoded whole; the JSON of
-    an outcome's labels is encoded apart, once, only when a second pair
-    shares the outcome. Calls are equal when their tool names and arguments
-    encode to the same JSON, argument order included, so 1, 1.0 and true
-    stay apart. Returns the number of events appended; idempotent on a
-    fully classified log.
+    outcome object, which the index holds for each of them. A first
+    occurrence's line is encoded whole; the JSON of an outcome's labels is
+    encoded apart, once, only when a second pair shares the outcome. Calls
+    are equal when their tool names and arguments encode to the same JSON,
+    argument order included, so 1, 1.0 and true stay apart. Returns the
+    number of events appended; idempotent on a fully classified log.
     """
     cases = {case.case_id: case for case in load_corpus(corpus_path)}
     if log.header.corpus_sha256 != corpus_sha256(corpus_path):
@@ -568,7 +582,6 @@ def classify_log(log: CampaignLog, corpus_path: str) -> int:
                 # encoded labels take the place of its empty array.
                 line = _event_line(Classification(*key, CLASSIFIER_VERSION, outcome.case_pass, ()))
                 handle.write(line.replace('"labels":[]', f'"labels":{labels}', 1))
-                record = Classification(*key, CLASSIFIER_VERSION, outcome.case_pass, outcome.aligned)
-            log.add(record)
+            log.classifications[key] = outcome
             appended += 1
     return appended

@@ -155,7 +155,7 @@ def _build_campaign_config(args: argparse.Namespace) -> CampaignConfig:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _build_campaign_config(args)
-    log = run_campaign(config)
+    log = run_campaign(config, index=args.classify or args.report)
     print(f"campaign log: {log.path}")
     if args.classify or args.report:
         appended = classify_log(log, config.corpus_path)

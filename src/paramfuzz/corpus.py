@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from paramfuzz.errors import SchemaViolation, SpanMismatch
-from paramfuzz.records import JSON_TYPES, JsonRecord, json_document, json_type_name, violation
+from paramfuzz.records import JSON_TYPES, JsonRecord, json_document, json_type_name, utf8, violation
 
 SCHEMA_VERSION = 1
 
@@ -469,9 +469,11 @@ def parse_corpus(raw: bytes | str) -> list[TestCase]:
 
 
 def load_corpus(path: str) -> list[TestCase]:
-    """Read and parse a corpus file from disk."""
+    """Read and parse a corpus file from disk. Its bytes are decoded and
+    dropped before the JSON is parsed, so the file is held once."""
     with open(path, "rb") as handle:
-        return parse_corpus(handle.read())
+        text = utf8(handle.read(), "corpus")
+    return parse_corpus(text)
 
 
 def serialize_corpus(cases: list[TestCase]) -> str:

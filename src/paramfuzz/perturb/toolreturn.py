@@ -18,6 +18,9 @@ a return that renders unchanged as a NoEffect skip.
 
 FK, CK and UK are one key walker, _respell_keys, with a different new
 name for each key; it recurses through every nested object and array.
+The recursive walks are module-level functions that take their output
+lists as arguments: a nested function that calls itself is a reference
+cycle, which would keep each walk's records until the cyclic GC runs.
 """
 
 from __future__ import annotations
@@ -87,60 +90,65 @@ def prefix_id_values(ret: ToolReturn) -> tuple[ToolReturn, PerturbationRecord]:
     A key counts as an ID when it equals "id" case-insensitively or ends
     with "_id", "Id" or "ID".
     """
-    payload = _require_json(ret, "AP")
     modified: list[list[object]] = []
-
-    def stringify(item: object) -> str:
-        return item if isinstance(item, str) else canonical_json(item)
-
-    def walk(value: object, path: KeyPath) -> object:
-        if isinstance(value, dict):
-            out = {}
-            for key, item in value.items():
-                if _DEFAULT_ID_KEY.fullmatch(key):
-                    modified.append(list(path) + [key])
-                    out[key] = "ID_" + stringify(item)
-                else:
-                    out[key] = walk(item, path + (key,))
-            return out
-        if isinstance(value, list):
-            return [walk(item, path + (i,)) for i, item in enumerate(value)]
-        return value
-
-    perturbed = walk(payload, ())
+    perturbed = _prefix_ids(_require_json(ret, "AP"), (), modified)
     record = PerturbationRecord(operator="AP", details={"modified_paths": modified})
     return ToolReturn(payload=perturbed), record
+
+
+def _prefix_ids(value: object, path: KeyPath, modified: list[list[object]]) -> object:
+    """value with each ID-keyed value under it prefixed; appends each
+    prefixed key's path to modified."""
+    if isinstance(value, dict):
+        out = {}
+        for key, item in value.items():
+            if _DEFAULT_ID_KEY.fullmatch(key):
+                modified.append(list(path) + [key])
+                out[key] = "ID_" + (item if isinstance(item, str) else canonical_json(item))
+            else:
+                out[key] = _prefix_ids(item, path + (key,), modified)
+        return out
+    if isinstance(value, list):
+        return [_prefix_ids(item, path + (i,), modified) for i, item in enumerate(value)]
+    return value
 
 
 def _respell_keys(
     ret: ToolReturn, operator: str, respell: Callable[[int, str], str]
 ) -> tuple[ToolReturn, PerturbationRecord]:
     """Rename each key of every object to respell(index in its object, key)."""
-    payload = _require_json(ret, operator)
     renames: list[dict[str, object]] = []
     collisions: list[dict[str, object]] = []
-
-    def walk(value: object, path: KeyPath) -> object:
-        if isinstance(value, dict):
-            out = {}
-            for index, (key, item) in enumerate(value.items()):
-                new_key = respell(index, key)
-                if new_key != key:
-                    renames.append({"path": list(path), "from": key, "to": new_key})
-                if new_key in out:
-                    collisions.append({"path": list(path), "key": new_key})
-                out[new_key] = walk(item, path + (key,))
-            return out
-        if isinstance(value, list):
-            return [walk(item, path + (i,)) for i, item in enumerate(value)]
-        return value
-
-    perturbed = walk(payload, ())
+    perturbed = _respelled(_require_json(ret, operator), (), respell, renames, collisions)
     details: dict[str, object] = {"renames": renames}
     if collisions:
         details["collisions"] = collisions
     record = PerturbationRecord(operator=operator, details=details)
     return ToolReturn(payload=perturbed), record
+
+
+def _respelled(
+    value: object,
+    path: KeyPath,
+    respell: Callable[[int, str], str],
+    renames: list[dict[str, object]],
+    collisions: list[dict[str, object]],
+) -> object:
+    """value with every key under it respelled; appends each rename and
+    each collision to its list."""
+    if isinstance(value, dict):
+        out = {}
+        for index, (key, item) in enumerate(value.items()):
+            new_key = respell(index, key)
+            if new_key != key:
+                renames.append({"path": list(path), "from": key, "to": new_key})
+            if new_key in out:
+                collisions.append({"path": list(path), "key": new_key})
+            out[new_key] = _respelled(item, path + (key,), respell, renames, collisions)
+        return out
+    if isinstance(value, list):
+        return [_respelled(item, path + (i,), respell, renames, collisions) for i, item in enumerate(value)]
+    return value
 
 
 def camel_case_keys(ret: ToolReturn) -> tuple[ToolReturn, PerturbationRecord]:

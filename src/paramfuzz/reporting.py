@@ -85,8 +85,11 @@ class CampaignResults:
 
 
 def collect_results(log: CampaignLog) -> CampaignResults:
-    """Join each trajectory with its classification."""
+    """Join each trajectory with its classification. The pairs that share
+    one classification object share one labels tuple."""
     outcomes: list[CaseOutcome] = []
+    # id of a classification in the index -> its labels.
+    labels_of: dict[int, tuple[FailureLabel, ...]] = {}
     for key, entry in log.trajectories.items():
         verdict = log.classifications.get(key)
         if verdict is None:
@@ -94,6 +97,9 @@ def collect_results(log: CampaignLog) -> CampaignResults:
                 f"trajectory ({key[0]}, {key[1]}) has no classification; "
                 "classify the log before reporting"
             )
+        labels = labels_of.get(id(verdict))
+        if labels is None:
+            labels = labels_of[id(verdict)] = tuple(aligned.label for aligned in verdict.aligned)
         outcomes.append(
             CaseOutcome(
                 operator=key[0],
@@ -101,7 +107,7 @@ def collect_results(log: CampaignLog) -> CampaignResults:
                 seed=key[2],
                 applied=entry.applied,
                 case_pass=verdict.case_pass,
-                labels=tuple(aligned.label for aligned in verdict.labels),
+                labels=labels,
             )
         )
     error_counts: dict[str, int] = {}
@@ -198,16 +204,23 @@ def _operator_block(outcomes: list[CaseOutcome], errors: int) -> dict[str, objec
 
 
 def build_report(results: CampaignResults) -> dict[str, object]:
-    """The full report as one JSON-ready structure."""
+    """The full report as one JSON-ready structure. Outcomes that share
+    one labels tuple, as collect_results gives the pairs of one
+    classification, share one rendering of their labels."""
     by_operator: dict[str, list[CaseOutcome]] = {}
     cases: dict[str, dict[str, object]] = {}
+    # id of a labels tuple -> its labels as JSON.
+    rendered: dict[int, list[object]] = {}
     all_labels: list[FailureLabel] = []
     for outcome in results.outcomes:
         by_operator.setdefault(outcome.operator, []).append(outcome)
+        labels = rendered.get(id(outcome.labels))
+        if labels is None:
+            labels = rendered[id(outcome.labels)] = [label.to_json() for label in outcome.labels]
         cases.setdefault(outcome.operator, {})[outcome.case_id] = {
             "applied": outcome.applied,
             "case_pass": outcome.case_pass,
-            "labels": [label.to_json() for label in outcome.labels],
+            "labels": labels,
         }
         if outcome.applied:
             all_labels.extend(outcome.labels)

@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import gc
 import hashlib
 import importlib.resources
 import json
@@ -36,10 +37,18 @@ from paramfuzz.campaign import (
     run_campaign,
 )
 from paramfuzz.classify import CLASSIFIER_VERSION, ObservedInvocation, classify_trajectory
-from paramfuzz.corpus import OracleInvocation, canonical_json, filter_cases, load_corpus, serialize_corpus
-from paramfuzz.driver import EndpointConfig, ScriptedBehavior
+from paramfuzz.corpus import (
+    OracleInvocation,
+    all_tools,
+    canonical_json,
+    filter_cases,
+    load_corpus,
+    parse_corpus,
+    serialize_corpus,
+)
+from paramfuzz.driver import EndpointConfig, ReplayDriver, ScriptedBehavior, run_case
 from paramfuzz.errors import CampaignError, MalformedInput, ParamFuzzError
-from paramfuzz.perturb import ALL_OPERATORS, document
+from paramfuzz.perturb import ALL_OPERATORS, document, donor_pool
 from paramfuzz.reporting import emit_report
 
 
@@ -182,7 +191,7 @@ class TestLogIo:
             if e["event"] == "trajectory"
         ]
         assert [
-            [aligned.to_json() for aligned in verdict.labels]
+            [aligned.to_json() for aligned in verdict.aligned]
             for verdict in log.classifications.values()
         ] == [e["labels"] for e in events if e["event"] == "classification"]
 
@@ -750,6 +759,32 @@ def test_depth_slice_shares_each_wd_draw_and_each_rendering(tmp_path, depth_slic
     assert max(renderings.values()) == 1
 
 
+@pytest.mark.parametrize("source", ["mock_campaign", "depth_slice"])
+def test_run_case_leaves_no_cyclic_garbage(request, source):
+    """Reference counting alone frees what a trajectory leaves behind: with
+    the cyclic GC off, running every case under all 15 operators leaves
+    it nothing to collect."""
+    if source == "mock_campaign":
+        data = importlib.resources.files("paramfuzz").joinpath("data", "mock_campaign")
+        cases = load_corpus(str(data / "corpus.json"))
+        book = ScriptBook.load(str(data / "scripts.json"))
+    else:
+        corpus, scripts = request.getfixturevalue("depth_slice")
+        cases = parse_corpus(json.dumps(corpus))
+        book = ScriptBook.from_json(scripts)
+    cases = filter_cases(cases)
+    donors = donor_pool(all_tools(cases))
+    gc.collect()
+    gc.disable()
+    try:
+        for operator in ALL_OPERATORS:
+            for case in cases:
+                run_case(case, operator, ReplayDriver(book.resolve(operator, case)), seed=3, donors=donors)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_http_depth_slice_log_is_the_same_for_1_and_4_workers(tmp_path, depth_slice, monkeypatch):
     corpus = tmp_path / "corpus.json"
     corpus.write_text(json.dumps(depth_slice[0]), encoding="utf-8")
@@ -790,6 +825,23 @@ class TestSinglePassReport:
         monkeypatch.setattr(cli, "read_log", refuse)
         _run_report(*mock_campaign, tmp_path, seed=0)
         assert _digests(tmp_path) == MOCK_CAMPAIGN_SHA256
+
+    def test_a_bare_run_indexes_nothing(self, tmp_path, monkeypatch, mock_campaign):
+        """run without --classify or --report reads nothing back, so the log
+        it returns holds the header alone, fresh or resumed."""
+        returned = []
+
+        def run(config, **options):
+            returned.append(run_campaign(config, **options))
+            return returned[-1]
+
+        monkeypatch.setattr(cli, "run_campaign", run)
+        corpus, scripts = mock_campaign
+        argv = ["run", "--corpus", str(corpus), "--scripts", str(scripts), "--out", str(tmp_path)]
+        for _ in ("fresh", "resumed"):
+            assert cli.main(argv) == cli.EXIT_OK
+            assert (len(returned[-1]), returned[-1].trajectories, returned[-1].errors) == (1, {}, [])
+        assert len(read_log(str(tmp_path / LOG_FILE_NAME)).trajectories) == 300
 
     def test_a_resumed_run_reports_like_an_uninterrupted_one(self, tmp_path, mock_campaign):
         _run_report(*mock_campaign, tmp_path, seed=0)

@@ -240,7 +240,7 @@ def test_an_aligned_label_without_its_indices_reads_them_as_null(inputs):
     log = _log_with(tmp_path, events, drop_indices)
     read = read_log(log).classifications
     event = events[index]
-    aligned = read[(event["operator"], event["case_id"], event["seed"])].labels[0]
+    aligned = read[(event["operator"], event["case_id"], event["seed"])].aligned[0]
     assert (aligned.observed_index, aligned.oracle_index) == (None, None)
     assert main(["report", "--log", log, "--out", str(tmp_path / "report")]) == EXIT_OK
     report = json.loads((tmp_path / "report" / "report.json").read_text(encoding="utf-8"))
