@@ -11,8 +11,8 @@ are its fields, tagged with its event kind: the CampaignMeta header first
 (trajectory_error) per run, and one Classification (classification) per
 trajectory, appended by classify_log. Most pairs leave a case's calls as
 the oracle makes them, so classify_log classifies each distinct (case,
-calls) outcome once, and encodes its labels once for every later line
-that carries them.
+calls) outcome once, and encodes its labels once for every line that
+carries them.
 
 A CampaignLog indexes a log by (operator, case_id, seed) and keeps of
 each trajectory only what classifying and reporting read: whether the
@@ -331,12 +331,18 @@ class ScriptBook:
 
 
 @dataclass(frozen=True)
-class CampaignConfig:
+class CampaignConfig(
+    JsonRecord,
+    keys={"corpus_path": "corpus", "out_dir": "out", "scripts_path": "scripts"},
+    optional=("corpus", "out", "operators", "driver", "seed", "workers", "step_limit", "max_observation_length"),
+):
     """Everything a campaign run needs, reproducibly.
 
-    Each field's default here is the only one: the CLI passes only the
-    settings a flag or the config file gives. workers apply to the http
-    driver alone; replay runs in one thread.
+    Its key table is the run settings: from_json reads the config file's
+    object, with the run flags copied over it, and each field's default
+    here is the only one. corpus and out may be left out of the file but
+    not of the run. workers apply to the http driver alone; replay runs in
+    one thread.
     """
 
     corpus_path: str
@@ -351,6 +357,10 @@ class CampaignConfig:
     endpoint: EndpointConfig | None = None
 
     def __post_init__(self) -> None:
+        if self.corpus_path is None:
+            raise CampaignError("a corpus path is required (--corpus or config 'corpus')")
+        if self.out_dir is None:
+            raise CampaignError("an output directory is required (--out or config 'out')")
         unknown = [op for op in self.operators if op not in ALL_OPERATORS]
         if unknown:
             raise CampaignError(
@@ -507,15 +517,20 @@ def run_campaign(config: CampaignConfig, *, index: bool = True) -> CampaignLog:
     with open(log_path, "a", encoding="utf-8") as handle, concurrent.futures.ThreadPoolExecutor(
         max_workers=config.workers
     ) as pool:
-        if not resumed:
-            handle.write(_event_line(meta))
-            handle.flush()
-        records = map(execute, jobs) if config.workers == 1 else pool.map(execute, jobs)
-        for record in records:
-            handle.write(_event_line(record))
-            handle.flush()
-            if index:
-                log.add(record)
+        try:
+            if not resumed:
+                handle.write(_event_line(meta))
+                handle.flush()
+            records = map(execute, jobs) if config.workers == 1 else pool.map(execute, jobs)
+            for record in records:
+                handle.write(_event_line(record))
+                handle.flush()
+                if index:
+                    log.add(record)
+        finally:
+            # pool.map queues every pair at once; a run stopped by a failed
+            # write or a Ctrl-C starts none of those not yet begun.
+            pool.shutdown(cancel_futures=True)
     return log
 
 
@@ -527,12 +542,12 @@ def classify_log(log: CampaignLog, corpus_path: str) -> int:
     oracle: the agent saw perturbed inputs, the judge never does. It is a
     pure function of the case and the calls, so each distinct outcome is
     classified once: pairs whose case and calls are equal share one
-    outcome object, which the index holds for each of them. A first
-    occurrence's line is encoded whole; the JSON of an outcome's labels is
-    encoded apart, once, only when a second pair shares the outcome. Calls
-    are equal when their tool names and arguments encode to the same JSON,
-    argument order included, so 1, 1.0 and true stay apart. Returns the
-    number of events appended; idempotent on a fully classified log.
+    outcome object, which the index holds for each of them. The JSON of an
+    outcome's labels is encoded once, when it is classified, and spliced
+    into the line of every pair that shares it. Calls are equal when their
+    tool names and arguments encode to the same JSON, argument order
+    included, so 1, 1.0 and true stay apart. Returns the number of events
+    appended; idempotent on a fully classified log.
     """
     cases = {case.case_id: case for case in load_corpus(corpus_path)}
     if log.header.corpus_sha256 != corpus_sha256(corpus_path):
@@ -545,9 +560,8 @@ def classify_log(log: CampaignLog, corpus_path: str) -> int:
             f"log header has classifier_version {log.header.classifier_version!r}, "
             f"but this build classifies with {CLASSIFIER_VERSION!r}"
         )
-    # (case_id, calls as JSON) -> the outcome, and the JSON of its labels
-    # once a second pair shares it.
-    outcomes: dict[tuple[str, str], tuple[TrajectoryClassification, str | None]] = {}
+    # (case_id, calls as JSON) -> the outcome, and the JSON of its labels.
+    outcomes: dict[tuple[str, str], tuple[TrajectoryClassification, str]] = {}
     appended = 0
     # read_log takes a whole final line that has lost its newline; it is
     # ended before the first line is appended, or that line would join it.
@@ -570,18 +584,13 @@ def classify_log(log: CampaignLog, corpus_path: str) -> int:
             shared = outcomes.get(calls)
             if shared is None:
                 outcome = classify_trajectory(entry.invocations, list(case.oracle), list(case.tools))
-                outcomes[calls] = (outcome, None)
-                record = Classification(*key, CLASSIFIER_VERSION, outcome.case_pass, outcome.aligned)
-                handle.write(_event_line(record))
-            else:
-                outcome, labels = shared
-                if labels is None:
-                    labels = log_line([aligned.to_json() for aligned in outcome.aligned])
-                    outcomes[calls] = (outcome, labels)
-                # The line is written from a record with no labels, and the
-                # encoded labels take the place of its empty array.
-                line = _event_line(Classification(*key, CLASSIFIER_VERSION, outcome.case_pass, ()))
-                handle.write(line.replace('"labels":[]', f'"labels":{labels}', 1))
+                labels = log_line([aligned.to_json() for aligned in outcome.aligned])
+                outcomes[calls] = shared = (outcome, labels)
+            outcome, labels = shared
+            # The line is written from a record with no labels, and the
+            # encoded labels take the place of its empty array.
+            line = _event_line(Classification(*key, CLASSIFIER_VERSION, outcome.case_pass, ()))
+            handle.write(line.replace('"labels":[]', f'"labels":{labels}', 1))
             log.classifications[key] = outcome
             appended += 1
     return appended

@@ -16,7 +16,6 @@ an input or output file that cannot be opened), 3 demo assertion failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import importlib.resources
 import json
 import sys
@@ -30,7 +29,6 @@ from paramfuzz.campaign import (
     run_campaign,
 )
 from paramfuzz.corpus import all_tools, filter_cases, lint_case, load_corpus
-from paramfuzz.driver import EndpointConfig
 from paramfuzz.errors import (
     CampaignError,
     MalformedInput,
@@ -45,7 +43,7 @@ from paramfuzz.perturb import (
     apply_operator,
     donor_pool,
 )
-from paramfuzz.records import array_of, check_record, expect, json_document
+from paramfuzz.records import expect, json_document, json_keys
 from paramfuzz.reporting import collect_results, emit_report
 
 EXIT_OK = 0
@@ -103,54 +101,20 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# The run settings: each config-file key, the JSON type the file must give
-# it, and the CampaignConfig field it sets. Each key is also the dest of the
-# run flag that sets it; endpoint is read from the file alone.
-_RUN_SETTINGS = (
-    ("corpus", "string", "corpus_path"),
-    ("out", "string", "out_dir"),
-    ("operators", None, "operators"),
-    ("driver", "string", "driver"),
-    ("seed", "integer", "seed"),
-    ("workers", "integer", "workers"),
-    ("step_limit", "integer", "step_limit"),
-    ("max_observation_length", "integer", "max_observation_length"),
-    ("scripts", "string", "scripts_path"),
-    ("endpoint", "object", "endpoint"),
-)
-
-
-def _load_config_file(path: str | None) -> dict[str, object]:
-    if path is None:
-        return {}
-    with open(path, "rb") as handle:
-        obj = json_document(handle.read(), "config file")
-    return check_record(obj, tuple((key, jtype, False) for key, jtype, _ in _RUN_SETTINGS), "config")
-
-
 def _build_campaign_config(args: argparse.Namespace) -> CampaignConfig:
-    """Pass CampaignConfig each setting a flag or the config file gives; a
-    flag wins over the file, and CampaignConfig holds every default."""
-    file_config = _load_config_file(args.config)
+    """Decode the config file's object with each run flag given copied over
+    it (a flag's dest is its key), so a flag wins over the file; a setting
+    given by neither takes CampaignConfig's default."""
     values: dict[str, object] = {}
-    for key, _, name in _RUN_SETTINGS:
-        value = getattr(args, key, None)
-        if value is None:
-            value = file_config.get(key)
-        if value is not None:
-            values[name] = value
-    if "corpus_path" not in values:
-        raise CampaignError("a corpus path is required (--corpus or config 'corpus')")
-    if "out_dir" not in values:
-        raise CampaignError("an output directory is required (--out or config 'out')")
-    operators = values.get("operators")
-    if isinstance(operators, str):
-        values["operators"] = tuple(op.strip() for op in operators.split(",") if op.strip())
-    elif operators is not None:
-        values["operators"] = array_of(functools.partial(expect, "string"), operators, "config.operators")
-    if "endpoint" in values:
-        values["endpoint"] = EndpointConfig.from_json(values["endpoint"])
-    return CampaignConfig(**values)  # type: ignore[arg-type]
+    if args.config is not None:
+        with open(args.config, "rb") as handle:
+            values = expect("object", json_document(handle.read(), "config file"), "config")
+    for key, _, _ in json_keys(CampaignConfig):
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    if isinstance(values.get("operators"), str):
+        values["operators"] = [op.strip() for op in values["operators"].split(",") if op.strip()]
+    return CampaignConfig.from_json(values, "config")
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -38,7 +38,7 @@ from paramfuzz.perturb import (
     PerturbationRecord,
     apply_operator,
 )
-from paramfuzz.records import JsonRecord, array_of, build, check_record, json_keys, loads, violation
+from paramfuzz.records import JsonRecord, array_of, build, check_record, loads, violation
 
 DEFAULT_STEP_LIMIT = 8
 DEFAULT_MAX_OBSERVATION_LENGTH = 1024
@@ -209,8 +209,13 @@ def render_function_declarations(tools: list[ToolDocument] | tuple[ToolDocument,
 
 
 @dataclass(frozen=True)
-class EndpointConfig:
-    """Connection settings for the chat-completions driver."""
+class EndpointConfig(
+    JsonRecord,
+    optional=("temperature", "rate_per_minute", "credential_env", "timeout_s", "max_retries", "backoff_base_s"),
+):
+    """Connection settings for the chat-completions driver, read from the
+    config file's endpoint object: base_url and model are required, and a
+    null key takes its default."""
 
     base_url: str
     model: str
@@ -231,15 +236,6 @@ class EndpointConfig:
                 raise SchemaViolation(f"{name} must be {bound}, got {value}", field=name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise SchemaViolation(f"{name} must be finite, got {value}", field=name)
-
-    @classmethod
-    def from_json(cls, obj: object) -> "EndpointConfig":
-        """Read the config file's endpoint object: base_url and model are
-        required, every key must be a field holding its JSON type, and a
-        null key takes its default."""
-        keys = tuple((key, jtype, key in ("base_url", "model")) for key, jtype, _ in json_keys(cls))
-        obj = check_record(obj, keys, "config.endpoint")
-        return build(cls, "config.endpoint", **{key: value for key, value in obj.items() if value is not None})
 
 
 class _RateLimiter:

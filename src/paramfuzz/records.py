@@ -14,7 +14,8 @@ sorted.
 Where the JSON shape differs from the fields, the class declares each
 difference once, as a class keyword:
 
-    keys={"value": "return"}           the field value is stored as "return"
+    keys={"value": "return"}           the field value is stored as "return";
+                                       a renamed key may be optional
     pair={"span": ("start", "end")}    "span" holds [start, end] of two fields
     exclusive=("payload", "raw_text")  exactly one key is present; to_json
                                        writes the first not None, else the first
@@ -332,6 +333,9 @@ class JsonRecord:
                 if values.get(key) is None:
                     values[key] = default
             for key, name in plan.renames:
+                # An absent optional key leaves its field to the default.
+                if key not in values:
+                    continue
                 value = values.pop(key)
                 if type(name) is tuple:
                     values.update(zip(name, value))

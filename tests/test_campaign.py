@@ -2,12 +2,15 @@
 
 import collections
 import copy
+import errno
 import gc
 import hashlib
 import importlib.resources
+import itertools
 import json
 import random
 import re
+import time
 import types
 from pathlib import Path
 
@@ -202,6 +205,12 @@ class TestLogIo:
         path = tmp_path / "log.jsonl"
         path.write_text("\n" + log_line(log_events(log_path)[0]) + "\n\n", encoding="utf-8")
         assert len(read_log(str(path))) == 1
+
+    def test_read_log_of_blank_lines_has_no_header(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text("\n \n\n", encoding="utf-8")
+        with pytest.raises(CampaignError, match="has no campaign_meta header"):
+            read_log(str(path))
 
     def test_read_log_rejects_bad_json(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -598,6 +607,19 @@ class TestClassifyLog:
         with pytest.raises(CampaignError):
             classify_log(read_log(log_path), other)
 
+    def test_rejects_a_case_the_corpus_lacks(self, tmp_path):
+        corpus = two_case_corpus(tmp_path)
+        log_path = run_campaign(
+            CampaignConfig(corpus_path=corpus, out_dir=str(tmp_path / "out"), operators=("RD",))
+        ).path
+        events = log_events(log_path)
+        events[2]["case_id"] = "ghost"
+        with open(log_path, "w", encoding="utf-8") as handle:
+            handle.write("".join(log_line(e) + "\n" for e in events))
+        with pytest.raises(CampaignError) as err:
+            classify_log(read_log(log_path), corpus)
+        assert str(err.value) == "log references case 'ghost' absent from the corpus"
+
     def test_corpus_hash_matches_file_bytes(self, tmp_path):
         corpus = two_case_corpus(tmp_path)
         digest = hashlib.sha256(Path(corpus).read_bytes()).hexdigest()
@@ -796,6 +818,40 @@ def test_http_depth_slice_log_is_the_same_for_1_and_4_workers(tmp_path, depth_sl
     wd = [event for event in trajectories if event["operator"] == "WD"]
     assert [len(event["perturbations"]) for event in wd] == [4] * DEPTH_SLICE_CASES
     assert Path(http.run("parallel", 4)).read_bytes() == Path(serial).read_bytes()
+
+
+def test_a_run_stopped_by_a_failed_write_starts_no_more_pairs(tmp_path, monkeypatch):
+    # pool.map queues all 300 mock_campaign pairs at once; those no worker
+    # has begun when a write fails must not reach the endpoint.
+    calls = []
+
+    def endpoint(url, headers, payload, timeout):
+        calls.append(url)
+        time.sleep(0.01)
+        return 200, {"choices": [{"message": {"content": "Thought: t\nFinal Answer: Done."}}]}
+
+    lines, real_log_line = itertools.count(), campaign.log_line
+
+    def full_disk(event):
+        if next(lines) == 5:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_log_line(event)
+
+    monkeypatch.setattr(driver, "_requests_transport", endpoint)
+    monkeypatch.setattr(campaign, "log_line", full_disk)
+    data = importlib.resources.files("paramfuzz").joinpath("data", "mock_campaign")
+    config = CampaignConfig(
+        corpus_path=str(data / "corpus.json"),
+        out_dir=str(tmp_path / "out"),
+        driver="http",
+        workers=2,
+        endpoint=EndpointConfig(base_url="http://fake", model="m", rate_per_minute=0),
+    )
+    with pytest.raises(OSError, match="No space left"):
+        run_campaign(config)
+    # The header and 4 records were written, the 5th record's write failed,
+    # and each of the 2 workers may have begun one more pair.
+    assert len(calls) <= 5 + 2 + 2
 
 
 # ------------------------------------------------------- single-pass reports

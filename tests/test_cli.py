@@ -19,10 +19,11 @@ from conftest import (
     make_tool,
     scripted_return,
 )
-from paramfuzz.cli import _RUN_SETTINGS, EXIT_CAMPAIGN, EXIT_OK, EXIT_VALIDATION, build_parser, main
+from paramfuzz.cli import EXIT_CAMPAIGN, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from paramfuzz.campaign import CampaignConfig, log_line
 from paramfuzz.corpus import OracleInvocation, filter_cases, load_corpus, serialize_corpus
 from paramfuzz.perturb import ALL_OPERATORS
+from paramfuzz.records import json_keys
 
 
 def packaged(name):
@@ -348,11 +349,9 @@ class TestRunSettings:
             for action in subparsers.choices["run"]._actions
             if action.option_strings and action.dest != "help"
         }
-        keys = {key for key, _, _ in _RUN_SETTINGS}
-        assert flags - {"config", "classify", "report"} <= keys
-        assert [name for _, _, name in _RUN_SETTINGS] == [
-            f.name for f in dataclasses.fields(CampaignConfig)
-        ]
+        keys = [key for key, _, _ in json_keys(CampaignConfig)]
+        assert flags - {"config", "classify", "report"} <= set(keys)
+        assert len(set(keys)) == len(keys) == len(dataclasses.fields(CampaignConfig))
 
     @pytest.mark.parametrize(
         ("config", "message"),

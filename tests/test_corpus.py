@@ -921,6 +921,16 @@ class TestJsonKeys:
         assert list(FailureLabel().to_json())[-1] == "passed"
         assert Trajectory.from_json(trajectory.to_json()) == trajectory
 
+    def test_a_renamed_optional_key_may_be_absent(self):
+        @dataclasses.dataclass(frozen=True)
+        class Renamed(JsonRecord, keys={"path": "file", "count": "n"}, optional=("n",)):
+            path: str | None = None
+            count: int = 2
+
+        assert Renamed.from_json({}, "r") == Renamed()
+        assert Renamed.from_json({"file": None, "n": None}, "r") == Renamed()
+        assert Renamed.from_json({"file": "a", "n": 5}, "r") == Renamed("a", 5)
+
     def test_reads_arrays_as_tuples(self):
         meta = CampaignMeta("0" * 64, 3, "replay", ("RD", "CK"), 8, 1024, 20, "1.0", "v", "0.1.0")
         assert meta.to_json()["operators"] == ["RD", "CK"]

@@ -7,17 +7,22 @@ here opens a socket.
 import hashlib
 import importlib.resources
 import json
+import types
 
 import pytest
+import requests
 
 from conftest import make_tool
 from paramfuzz.campaign import derived_seed
 from paramfuzz.corpus import all_tools, canonical_json, load_corpus
+from paramfuzz import driver
 from paramfuzz.driver import (
     PROMPT_TEMPLATE_VERSION,
     AgentContext,
     EndpointConfig,
     HttpDriver,
+    _RateLimiter,
+    _requests_transport,
     parse_react_step,
     run_case,
 )
@@ -88,23 +93,24 @@ class TestParseReactStep:
 
 class TestEndpointConfig:
     def test_from_json_minimal(self):
-        config = EndpointConfig.from_json({"base_url": "http://h", "model": "m"})
+        config = EndpointConfig.from_json({"base_url": "http://h", "model": "m"}, "config.endpoint")
         assert config.base_url == "http://h" and config.model == "m"
         assert config.temperature == 0.0
 
     def test_from_json_refuses_unknown_keys(self):
         with pytest.raises(SchemaViolation) as err:
             EndpointConfig.from_json(
-                {"base_url": "http://h", "model": "m", "max_retires": 0, "temprature": 0.9}
+                {"base_url": "http://h", "model": "m", "max_retires": 0, "temprature": 0.9},
+                "config.endpoint",
             )
         assert str(err.value) == "config.endpoint has unknown key 'max_retires'"
         assert err.value.field == "config.endpoint.max_retires"
 
     def test_from_json_requires_base_url_and_model(self):
         with pytest.raises(SchemaViolation):
-            EndpointConfig.from_json({"model": "m"})
+            EndpointConfig.from_json({"model": "m"}, "config.endpoint")
         with pytest.raises(SchemaViolation):
-            EndpointConfig.from_json({"base_url": "http://h"})
+            EndpointConfig.from_json({"base_url": "http://h"}, "config.endpoint")
 
     @pytest.mark.parametrize(
         ("key", "value"),
@@ -129,6 +135,35 @@ class TestEndpointConfig:
     def test_zero_rate_and_retries_are_allowed(self):
         config = EndpointConfig(base_url="http://h", model="m", rate_per_minute=0, max_retries=0)
         assert config.rate_per_minute == 0 and config.max_retries == 0
+
+
+class TestRateLimiter:
+    def test_spaces_calls_by_the_interval(self, monkeypatch):
+        clock, slept = [100.0], []
+
+        def sleep(seconds):
+            slept.append(seconds)
+            clock[0] += seconds
+
+        monkeypatch.setattr(driver, "time", types.SimpleNamespace(monotonic=lambda: clock[0], sleep=sleep))
+        limiter = _RateLimiter(120.0)  # one call per 0.5 s
+        limiter.wait()
+        limiter.wait()
+        clock[0] += 0.2
+        limiter.wait()
+        clock[0] += 2.0
+        limiter.wait()
+        assert slept == pytest.approx([0.5, 0.3])
+
+
+def test_requests_transport_turns_a_request_failure_into_a_transport_error(monkeypatch):
+    def refuse(url, headers=None, json=None, timeout=None):
+        raise requests.ConnectionError("connection refused")
+
+    monkeypatch.setattr(requests, "post", refuse)
+    with pytest.raises(TransportError) as err:
+        _requests_transport("http://endpoint.test/v1/chat/completions", {}, {}, 1.0)
+    assert str(err.value) == "request to http://endpoint.test/v1/chat/completions failed: connection refused"
 
 
 def fast_config(**overrides):
