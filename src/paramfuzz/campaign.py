@@ -14,8 +14,9 @@ the oracle makes them, so classify_log classifies each distinct (case,
 calls) outcome once, and encodes its labels once for every line that
 carries them.
 
-A CampaignLog indexes a log by (operator, case_id, seed) and keeps of
-each trajectory only what classifying and reporting read: whether the
+A CampaignLog indexes a log by (operator, case_id), each record checked
+against the header's operators and seed, and keeps of each trajectory
+only what classifying and reporting read: its seed, whether the
 perturbation applied, and the invocations; of each classification, the
 classifier's outcome, one object for all the pairs that share it.
 run_campaign returns the index of the log it wrote, built as it writes
@@ -26,7 +27,7 @@ index; classify and report start from it, and a resumed run reads the
 existing log through it.
 Runs are resumable: pairs already present in the log are skipped, a
 final line left unfinished by a stopped run is dropped, and a resumed run
-must match the header's corpus hash, seed and driver.
+must match the header's corpus hash, seed, driver and operators.
 """
 
 from __future__ import annotations
@@ -133,26 +134,27 @@ def _event_line(record: JsonRecord) -> str:
     return log_line({"event": _KIND_OF[type(record)], **record.to_json()}) + "\n"
 
 
-Key = tuple[str, str, int]
+Key = tuple[str, str]
 
 
 def _pair(key: Key) -> str:
-    return f"({key[0]}, {key[1]}, seed {key[2]})"
+    return f"({key[0]}, {key[1]})"
 
 
 @dataclass(frozen=True)
 class TrajectoryEntry:
     """What classifying and reporting read of one logged trajectory."""
 
+    seed: int
     applied: bool
     invocations: tuple[ObservedInvocation, ...]
 
 
 @dataclass
 class CampaignLog:
-    """One campaign log, checked and indexed by (operator, case_id, seed).
+    """One campaign log, checked and indexed by (operator, case_id).
 
-    ``trajectories`` keeps log order; ``errors`` lists the keys of runs
+    ``trajectories`` keeps log order; ``errors`` lists the pairs of runs
     that died in the driver; ``classifications`` holds each classified
     key's outcome, the one object that classify_log shares among the
     pairs with equal outcomes (read_log gives each line its own).
@@ -172,12 +174,21 @@ class CampaignLog:
     def __len__(self) -> int:
         return 1 + len(self.trajectories) + len(self.errors) + len(self.classifications)
 
-    def add(self, record: Trajectory | TrajectoryError | Classification) -> None:
-        """Index one record that follows the header."""
-        key = (record.operator, record.case_id, record.seed)
+    def add(self, record: Trajectory | TrajectoryError | Classification, where: str = "record") -> None:
+        """Index one record that follows the header. A record under an
+        operator the header does not list, or whose seed is not
+        derived_seed(header seed, operator, case_id), is a SchemaViolation
+        at where.operator or where.seed."""
+        if record.operator not in self.header.operators:
+            listed = ", ".join(self.header.operators)
+            raise violation(f"{where}.operator", f"must be one of the header's operators ({listed}), got {record.operator!r}")
+        seed = derived_seed(self.header.seed, record.operator, record.case_id)
+        if record.seed != seed:
+            raise violation(f"{where}.seed", f"must be {seed}, as the header's seed derives it, got {record.seed}")
+        key = (record.operator, record.case_id)
         if isinstance(record, Trajectory):
             self.trajectories[key] = TrajectoryEntry(
-                record.perturbation_applied, tuple(record.invocations)
+                seed, record.perturbation_applied, tuple(record.invocations)
             )
         elif isinstance(record, TrajectoryError):
             self.errors.append(key)
@@ -197,15 +208,19 @@ def _first_line(lines: dict[Key, int], key: Key, number: int, what: str) -> None
 
 
 def read_log(path: str) -> CampaignLog:
-    """Read a JSON-lines campaign log into one checked index. Every line
-    is decoded and checked in full before its entry is indexed.
+    """Read a JSON-lines campaign log, keyed by (operator, case_id), into
+    one checked index. Every line is decoded and checked in full; a log
+    with one bad line is refused whole.
 
     A line that is not JSON or not a tagged object is MalformedInput. A
     line whose shape breaks the key table of its event kind is a
-    SchemaViolation at "log line N.<path>". A header that is missing,
-    repeated or not first, a second event for one key, a classification
-    with no earlier trajectory, and a classification whose classifier
-    version differs from the header's are CampaignErrors naming the lines.
+    SchemaViolation at "log line N.<path>", and so is a record that
+    CampaignLog.add refuses, at "log line N.operator" or "log line N.seed";
+    these are checked before the line's place. A header that is missing,
+    repeated or not first, a second run (trajectory or trajectory_error)
+    or second classification of one pair, a classification with no
+    earlier trajectory, and a classification whose classifier version
+    differs from the header's are CampaignErrors naming the lines.
     A classification whose case_pass is not the conjunction of its labels'
     passed is a SchemaViolation at "log line N.case_pass", and so is a
     trajectory whose perturbation_applied is not whether it records a
@@ -246,7 +261,8 @@ def read_log(path: str) -> CampaignLog:
                 log = CampaignLog(path, record)
                 header_line = number
                 continue
-            key = (record.operator, record.case_id, record.seed)
+            log.add(record, where)
+            key = (record.operator, record.case_id)
             if kind == "classification":
                 if key not in log.trajectories:
                     raise CampaignError(
@@ -265,7 +281,6 @@ def read_log(path: str) -> CampaignLog:
                     )
             else:
                 _first_line(runs, key, number, "run")
-            log.add(record)
     if log is None:
         raise CampaignError(f"log {path} has no campaign_meta header")
     return log
@@ -402,7 +417,7 @@ def corpus_sha256(path: str) -> str:
 
 
 def _check_resume(meta: CampaignMeta, existing: CampaignMeta) -> None:
-    for key in ("corpus_sha256", "seed", "driver", "step_limit", "max_observation_length"):
+    for key in ("corpus_sha256", "seed", "driver", "operators", "step_limit", "max_observation_length"):
         was, now = getattr(existing, key), getattr(meta, key)
         if was != now:
             raise CampaignError(
@@ -484,15 +499,11 @@ def run_campaign(config: CampaignConfig, *, index: bool = True) -> CampaignLog:
     done = {*log.trajectories, *log.errors}
     if not index:
         log = CampaignLog(log_path, log.header)
-    pairs = [
-        (operator, case)
-        for operator in config.ordered_operators
-        for case in cases
-    ]
     jobs = [
         (operator, case, derived_seed(config.seed, operator, case.case_id))
-        for operator, case in pairs
-        if (operator, case.case_id, derived_seed(config.seed, operator, case.case_id)) not in done
+        for operator in config.ordered_operators
+        for case in cases
+        if (operator, case.case_id) not in done
     ]
 
     def execute(job: tuple[str, TestCase, int]) -> Trajectory | TrajectoryError:
@@ -546,8 +557,9 @@ def classify_log(log: CampaignLog, corpus_path: str) -> int:
     outcome's labels is encoded once, when it is classified, and spliced
     into the line of every pair that shares it. Calls are equal when their
     tool names and arguments encode to the same JSON, argument order
-    included, so 1, 1.0 and true stay apart. Returns the number of events
-    appended; idempotent on a fully classified log.
+    included, so 1, 1.0 and true stay apart. A log naming a case the corpus
+    lacks is refused before anything is appended. Returns the number of
+    events appended; idempotent on a fully classified log.
     """
     cases = {case.case_id: case for case in load_corpus(corpus_path)}
     if log.header.corpus_sha256 != corpus_sha256(corpus_path):
@@ -560,6 +572,9 @@ def classify_log(log: CampaignLog, corpus_path: str) -> int:
             f"log header has classifier_version {log.header.classifier_version!r}, "
             f"but this build classifies with {CLASSIFIER_VERSION!r}"
         )
+    for _, case_id in log.trajectories:
+        if case_id not in cases:
+            raise CampaignError(f"log references case {case_id!r} absent from the corpus")
     # (case_id, calls as JSON) -> the outcome, and the JSON of its labels.
     outcomes: dict[tuple[str, str], tuple[TrajectoryClassification, str]] = {}
     appended = 0
@@ -575,11 +590,7 @@ def classify_log(log: CampaignLog, corpus_path: str) -> int:
             if unended:
                 handle.write("\n")
                 unended = False
-            case = cases.get(key[1])
-            if case is None:
-                raise CampaignError(
-                    f"log references case {key[1]!r} absent from the corpus"
-                )
+            case = cases[key[1]]
             calls = (key[1], json.dumps([(call.tool_name, call.arguments) for call in entry.invocations]))
             shared = outcomes.get(calls)
             if shared is None:
@@ -589,7 +600,7 @@ def classify_log(log: CampaignLog, corpus_path: str) -> int:
             outcome, labels = shared
             # The line is written from a record with no labels, and the
             # encoded labels take the place of its empty array.
-            line = _event_line(Classification(*key, CLASSIFIER_VERSION, outcome.case_pass, ()))
+            line = _event_line(Classification(*key, entry.seed, CLASSIFIER_VERSION, outcome.case_pass, ()))
             handle.write(line.replace('"labels":[]', f'"labels":{labels}', 1))
             log.classifications[key] = outcome
             appended += 1

@@ -69,7 +69,6 @@ class CaseOutcome:
 
     operator: str
     case_id: str
-    seed: int
     applied: bool
     case_pass: bool
     labels: tuple[FailureLabel, ...]
@@ -104,14 +103,13 @@ def collect_results(log: CampaignLog) -> CampaignResults:
             CaseOutcome(
                 operator=key[0],
                 case_id=key[1],
-                seed=key[2],
                 applied=entry.applied,
                 case_pass=verdict.case_pass,
                 labels=labels,
             )
         )
     error_counts: dict[str, int] = {}
-    for operator, _, _ in log.errors:
+    for operator, _ in log.errors:
         error_counts[operator] = error_counts.get(operator, 0) + 1
     return CampaignResults(
         meta=log.header.to_json(), outcomes=tuple(outcomes), error_counts=error_counts

@@ -182,11 +182,12 @@ class TestLogIo:
         assert len(log) == len(events) == 9
         assert {"event": "campaign_meta", **log.header.to_json()} == events[0]
         assert [
-            (key, entry.applied, [invocation.to_json() for invocation in entry.invocations])
+            (key, entry.seed, entry.applied, [invocation.to_json() for invocation in entry.invocations])
             for key, entry in log.trajectories.items()
         ] == [
             (
-                (e["operator"], e["case_id"], e["seed"]),
+                (e["operator"], e["case_id"]),
+                e["seed"],
                 e["perturbation_applied"],
                 [step["invocation"] for step in e["steps"] if step["invocation"] is not None],
             )
@@ -392,24 +393,42 @@ class TestRunCampaign:
 
     def test_resume_skips_finished_pairs(self, tmp_path):
         corpus = two_case_corpus(tmp_path)
-        out = tmp_path / "out"
-        first = CampaignConfig(
-            corpus_path=corpus, out_dir=str(out), operators=("RD",), seed=2
-        )
-        log_path = run_campaign(first).path
-        after_first = Path(log_path).read_bytes()
-        resumed = CampaignConfig(
-            corpus_path=corpus, out_dir=str(out), operators=("RD", "CK"), seed=2
-        )
-        run_campaign(resumed)
-        after_second = Path(log_path).read_bytes()
-        assert after_second.startswith(after_first)
+
+        def config(out):
+            return CampaignConfig(
+                corpus_path=corpus, out_dir=str(tmp_path / out), operators=("RD", "CK"), seed=2
+            )
+
+        whole = Path(run_campaign(config("whole")).path).read_bytes()
+        # The log of a run stopped after its first pair: the header and one trajectory.
+        cut = b"".join(whole.splitlines(keepends=True)[:2])
+        (tmp_path / "out").mkdir()
+        log_path = tmp_path / "out" / LOG_FILE_NAME
+        log_path.write_bytes(cut)
+        assert len(run_campaign(config("out")).trajectories) == 4
+        assert log_path.read_bytes() == whole
         trajectories = [e for e in log_events(log_path) if e["event"] == "trajectory"]
         assert [(e["operator"], e["case_id"]) for e in trajectories] == [
             ("RD", "k1"), ("RD", "k2"), ("CK", "k1"), ("CK", "k2"),
         ]
-        third = run_campaign(resumed).path
-        assert Path(third).read_bytes() == after_second
+        run_campaign(config("out"))
+        assert log_path.read_bytes() == whole
+
+    def test_resume_rejects_changed_operators(self, tmp_path):
+        corpus = two_case_corpus(tmp_path)
+        out = tmp_path / "out"
+        log_path = run_campaign(
+            CampaignConfig(corpus_path=corpus, out_dir=str(out), operators=("RD",), seed=2)
+        ).path
+        before = Path(log_path).read_bytes()
+        with pytest.raises(CampaignError) as err:
+            run_campaign(
+                CampaignConfig(corpus_path=corpus, out_dir=str(out), operators=("RD", "CK"), seed=2)
+            )
+        assert str(err.value) == (
+            "cannot resume: log was written with operators=('RD',), this run uses ('RD', 'CK')"
+        )
+        assert Path(log_path).read_bytes() == before
 
     def test_resume_rejects_changed_seed(self, tmp_path):
         corpus = two_case_corpus(tmp_path)
@@ -613,12 +632,15 @@ class TestClassifyLog:
             CampaignConfig(corpus_path=corpus, out_dir=str(tmp_path / "out"), operators=("RD",))
         ).path
         events = log_events(log_path)
-        events[2]["case_id"] = "ghost"
+        events[2].update(case_id="ghost", seed=derived_seed(0, "RD", "ghost"))
         with open(log_path, "w", encoding="utf-8") as handle:
             handle.write("".join(log_line(e) + "\n" for e in events))
+        before = Path(log_path).read_bytes()
         with pytest.raises(CampaignError) as err:
             classify_log(read_log(log_path), corpus)
         assert str(err.value) == "log references case 'ghost' absent from the corpus"
+        # The check precedes the first append, so (RD, k1) is not classified either.
+        assert Path(log_path).read_bytes() == before
 
     def test_corpus_hash_matches_file_bytes(self, tmp_path):
         corpus = two_case_corpus(tmp_path)
@@ -866,6 +888,17 @@ def _run_report(corpus, scripts, out, seed) -> None:
     assert cli.main(argv + ["--seed", str(seed), "--report"]) == cli.EXIT_OK
 
 
+def _assert_each_case_counted_once(out) -> None:
+    """Each operator of report.json accounts for every case exactly once, and
+    lists an entry for each case it attempted or skipped."""
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["operators"]
+    for operator, block in report["operators"].items():
+        ran = block["attempted"] + block["skipped_unperturbable"]
+        assert ran + block["driver_errors"] == report["campaign"]["case_count"], operator
+        assert len(report["cases"].get(operator, {})) == ran, operator
+
+
 class TestSinglePassReport:
     @pytest.fixture
     def mock_campaign(self):
@@ -881,6 +914,7 @@ class TestSinglePassReport:
         monkeypatch.setattr(cli, "read_log", refuse)
         _run_report(*mock_campaign, tmp_path, seed=0)
         assert _digests(tmp_path) == MOCK_CAMPAIGN_SHA256
+        _assert_each_case_counted_once(tmp_path)
 
     def test_a_bare_run_indexes_nothing(self, tmp_path, monkeypatch, mock_campaign):
         """run without --classify or --report reads nothing back, so the log
@@ -958,6 +992,7 @@ def test_deep_case_outputs_are_pinned(tmp_path, depth_slice):
         path.write_text(json.dumps(document, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8")
     _run_report(corpus_path, scripts_path, tmp_path / "out", seed=3)
     assert _digests(tmp_path / "out") == _DEPTH_SLICE_SHA256
+    _assert_each_case_counted_once(tmp_path / "out")
 
 
 # ------------------------------------------------- golden campaign-log errors
@@ -981,9 +1016,11 @@ def mock_log(tmp_path_factory):
 # Event indices: the header is log line 1, the (RD, m01) trajectory line 2,
 # the last trajectory line 301 and the (RD, m01) classification line 302,
 # which flags task deviation with one evidence entry. _with_error puts a
-# trajectory error at E, between the trajectories and the classifications.
+# trajectory error at E, between the trajectories and the classifications,
+# for (RD, m21), a pair that did not run: m21 does not survive filtering.
 H, T, LAST_T, C = 0, 1, 300, 301
 E = LAST_T + 1
+M01_SEED, M21_SEED = derived_seed(0, "RD", "m01"), derived_seed(0, "RD", "m21")
 
 
 def _walk(event, path):
@@ -1021,8 +1058,8 @@ def _error_event(events):
     return {
         "event": "trajectory_error",
         "operator": "RD",
-        "case_id": "m01",
-        "seed": 1,
+        "case_id": "m21",
+        "seed": M21_SEED,
         "error": "TransportError",
         "message": "endpoint failure (HTTP 503)",
     }
@@ -1066,6 +1103,11 @@ LOG_MUTATIONS = {
     "trajectory_unknown_key": _set(T, "latency_s", 0.5),
     "trajectory_seed_string": _set(T, "seed", "1"),
     "trajectory_seed_bool": _set(T, "seed", True),
+    "trajectory_seed_not_derived": _set(T, "seed", M01_SEED + 1),
+    "second_run_under_another_seed": _insert(LAST_T + 1, _copy_of(T, seed=M01_SEED + 1)),
+    "error_seed_not_derived": _with_error(_set(E, "seed", 1)),
+    "classification_seed_not_derived": _set(C, "seed", 1),
+    "operator_not_in_header": _set(H, "operators", ["RD"]),
     "trajectory_applied_string": _set(T, "perturbation_applied", "false"),
     "trajectory_applied_contradicts_perturbations": _set(T, "perturbation_applied", False),
     "trajectory_applied_without_perturbations": _set(T, "perturbations", []),
@@ -1096,13 +1138,13 @@ LOG_MUTATIONS = {
     "evidence_entry_missing_key": _drop(C, LABEL + ".evidence.task_deviation.0.rule"),
     "duplicate_trajectory": _insert(LAST_T + 1, _copy_of(T)),
     "duplicate_trajectory_error": _with_error(_insert(E + 1, _error_event)),
-    "error_repeats_trajectory": _with_error(_set(E, "seed", 17301365158976469019)),
+    "error_repeats_trajectory": _with_error(_set(E, "case_id", "m01"), _set(E, "seed", M01_SEED)),
     "duplicate_classification": _insert(C + 1, _copy_of(C, case_pass=True)),
     "second_header": _insert(C, _copy_of(H)),
     "header_not_first": _move(H, 1),
     "header_missing": lambda events: events.pop(H),
     "orphan_classification": _move(C, 1),
-    "classification_of_an_error": _with_error(_insert(E + 2, _copy_of(E + 1, seed=1))),
+    "classification_of_an_error": _with_error(_insert(E + 2, _copy_of(E + 1, case_id="m21", seed=M21_SEED))),
     "classifier_version_mismatch": _set(C, "classifier_version", "0.9"),
     "header_classifier_version": _set(H, "classifier_version", "0.9"),
 }
@@ -1114,14 +1156,14 @@ LOG_GOLDEN = {
     "classification_case_pass_string": ('SchemaViolation', 'log line 302.case_pass must be a boolean, got string', 'log line 302.case_pass'),
     "classification_case_pass_contradicts_labels": ('SchemaViolation', 'log line 302.case_pass must be false, as the labels say', 'log line 302.case_pass'),
     "classification_missing_key": ('SchemaViolation', "log line 302 is missing required key 'case_pass'", 'log line 302.case_pass'),
-    "classification_of_an_error": ('CampaignError', 'log line 304 classifies (RD, m01, seed 1), but no earlier line holds its trajectory', None),
+    "classification_of_an_error": ('CampaignError', 'log line 304 classifies (RD, m21), but no earlier line holds its trajectory', None),
     "classification_unknown_key": ('SchemaViolation', "log line 302 has unknown key 'judge'", 'log line 302.judge'),
     "classifier_version_mismatch": ('CampaignError', "log line 302 has classifier_version '0.9', but the header on line 1 has '1.0'", None),
-    "duplicate_classification": ('CampaignError', 'log line 303 is a second classification of (RD, m01, seed 17301365158976469019); the first is on line 302', None),
-    "duplicate_trajectory": ('CampaignError', 'log line 302 is a second run of (RD, m01, seed 17301365158976469019); the first is on line 2', None),
-    "duplicate_trajectory_error": ('CampaignError', 'log line 303 is a second run of (RD, m01, seed 1); the first is on line 302', None),
+    "duplicate_classification": ('CampaignError', 'log line 303 is a second classification of (RD, m01); the first is on line 302', None),
+    "duplicate_trajectory": ('CampaignError', 'log line 302 is a second run of (RD, m01); the first is on line 2', None),
+    "duplicate_trajectory_error": ('CampaignError', 'log line 303 is a second run of (RD, m21); the first is on line 302', None),
     "error_missing_key": ('SchemaViolation', "log line 302 is missing required key 'message'", 'log line 302.message'),
-    "error_repeats_trajectory": ('CampaignError', 'log line 302 is a second run of (RD, m01, seed 17301365158976469019); the first is on line 2', None),
+    "error_repeats_trajectory": ('CampaignError', 'log line 302 is a second run of (RD, m01); the first is on line 2', None),
     "error_unknown_key": ('SchemaViolation', "log line 302 has unknown key 'status'", 'log line 302.status'),
     "evidence_entry_missing_key": ('SchemaViolation', "log line 302.labels[0].label.evidence.task_deviation[0] is missing required key 'rule'", 'log line 302.labels[0].label.evidence.task_deviation[0].rule'),
     "header_classifier_version": ('CampaignError', "log line 302 has classifier_version '1.0', but the header on line 1 has '0.9'", None),
@@ -1140,7 +1182,7 @@ LOG_GOLDEN = {
     "meta_missing_key": ('SchemaViolation', "log line 1 is missing required key 'corpus_sha256'", 'log line 1.corpus_sha256'),
     "meta_seed_not_integer": ('SchemaViolation', 'log line 1.seed must be an integer, got number', 'log line 1.seed'),
     "meta_unknown_key": ('SchemaViolation', "log line 1 has unknown key 'timestamp'", 'log line 1.timestamp'),
-    "orphan_classification": ('CampaignError', 'log line 2 classifies (RD, m01, seed 17301365158976469019), but no earlier line holds its trajectory', None),
+    "orphan_classification": ('CampaignError', 'log line 2 classifies (RD, m01), but no earlier line holds its trajectory', None),
     "perturbation_missing_key": ('SchemaViolation', "log line 2.perturbations[0] is missing required key 'details'", 'log line 2.perturbations[0].details'),
     "second_header": ('CampaignError', 'log line 302 is a second campaign_meta header; the first is on line 1', None),
     "skip_missing_key": ('SchemaViolation', "log line 2.skips[0] is missing required key 'message'", 'log line 2.skips[0].message'),
@@ -1159,6 +1201,12 @@ LOG_GOLDEN = {
     "untagged_line": ('MalformedInput', 'log line 2 is not a tagged event', None),
     "line_not_utf8": ('MalformedInput', 'log line 5 is not valid UTF-8 at byte 37: invalid start byte', None),
     "event_not_string": ('SchemaViolation', "log line 2.event must be one of campaign_meta, trajectory, trajectory_error, classification, got ['trajectory']", 'log line 2.event'),
+    # A record's seed and operator are checked before its place in the log.
+    "classification_seed_not_derived": ('SchemaViolation', "log line 302.seed must be 17301365158976469019, as the header's seed derives it, got 1", 'log line 302.seed'),
+    "error_seed_not_derived": ('SchemaViolation', "log line 302.seed must be 5868222928731932250, as the header's seed derives it, got 1", 'log line 302.seed'),
+    "operator_not_in_header": ('SchemaViolation', "log line 22.operator must be one of the header's operators (RD), got 'RE'", 'log line 22.operator'),
+    "second_run_under_another_seed": ('SchemaViolation', "log line 302.seed must be 17301365158976469019, as the header's seed derives it, got 17301365158976469020", 'log line 302.seed'),
+    "trajectory_seed_not_derived": ('SchemaViolation', "log line 2.seed must be 17301365158976469019, as the header's seed derives it, got 17301365158976469020", 'log line 2.seed'),
 }
 
 

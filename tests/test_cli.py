@@ -643,10 +643,25 @@ class TestMalformedLog:
     def test_duplicate_exits_two_naming_both_lines(self, tmp_path, capsys, events):
         events.insert(3, events[1])
         assert self.report(tmp_path, events) == EXIT_CAMPAIGN
-        err = capsys.readouterr().err
-        assert err.startswith("campaign error: log line 4 is a second run of (RD, k1, seed ")
-        assert err.endswith("; the first is on line 2\n")
+        assert capsys.readouterr().err == (
+            "campaign error: log line 4 is a second run of (RD, k1); the first is on line 2\n"
+        )
         assert not (tmp_path / "report").exists()
+
+    def test_a_second_run_under_another_seed_exits_one_at_its_seed(self, tmp_path, capsys, clean_corpus, events):
+        seed = events[1]["seed"]
+        events.insert(3, {**events[1], "seed": seed + 1})
+        expected = (
+            f"validation error: log line 4.seed must be {seed}, as the header's seed derives it, got {seed + 1}\n"
+        )
+        assert self.report(tmp_path, events) == EXIT_VALIDATION
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "report").exists()
+        log = tmp_path / "bad.jsonl"
+        before = log.read_bytes()
+        assert main(["classify", "--log", str(log), "--corpus", clean_corpus]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == expected
+        assert log.read_bytes() == before
 
 
 class TestDemo:

@@ -24,7 +24,7 @@ import sys
 import pytest
 
 from paramfuzz import cli
-from paramfuzz.campaign import read_log
+from paramfuzz.campaign import derived_seed, read_log
 from paramfuzz.cli import EXIT_CAMPAIGN, EXIT_OK, EXIT_VALIDATION, main
 from paramfuzz.corpus import MAX_NESTING
 from paramfuzz.perturb import RETURN_OPERATORS
@@ -110,7 +110,8 @@ def _fuzz(record, command):
 @pytest.fixture
 def inputs(tmp_path, monkeypatch):
     """A one-case corpus, its script book, and a classified log of it with
-    a trajectory error added, as files, and the log's events."""
+    a trajectory error added for a pair that did not run, as files, and the
+    log's events."""
     # Building the parser costs more than most runs; parsing does not change it.
     monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
     cases = [case for case in _demo("corpus.json")["cases"] if case["case_id"] == CASE_ID]
@@ -122,7 +123,8 @@ def inputs(tmp_path, monkeypatch):
     assert main(argv + ["--out", str(tmp_path / "run"), "--operators", "RD,CK", "--classify"]) == EXIT_OK
     with open(tmp_path / "run" / "campaign.jsonl", encoding="utf-8") as handle:
         events = [json.loads(line) for line in handle]
-    error = {"event": "trajectory_error", "operator": "RD", "case_id": CASE_ID, "seed": 1,
+    error = {"event": "trajectory_error", "operator": "RD", "case_id": "d3_unrun",
+             "seed": derived_seed(0, "RD", "d3_unrun"),
              "error": "TransportError", "message": "endpoint failure (HTTP 503)"}
     events.insert(3, error)
     return tmp_path, corpus, scripts, events
@@ -240,7 +242,7 @@ def test_an_aligned_label_without_its_indices_reads_them_as_null(inputs):
     log = _log_with(tmp_path, events, drop_indices)
     read = read_log(log).classifications
     event = events[index]
-    aligned = read[(event["operator"], event["case_id"], event["seed"])].aligned[0]
+    aligned = read[(event["operator"], event["case_id"])].aligned[0]
     assert (aligned.observed_index, aligned.oracle_index) == (None, None)
     assert main(["report", "--log", log, "--out", str(tmp_path / "report")]) == EXIT_OK
     report = json.loads((tmp_path / "report" / "report.json").read_text(encoding="utf-8"))

@@ -21,6 +21,7 @@ from paramfuzz.campaign import (
     TrajectoryEntry,
     TrajectoryError,
     classify_log,
+    derived_seed,
     log_line,
     read_log,
     run_campaign,
@@ -59,7 +60,6 @@ def outcome(operator="RD", case_id="k1", applied=True, labels=()):
     return CaseOutcome(
         operator=operator,
         case_id=case_id,
-        seed=0,
         applied=applied,
         case_pass=all(l.passed for l in labels),
         labels=labels,
@@ -276,14 +276,15 @@ class TestCollectResults:
 
     def test_driver_errors_counted_per_operator(self, tmp_path):
         log_path = mini_campaign(tmp_path)
+        # An error for a pair that did not run, as (RD, k1) did.
         with open(log_path, "a", encoding="utf-8") as handle:
             handle.write(
                 log_line(
                     {
                         "event": "trajectory_error",
                         "operator": "RD",
-                        "case_id": "k1",
-                        "seed": 1,
+                        "case_id": "k2",
+                        "seed": derived_seed(0, "RD", "k2"),
                         "error": "TransportError",
                         "message": "boom",
                     }
@@ -363,7 +364,8 @@ AWKWARD_CASE_IDS = ('say "hi"', "back\\slash", "two\nlines", "Zürich 東京", "
 def _indexed_log(tmp_path, with_cases: bool) -> CampaignLog:
     """A log index built in memory: RD and CK over AWKWARD_CASE_IDS, with
     repeated passing labels and failing ones that carry Rouge-L floats, and
-    WD with only driver errors; or, without cases, the driver errors alone."""
+    WD with only driver errors, on k1 and k2; or, without cases, the driver
+    errors alone. Each record has its pair's derived seed."""
     header = CampaignMeta(
         corpus_sha256="0" * 64, seed=0, driver="replay", operators=("RD", "WD", "CK"), step_limit=8,
         max_observation_length=1024, case_count=len(AWKWARD_CASE_IDS), classifier_version="1.0",
@@ -379,10 +381,11 @@ def _indexed_log(tmp_path, with_cases: bool) -> CampaignLog:
     for operator in ("RD", "CK"):
         for number, case_id in enumerate(cases):
             labels = failing if number % 3 == 1 else passing
-            log.trajectories[(operator, case_id, number)] = TrajectoryEntry(number != 5, ())
-            log.add(Classification(operator, case_id, number, "1.0", labels is passing, labels))
-    for seed in (1, 2):
-        log.add(TrajectoryError("WD", "k1", seed, "TransportError", "endpoint failure"))
+            seed = derived_seed(0, operator, case_id)
+            log.trajectories[(operator, case_id)] = TrajectoryEntry(seed, number != 5, ())
+            log.add(Classification(operator, case_id, seed, "1.0", labels is passing, labels))
+    for case_id in ("k1", "k2"):
+        log.add(TrajectoryError("WD", case_id, derived_seed(0, "WD", case_id), "TransportError", "endpoint failure"))
     return log
 
 
@@ -429,15 +432,17 @@ REPLICAS = 5
 def test_emit_report_never_holds_the_whole_report_json(tmp_path, monkeypatch):
     """Once the report is built, emit_report's traced peak rises by less
     than the size of the report.json it writes, on the packaged
-    mock_campaign log replicated REPLICAS times under renamed case ids.
+    mock_campaign log replicated REPLICAS times under renamed case ids,
+    each event with its renamed pair's derived seed.
 
     The rise is measured from the report's own objects, which outweigh
     its JSON text, so the guard sees only what writing it allocates."""
     header, *events = log_events(mock_campaign_log(tmp_path).path)
     lines = [log_line(header)] + [
-        log_line({**event, "case_id": f"{event['case_id']}_{copy}"})
+        log_line({**event, "case_id": case_id, "seed": derived_seed(header["seed"], event["operator"], case_id)})
         for copy in range(REPLICAS)
         for event in events
+        for case_id in [f"{event['case_id']}_{copy}"]
     ]
     replicated = tmp_path / "replicated.jsonl"
     replicated.write_text("\n".join(lines) + "\n", encoding="utf-8")
