@@ -80,12 +80,13 @@ class TruncationEvent(JsonRecord):
 
 def truncate_observation(text: str, budget: int) -> tuple[str, int | None]:
     """Cut text to at most budget code points, never splitting a base
-    character from its combining marks. Returns (text, cut length or
-    None when nothing was truncated)."""
+    character from its marks: every code point whose general category is
+    Mn, Mc or Me, whatever its combining class. Returns (text, cut length
+    or None when nothing was truncated)."""
     if len(text) <= budget:
         return text, None
     cut = budget
-    while cut > 0 and unicodedata.combining(text[cut]):
+    while cut > 0 and unicodedata.category(text[cut])[0] == "M":
         cut -= 1
     return text[:cut], cut
 

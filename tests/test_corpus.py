@@ -4,6 +4,7 @@ import dataclasses
 import importlib.resources
 import json
 import random
+import re
 import sys
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from conftest import make_case, make_param, make_query, make_tool, random_tool, scripted_return
 from paramfuzz.corpus import (
     MAX_NESTING,
+    _canonicalize,
     AnnotatedQuery,
     Mention,
     OracleInvocation,
@@ -83,6 +85,46 @@ class TestCanonicalJson:
             for b in palette:
                 assert values_equal(a, b) == (canonical_json(a) == canonical_json(b)), (a, b)
         assert values_equal(float("nan"), float("nan"))
+
+    def test_flat_maps_encode_as_their_canonical_copy(self):
+        """canonical_json encodes a flat map without copying it; over
+        generated values it gives what the canonical copy encodes, and a
+        value nested too deep fails alike on both paths."""
+
+        def reference(value):
+            return json.dumps(_canonicalize(value, MAX_NESTING), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+        scalars = [None, True, False, 0, 1, -7, 2**70, 1.0, -0.0, 5.0, 2.5, float("nan"), float("inf"), "", "é", "1"]
+        rng = random.Random(28)
+
+        def value(depth=0):
+            roll = rng.random()
+            if depth >= 3 or roll < 0.4:
+                return rng.choice(scalars)
+            if roll < 0.55:
+                return [value(depth + 1) for _ in range(rng.randint(0, 3))]
+            keys = rng.sample(["a", "b", "c", "d", "é"], rng.randint(0, 4))
+            if rng.random() < 0.15:
+                keys.append(rng.choice([1, 2.5, True, None]))
+            return {key: value(depth + 1) if rng.random() < 0.3 else rng.choice(scalars) for key in keys}
+
+        for _ in range(3000):
+            generated = value()
+            assert canonical_json(generated) == reference(generated), generated
+        # Non-str keys take the general path, which turns them into str.
+        assert canonical_json({1: "x", "b": None}) == '{"1":"x","b":null}'
+        # A flat map at the deepest level followed, and one level deeper.
+        for levels, fails in ((MAX_NESTING - 1, False), (MAX_NESTING, True)):
+            nested = {"a": 1, "b": 2.5}
+            for _ in range(levels):
+                nested = [nested]
+            if fails:
+                with pytest.raises(SchemaViolation) as caught:
+                    reference(nested)
+                with pytest.raises(SchemaViolation, match=f"^{re.escape(str(caught.value))}$"):
+                    canonical_json(nested)
+            else:
+                assert canonical_json(nested) == reference(nested)
 
     def test_args_hash_ignores_key_order(self):
         left = canonical_args_hash({"a": 1, "b": 2})

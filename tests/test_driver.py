@@ -52,6 +52,14 @@ class TestTruncateObservation:
         cut_text, cut = truncate_observation(text, 4)
         assert (cut_text, cut) == ("ab", 2)
 
+    # Marks of combining class 0, which unicodedata.combining reads as 0:
+    # THAI CHARACTER MAI HAN-AKAT (Mn), DEVANAGARI VOWEL SIGN I (Mc),
+    # VARIATION SELECTOR-16 (Mn) and COMBINING ENCLOSING CIRCLE (Me).
+    @pytest.mark.parametrize("base, mark", [("ก", "ั"), ("क", "ि"), ("❤", "️"), ("1", "⃝")])
+    def test_keeps_a_mark_of_class_zero_with_its_base(self, base, mark):
+        cut_text, cut = truncate_observation("abc" + base + mark + "xyz", 4)
+        assert (cut_text, cut) == ("abc", 3)
+
 
 class TestAgentStep:
     def test_exactly_one_of_invocation_or_answer(self):
