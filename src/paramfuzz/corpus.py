@@ -67,37 +67,22 @@ def _canonicalize(value: object, room: int) -> object:
     raise SchemaViolation(f"value of type {type(value).__name__} is not a JSON value")
 
 
-# Types whose values are equal under canonicalization exactly when == says
-# so, and which _canonicalize returns as they are. Not float: canonically
-# NaN equals NaN, and an integral float becomes an int.
-_PLAIN_TYPES = frozenset((str, int, bool, type(None)))
-
-
-def _is_flat_map(value: object) -> bool:
-    """Whether value is a dict that _canonicalize would return unchanged:
-    str keys, and values of a plain type or non-integral floats."""
-    return (
-        type(value) is dict
-        and all(type(key) is str for key in value)
-        and all(
-            type(item) in _PLAIN_TYPES or (type(item) is float and not item.is_integer())
-            for item in value.values()
-        )
-    )
-
-
 def canonical_json(value: object) -> str:
     """Serialize a JSON value in canonical form.
 
     Keys are sorted, separators are compact, and integral floats collapse
     to integers so 5 and 5.0 compare equal. Booleans stay distinct from
     numbers. A value that nests arrays and objects more than MAX_NESTING
-    levels deep is a SchemaViolation. A flat map, such as most argument
-    maps, is encoded without the canonical copy, which would equal it.
+    levels deep is a SchemaViolation.
     """
-    if not _is_flat_map(value):
-        value = _canonicalize(value, MAX_NESTING)
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return json.dumps(
+        _canonicalize(value, MAX_NESTING), sort_keys=True, separators=(",", ":"), ensure_ascii=False
+    )
+
+
+# Types whose values are equal under canonicalization exactly when == says
+# so. Not float: canonically NaN equals NaN.
+_PLAIN_TYPES = frozenset((str, int, bool, type(None)))
 
 
 def values_equal(a: object, b: object) -> bool:
@@ -459,9 +444,11 @@ def parse_corpus(raw: bytes | str) -> list[TestCase]:
     """
     document = json_document(raw, "corpus")
     # Release the text before the records are built. load_corpus keeps no
-    # reference to it, so the JSON tree is then all that stays.
+    # reference to it, so the JSON tree is then all that stays, and it goes
+    # once the records are.
     del raw
     cases = Corpus.from_json(document, "corpus").cases
+    del document
     seen_ids: set[str] = set()
     for case in cases:
         if case.case_id in seen_ids:

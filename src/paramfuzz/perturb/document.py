@@ -10,10 +10,7 @@ parameters, without ever breaking document syntax:
     CO  shuffle_descriptions           permute all descriptions (never identity)
     WT  corrupt_types                  remap every declared type
 
-All are pure; WD and CO draw their randomness from an explicit seed,
-through _shuffle: the Fisher-Yates loop of random.shuffle over
-random.Random(seed).getrandbits, so their draws do not rest on the
-random module keeping its shuffle algorithm.
+All are pure; WD and CO draw their randomness from an explicit seed.
 An operator that finds nothing to perturb returns the document unchanged,
 and apply_document_operator turns that into a NoEffect skip, so a
 campaign can keep its failure-rate denominators honest. Only the checks
@@ -27,7 +24,6 @@ import dataclasses
 import functools
 import itertools
 import random
-from typing import Callable
 
 from paramfuzz.corpus import ParameterSpec, ToolDocument
 from paramfuzz.errors import NoDonor, TooFewParams
@@ -86,29 +82,15 @@ def donor_pool(tools: list[ToolDocument]) -> list[Donor]:
     ]
 
 
-def _shuffle(items: list, getrandbits: Callable[[int], int]) -> None:
-    """Shuffle items in place with the Fisher-Yates loop of random.shuffle,
-    drawing from getrandbits as random.Random's _randbelow does. With
-    random.Random(seed).getrandbits it moves every item where
-    random.Random(seed).shuffle would, without a method call per swap."""
-    for i in range(len(items) - 1, 0, -1):
-        bound = i + 1
-        bits = bound.bit_length()
-        j = getrandbits(bits)
-        while j >= bound:
-            j = getrandbits(bits)
-        items[i], items[j] = items[j], items[i]
-
-
 # The tools of one WD pair share its seed and, when they describe as many
 # parameters, the length of their pools, so they share one draw. One entry
 # of plain ints is enough for that, and lru_cache is safe across threads.
 @functools.lru_cache(maxsize=1)
 def _shuffled_order(seed: int, length: int) -> tuple[int, ...]:
-    """order[i] is the index of the item that _shuffle over
-    random.Random(seed) moves to position i of any list of the length."""
+    """order[i] is the index of the item that random.Random(seed).shuffle
+    moves to position i of any list of the length."""
     order = list(range(length))
-    _shuffle(order, random.Random(seed).getrandbits)
+    random.Random(seed).shuffle(order)
     return tuple(order)
 
 
@@ -123,10 +105,10 @@ def substitute_foreign_descriptions(
     knowingly mapped to itself; when the pool forces that collision it
     happens anyway and is reported in the record.
 
-    The shuffle is _shuffle of the pool over random.Random(seed). Its
-    swaps depend only on the seed and the pool's length, so it is drawn
-    once per (seed, pool length) as an order of positions, and the pool
-    is read through that order.
+    The shuffle is random.Random(seed).shuffle of the pool. Its swaps
+    depend only on the seed and the pool's length, so it is drawn once per
+    (seed, pool length) as an order of positions, and the pool is read
+    through that order.
     """
     pool = [donor for donor in donors if donor[0] != doc.tool_name]
     if not pool:
@@ -206,11 +188,11 @@ def shuffle_descriptions(
         raise TooFewParams(
             f"tool {doc.tool_name!r} has {count} parameter(s); shuffling needs two"
         )
-    getrandbits = random.Random(seed).getrandbits
+    rng = random.Random(seed)
     identity = list(range(count))
     permutation = identity[:]
     while permutation == identity:
-        _shuffle(permutation, getrandbits)
+        rng.shuffle(permutation)
     parameters = tuple(
         dataclasses.replace(
             doc.parameters[i], description=doc.parameters[permutation[i]].description

@@ -17,11 +17,10 @@ rename or prefix comes back as it was, and apply_return_operator reports
 a return that renders unchanged as a NoEffect skip.
 
 FK, CK and UK are one key walker, _respell_keys, with a different new
-name for each key. It and AP's walk recurse only into nested objects and
-arrays; every other value is copied as it is. The recursive walks are
-module-level functions that take their output lists as arguments: a
-nested function that calls itself is a reference cycle, which would keep
-each walk's records until the cyclic GC runs.
+name for each key; it recurses through every nested object and array.
+The recursive walks are module-level functions that take their output
+lists as arguments: a nested function that calls itself is a reference
+cycle, which would keep each walk's records until the cyclic GC runs.
 """
 
 from __future__ import annotations
@@ -97,37 +96,20 @@ def prefix_id_values(ret: ToolReturn) -> tuple[ToolReturn, PerturbationRecord]:
     return ToolReturn(payload=perturbed), record
 
 
-@functools.cache
-def _is_id_key(key: str) -> bool:
-    return _DEFAULT_ID_KEY.fullmatch(key) is not None
-
-
-def _id_text(value: object) -> str:
-    """value as AP writes it after "ID_": a string as it is, a plain int as
-    str(value), which is its canonical_json, anything else canonical_json."""
-    if isinstance(value, str):
-        return value
-    return str(value) if type(value) is int else canonical_json(value)
-
-
 def _prefix_ids(value: object, path: KeyPath, modified: list[list[object]]) -> object:
     """value with each ID-keyed value under it prefixed; appends each
     prefixed key's path to modified."""
     if isinstance(value, dict):
         out = {}
         for key, item in value.items():
-            if _is_id_key(key):
+            if _DEFAULT_ID_KEY.fullmatch(key):
                 modified.append(list(path) + [key])
-                item = "ID_" + _id_text(item)
-            elif isinstance(item, (dict, list)):
-                item = _prefix_ids(item, path + (key,), modified)
-            out[key] = item
+                out[key] = "ID_" + (item if isinstance(item, str) else canonical_json(item))
+            else:
+                out[key] = _prefix_ids(item, path + (key,), modified)
         return out
     if isinstance(value, list):
-        return [
-            _prefix_ids(item, path + (i,), modified) if isinstance(item, (dict, list)) else item
-            for i, item in enumerate(value)
-        ]
+        return [_prefix_ids(item, path + (i,), modified) for i, item in enumerate(value)]
     return value
 
 
@@ -153,28 +135,19 @@ def _respelled(
     collisions: list[dict[str, object]],
 ) -> object:
     """value with every key under it respelled; appends each rename and
-    each collision to its list. The renames and collisions of one object
-    share one path list."""
+    each collision to its list."""
     if isinstance(value, dict):
         out = {}
-        where = list(path)
         for index, (key, item) in enumerate(value.items()):
             new_key = respell(index, key)
             if new_key != key:
-                renames.append({"path": where, "from": key, "to": new_key})
+                renames.append({"path": list(path), "from": key, "to": new_key})
             if new_key in out:
-                collisions.append({"path": where, "key": new_key})
-            if isinstance(item, (dict, list)):
-                item = _respelled(item, path + (key,), respell, renames, collisions)
-            out[new_key] = item
+                collisions.append({"path": list(path), "key": new_key})
+            out[new_key] = _respelled(item, path + (key,), respell, renames, collisions)
         return out
     if isinstance(value, list):
-        return [
-            _respelled(item, path + (i,), respell, renames, collisions)
-            if isinstance(item, (dict, list))
-            else item
-            for i, item in enumerate(value)
-        ]
+        return [_respelled(item, path + (i,), respell, renames, collisions) for i, item in enumerate(value)]
     return value
 
 

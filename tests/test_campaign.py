@@ -8,6 +8,7 @@ import hashlib
 import importlib.resources
 import itertools
 import json
+import random
 import re
 import time
 import types
@@ -765,11 +766,11 @@ def test_depth_slice_shares_each_wd_draw_and_each_rendering(tmp_path, depth_slic
     tools' pools are equally long, and renders each scripted return at
     most once, however many pairs see it."""
     shuffled = []
-    shuffle = document._shuffle
 
-    def counting_shuffle(items, getrandbits):
-        shuffled.append(len(items))
-        shuffle(items, getrandbits)
+    class CountingRandom(random.Random):
+        def shuffle(self, x):
+            shuffled.append(len(x))
+            super().shuffle(x)
 
     rendered = []
 
@@ -783,7 +784,7 @@ def test_depth_slice_shares_each_wd_draw_and_each_rendering(tmp_path, depth_slic
         loaded.append(corpus_module.load_corpus(path))
         return loaded[-1]
 
-    monkeypatch.setattr(document, "_shuffle", counting_shuffle)
+    monkeypatch.setattr(document, "random", types.SimpleNamespace(Random=CountingRandom))
     monkeypatch.setattr(corpus_module, "json", types.SimpleNamespace(dumps=dumps))
     monkeypatch.setattr(campaign, "load_corpus", load_corpus)
     document._shuffled_order.cache_clear()

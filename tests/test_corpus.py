@@ -4,15 +4,15 @@ import dataclasses
 import importlib.resources
 import json
 import random
-import re
 import sys
+import tracemalloc
 
 import pytest
 
 from conftest import make_case, make_param, make_query, make_tool, random_tool, scripted_return
+from paramfuzz import corpus
 from paramfuzz.corpus import (
     MAX_NESTING,
-    _canonicalize,
     AnnotatedQuery,
     Mention,
     OracleInvocation,
@@ -22,6 +22,7 @@ from paramfuzz.corpus import (
     canonical_json,
     filter_cases,
     lint_case,
+    load_corpus,
     parse_corpus,
     serialize_corpus,
     values_equal,
@@ -85,46 +86,6 @@ class TestCanonicalJson:
             for b in palette:
                 assert values_equal(a, b) == (canonical_json(a) == canonical_json(b)), (a, b)
         assert values_equal(float("nan"), float("nan"))
-
-    def test_flat_maps_encode_as_their_canonical_copy(self):
-        """canonical_json encodes a flat map without copying it; over
-        generated values it gives what the canonical copy encodes, and a
-        value nested too deep fails alike on both paths."""
-
-        def reference(value):
-            return json.dumps(_canonicalize(value, MAX_NESTING), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-
-        scalars = [None, True, False, 0, 1, -7, 2**70, 1.0, -0.0, 5.0, 2.5, float("nan"), float("inf"), "", "é", "1"]
-        rng = random.Random(28)
-
-        def value(depth=0):
-            roll = rng.random()
-            if depth >= 3 or roll < 0.4:
-                return rng.choice(scalars)
-            if roll < 0.55:
-                return [value(depth + 1) for _ in range(rng.randint(0, 3))]
-            keys = rng.sample(["a", "b", "c", "d", "é"], rng.randint(0, 4))
-            if rng.random() < 0.15:
-                keys.append(rng.choice([1, 2.5, True, None]))
-            return {key: value(depth + 1) if rng.random() < 0.3 else rng.choice(scalars) for key in keys}
-
-        for _ in range(3000):
-            generated = value()
-            assert canonical_json(generated) == reference(generated), generated
-        # Non-str keys take the general path, which turns them into str.
-        assert canonical_json({1: "x", "b": None}) == '{"1":"x","b":null}'
-        # A flat map at the deepest level followed, and one level deeper.
-        for levels, fails in ((MAX_NESTING - 1, False), (MAX_NESTING, True)):
-            nested = {"a": 1, "b": 2.5}
-            for _ in range(levels):
-                nested = [nested]
-            if fails:
-                with pytest.raises(SchemaViolation) as caught:
-                    reference(nested)
-                with pytest.raises(SchemaViolation, match=f"^{re.escape(str(caught.value))}$"):
-                    canonical_json(nested)
-            else:
-                assert canonical_json(nested) == reference(nested)
 
     def test_args_hash_ignores_key_order(self):
         left = canonical_args_hash({"a": 1, "b": 2})
@@ -501,6 +462,31 @@ class TestShippedCorpora:
         for case in cases:
             assert lint_case(case) == []
         assert serialize_corpus(cases) == text
+
+    def test_load_corpus_drops_the_text_before_building_the_cases(self, tmp_path, monkeypatch):
+        """The corpus is padded with 4 MB of trailing whitespace, which
+        leaves its JSON tree as it was; when the cases start to be built,
+        far less than the padding is still traced."""
+        root = importlib.resources.files("paramfuzz").joinpath("data", "mock_campaign")
+        text = (root / "corpus.json").read_text(encoding="utf-8")
+        padding = 4_000_000
+        path = tmp_path / "corpus.json"
+        path.write_text(text + " " * padding, encoding="utf-8")
+        build = corpus.Corpus.from_json
+        traced = []
+
+        def from_json(values, where):
+            traced.append(tracemalloc.get_traced_memory()[0])
+            return build(values, where)
+
+        monkeypatch.setattr(corpus.Corpus, "from_json", from_json)
+        tracemalloc.start()
+        try:
+            cases = load_corpus(str(path))
+        finally:
+            tracemalloc.stop()
+        assert serialize_corpus(cases) == text
+        assert len(traced) == 1 and traced[0] < padding // 2, traced
 
 
 # ------------------------------------------------------------ golden errors

@@ -172,23 +172,6 @@ def test_wd_draws_what_a_per_tool_shuffle_draws():
     assert memo.hits >= 100 and memo.misses >= 100, memo
 
 
-def test_shuffle_moves_items_where_random_shuffle_does():
-    """WD and CO draw with document._shuffle; over Random(seed).getrandbits
-    it gives random.Random(seed).shuffle's permutation, for seeds of every
-    size and sign."""
-    rng = random.Random(28)
-    seeds = [0, 1, -1, 2**64, 2**64 + 1, -(2**64), 2**200 + 7, -(2**100)]
-    seeds += [rng.randrange(1 << 64) for _ in range(96)] + [rng.randrange(-(1 << 80), 1 << 80) for _ in range(96)]
-    assert len(set(seeds)) >= 200
-    for seed in seeds:
-        for length in [*range(65), 2390]:
-            expected = list(range(length))
-            random.Random(seed).shuffle(expected)
-            drawn = list(range(length))
-            document._shuffle(drawn, random.Random(seed).getrandbits)
-            assert drawn == expected, (seed, length)
-
-
 def test_wd_threads_sharing_the_memo_each_get_their_own_draw():
     """Eight threads, more than the cores, apply WD to the tools of their
     own pairs under a short switch interval; every result must be the

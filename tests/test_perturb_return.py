@@ -1,21 +1,15 @@
 """Tool-return operator tests: key renames, ID prefixing, format breaking."""
 
-import collections
-import importlib
-import importlib.resources
 import json
 import random
-from pathlib import Path
 
 import pytest
 
-from conftest import WORDS, random_payload
-from paramfuzz.corpus import ToolReturn, canonical_json, load_corpus
+from conftest import random_payload
+from paramfuzz.corpus import ToolReturn
 from paramfuzz.errors import NoEffect, NotJson, SchemaViolation
 from paramfuzz.perturb import apply_return_operator
-from paramfuzz.perturb.base import PerturbationRecord
 from paramfuzz.perturb.toolreturn import (
-    _DEFAULT_ID_KEY,
     camel_case_keys,
     corrupt_format,
     fuzz_keys,
@@ -290,154 +284,3 @@ class TestReturnProperties:
 
             check(out.payload, False)
             done += 1
-
-
-# ------------------------------------------------ reference walks
-#
-# The plainest form of the key and ID walks: they recurse into every value,
-# scalars included, and match each key against the ID pattern. The
-# operators, which skip scalars and cache the match, must give the same
-# payloads and records.
-
-
-def _prefix_ids(value, path, modified):
-    if isinstance(value, dict):
-        out = {}
-        for key, item in value.items():
-            if _DEFAULT_ID_KEY.fullmatch(key):
-                modified.append(list(path) + [key])
-                out[key] = "ID_" + (item if isinstance(item, str) else canonical_json(item))
-            else:
-                out[key] = _prefix_ids(item, path + (key,), modified)
-        return out
-    if isinstance(value, list):
-        return [_prefix_ids(item, path + (i,), modified) for i, item in enumerate(value)]
-    return value
-
-
-def _respelled(value, path, respell, renames, collisions):
-    if isinstance(value, dict):
-        out = {}
-        for index, (key, item) in enumerate(value.items()):
-            new_key = respell(index, key)
-            if new_key != key:
-                renames.append({"path": list(path), "from": key, "to": new_key})
-            if new_key in out:
-                collisions.append({"path": list(path), "key": new_key})
-            out[new_key] = _respelled(item, path + (key,), respell, renames, collisions)
-        return out
-    if isinstance(value, list):
-        return [_respelled(item, path + (i,), respell, renames, collisions) for i, item in enumerate(value)]
-    return value
-
-
-def _reference_ap(payload):
-    modified = []
-    perturbed = _prefix_ids(payload, (), modified)
-    return perturbed, PerturbationRecord(operator="AP", details={"modified_paths": modified})
-
-
-def _reference_respell(operator, respell):
-    def apply(payload):
-        renames, collisions = [], []
-        perturbed = _respelled(payload, (), respell, renames, collisions)
-        details = {"renames": renames}
-        if collisions:
-            details["collisions"] = collisions
-        return perturbed, PerturbationRecord(operator=operator, details=details)
-
-    return apply
-
-
-REFERENCE = {
-    "FK": (fuzz_keys, _reference_respell("FK", lambda index, key: f"Object_{index + 1}")),
-    "AP": (prefix_id_values, _reference_ap),
-    "CK": (camel_case_keys, _reference_respell("CK", lambda index, key: to_camel_case(key))),
-    "UK": (snake_case_keys, _reference_respell("UK", lambda index, key: to_snake_case(key))),
-}
-
-
-def assert_matches_reference(operator, payload):
-    function, reference = REFERENCE[operator]
-    out, record = function(ToolReturn(payload=payload))
-    expected, expected_record = reference(payload)
-    # json.dumps tells 1.0 from 1 and -0.0 from 0.0, which == does not,
-    # and it spells NaN alike on both sides.
-    assert json.dumps(out.payload) == json.dumps(expected)
-    assert json.dumps(record.to_json()) == json.dumps(expected_record.to_json())
-
-
-@pytest.fixture(scope="module")
-def scripted_payloads(tmp_path_factory):
-    """The JSON payload of every scripted return of the two packaged
-    corpora and of the benchmark's depth corpus at seeds 3 and 7."""
-    data = importlib.resources.files("paramfuzz").joinpath("data")
-    paths = []
-    for name in ("mock_campaign", "demo"):
-        with importlib.resources.as_file(data.joinpath(name, "corpus.json")) as path:
-            paths.append(str(path))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-        workloads = importlib.import_module("workloads")
-        for seed in (3, 7):
-            paths.append(workloads.generate_depth(seed, str(tmp_path_factory.mktemp(f"depth{seed}"))).files[0])
-    payloads = [
-        entry.value.payload
-        for path in paths
-        for case in load_corpus(path)
-        for entry in case.scripted_returns
-        if entry.value.is_json
-    ]
-    assert len(payloads) > 60 * 32 * 2
-    return payloads
-
-
-# ID values of every JSON kind, including those that canonicalize.
-ID_VALUES = (
-    7, -3, 0, True, False, None, 1.0, -0.0, 2.5, float("nan"), 2**70, -(2**64) - 1,
-    "abc", "", {"b": 1, "a": [1.0, True]}, [], [1, "x", None], {},
-)
-
-
-# Keys that are IDs, and keys that CK or UK respell alike.
-COLLIDING_KEYS = ("id", "ID", "user_id", "userId", "UserID", "user-id", "name", "Name", "page2count", "x")
-
-
-def tricky_payload(rng, depth=0):
-    """A JSON value with ID keys, ID values of every kind, keys that
-    collide under CK and UK, empty containers and OrderedDicts."""
-    roll = rng.random()
-    if depth >= 3 or roll < 0.3:
-        return rng.choice(ID_VALUES + ({}, [], rng.choice(WORDS)))
-    if roll < 0.5:
-        return [tricky_payload(rng, depth + 1) for _ in range(rng.randint(0, 4))]
-    keys = rng.sample(COLLIDING_KEYS, rng.randint(0, 5))
-    items = [(key, rng.choice(ID_VALUES) if rng.random() < 0.4 else tricky_payload(rng, depth + 1)) for key in keys]
-    return collections.OrderedDict(items) if rng.random() < 0.3 else dict(items)
-
-
-class TestAgainstReference:
-    @pytest.mark.parametrize("operator", sorted(REFERENCE))
-    def test_scripted_returns(self, operator, scripted_payloads):
-        for payload in scripted_payloads:
-            assert_matches_reference(operator, payload)
-
-    @pytest.mark.parametrize("operator", sorted(REFERENCE))
-    def test_generated_payloads(self, operator):
-        rng = random.Random(28)
-        for _ in range(400):
-            assert_matches_reference(operator, tricky_payload(rng))
-
-    @pytest.mark.parametrize("operator", sorted(REFERENCE))
-    def test_each_id_value(self, operator):
-        for value in ID_VALUES:
-            assert_matches_reference(operator, {"id": value, "items": [{"item_id": value, "v": value}]})
-
-    @pytest.mark.parametrize("operator", sorted(REFERENCE))
-    def test_collisions_and_empty_containers(self, operator):
-        payload = collections.OrderedDict(
-            [("user_id", 1), ("userId", 2), ("UserID", {}), ("rows", [[], {}, collections.OrderedDict()])]
-        )
-        assert_matches_reference(operator, payload)
-        if operator in ("CK", "UK"):
-            assert REFERENCE[operator][0](ToolReturn(payload=payload))[1].details["collisions"]
