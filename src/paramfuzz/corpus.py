@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from paramfuzz.errors import SchemaViolation, SpanMismatch
-from paramfuzz.records import JSON_TYPES, JsonRecord, json_document, json_type_name, utf8, violation
+from paramfuzz.records import JSON_TYPES, JsonRecord, json_document, json_type_name, lone_surrogate, utf8, violation
 
 SCHEMA_VERSION = 1
 
@@ -52,6 +52,12 @@ def _nests_too_deep(value: object) -> bool:
     return any(type(node) in (dict, list) for node in level)
 
 
+# json.dumps builds a new encoder on each call that passes options, which
+# costs more than encoding a small value; these are built once.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
+_RENDER = json.JSONEncoder(separators=(", ", ": "), ensure_ascii=False).encode
+
+
 def _canonicalize(value: object, room: int) -> object:
     # bool is a subclass of int; test it first so True never collapses to 1.
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
@@ -75,9 +81,7 @@ def canonical_json(value: object) -> str:
     numbers. A value that nests arrays and objects more than MAX_NESTING
     levels deep is a SchemaViolation.
     """
-    return json.dumps(
-        _canonicalize(value, MAX_NESTING), sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    )
+    return _CANONICAL(_canonicalize(value, MAX_NESTING))
 
 
 # Types whose values are equal under canonicalization exactly when == says
@@ -248,16 +252,28 @@ class AnnotatedQuery(JsonRecord, located=False):
             previous_end = mention.end
 
 
-@dataclass(frozen=True)
+# A JSON return is held as the observation text an agent sees, rendered once
+# when the return is made; its payload is decoded from that text on each
+# access, so payload is a field that the instance does not hold.
+@dataclass(frozen=True, init=False)
 class ToolReturn(JsonRecord, exclusive=("payload", "raw_text")):
-    """A tool's response: either parsed JSON or raw unparseable text."""
+    """A tool's response: either JSON or raw unparseable text."""
 
-    payload: Any = None
-    raw_text: str | None = None
+    payload: Any
+    raw_text: str | None
 
-    def __post_init__(self) -> None:
-        if self.raw_text is not None and self.payload is not None:
+    def __init__(self, payload: Any = None, raw_text: str | None = None) -> None:
+        if raw_text is not None and payload is not None:
             raise SchemaViolation("a tool return is JSON or raw text, never both")
+        object.__setattr__(self, "raw_text", raw_text)
+        object.__setattr__(self, "_text", _RENDER(payload) if raw_text is None else raw_text)
+
+    def __getattr__(self, name: str) -> Any:
+        if name != "payload":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        # json.loads of the rendering gives back an equal tree, a fresh one
+        # each time, so a caller may change it.
+        return None if self.raw_text is not None else json.loads(self._text)
 
     @property
     def is_json(self) -> bool:
@@ -271,17 +287,8 @@ class ToolReturn(JsonRecord, exclusive=("payload", "raw_text")):
             raise SchemaViolation(_TOO_DEEP, field=f"{where}.payload")
 
     def rendered(self) -> str:
-        """The observation string an agent would actually see. A scripted
-        return is seen by many pairs, so its text is made once."""
-        if self.raw_text is not None:
-            return self.raw_text
-        text = self.__dict__.get("_rendered")
-        if text is None:
-            text = json.dumps(self.payload, separators=(", ", ": "), ensure_ascii=False)
-            # Not a field, as TestCase's _returns: equality, repr and
-            # to_json never see it.
-            object.__setattr__(self, "_rendered", text)
-        return text
+        """The observation string an agent would actually see."""
+        return self._text
 
 
 @dataclass(frozen=True)
@@ -435,6 +442,81 @@ class Corpus(JsonRecord, bare=("cases",)):
             )
 
 
+_DECODER = json.JSONDecoder()
+_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _decoded(text: str, pos: int) -> tuple[object, int]:
+    """The JSON value that starts at pos and the position after it. A lone
+    surrogate escape in it is a ValueError, as loads refuses one."""
+    value, end = _DECODER.raw_decode(text, pos)
+    if lone_surrogate(text, pos, end) is not None:
+        raise ValueError("lone surrogate escape")
+    return value, end
+
+
+def _past(text: str, pos: int, token: str) -> int:
+    """The position after token, which must start at pos, and after the
+    whitespace that follows it."""
+    if not text.startswith(token, pos):
+        raise ValueError(f"expected {token!r}")
+    return _SPACE.match(text, pos + 1).end()
+
+
+def _streamed_cases(text: str) -> tuple[TestCase, ...]:
+    """The cases of a corpus text, decoded one element of the cases array
+    at a time: each element's JSON tree is dropped once its case is built.
+
+    It accepts only a text that json_document and Corpus.from_json accept,
+    and gives the same cases. Anything else raises, and the caller re-reads
+    the text through them, so that they report the refusal as they would."""
+    fields: dict[str, object] = {}
+    pos = _past(text, _SPACE.match(text).end(), "{")
+    while True:
+        key, pos = _decoded(text, pos)
+        if type(key) is not str or key in fields:
+            raise ValueError("not a new key")
+        pos = _past(text, _SPACE.match(text, pos).end(), ":")
+        if key == "cases" and text.startswith("[", pos):
+            built: list[TestCase] = []
+            pos = _SPACE.match(text, pos + 1).end()
+            closed = text.startswith("]", pos)
+            while not closed:
+                element, pos = _decoded(text, pos)
+                built.append(TestCase.from_json(element, f"cases[{len(built)}]"))
+                del element
+                pos = _SPACE.match(text, pos).end()
+                closed = text.startswith("]", pos)
+                if not closed:
+                    pos = _past(text, pos, ",")
+            fields[key], pos = tuple(built), pos + 1
+        else:
+            fields[key], pos = _decoded(text, pos)
+        pos = _SPACE.match(text, pos).end()
+        if text.startswith("}", pos):
+            break
+        pos = _past(text, pos, ",")
+    cases = fields.get("cases")
+    version = fields.get("schema_version")
+    if len(fields) != 2 or type(cases) is not tuple or type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError("not a corpus of this schema")
+    if _SPACE.match(text, pos + 1).end() != len(text):
+        raise ValueError("extra data")
+    # The decoder's depth limit depends on the caller's stack, so a value
+    # the records do not limit to MAX_NESTING is left to the whole-document
+    # reader when it nests deeper.
+    if any(
+        _nests_too_deep(value)
+        for case in cases
+        for tool in case.tools
+        for spec in tool.parameters
+        for value in (spec.example, *(spec.enum_values or ()))
+        if type(value) in (dict, list)
+    ):
+        raise ValueError("nests too deeply")
+    return cases
+
+
 def parse_corpus(raw: bytes | str) -> list[TestCase]:
     """Parse corpus bytes into validated test cases.
 
@@ -442,13 +524,21 @@ def parse_corpus(raw: bytes | str) -> list[TestCase]:
     failures, SchemaViolation for structural problems, and SpanMismatch
     when a mention span does not address its own value text.
     """
-    document = json_document(raw, "corpus")
-    # Release the text before the records are built. load_corpus keeps no
-    # reference to it, so the JSON tree is then all that stays, and it goes
-    # once the records are.
+    text = utf8(raw, "corpus") if isinstance(raw, (bytes, bytearray)) else raw
+    # load_corpus keeps no reference to the text, so it goes once the cases
+    # are built; no more than one case's JSON tree is held at a time.
     del raw
-    cases = Corpus.from_json(document, "corpus").cases
-    del document
+    # Whatever the streamed reader raises, the whole-document reader reports
+    # the refusal, in its own order: a JSON fault anywhere in the text comes
+    # before a schema error in an earlier case, so no error of the streamed
+    # reader's may escape.
+    try:
+        cases = _streamed_cases(text)
+    except Exception:
+        cases = None
+    if cases is None:
+        cases = Corpus.from_json(json_document(text, "corpus"), "corpus").cases
+    del text
     seen_ids: set[str] = set()
     for case in cases:
         if case.case_id in seen_ids:
@@ -477,7 +567,7 @@ def parse_corpus(raw: bytes | str) -> list[TestCase]:
 def load_corpus(path: str) -> list[TestCase]:
     """Read and parse a corpus file from disk. Its bytes are decoded and
     dropped before the JSON is parsed, so the file is held once, and
-    parse_corpus releases the text once it is decoded."""
+    parse_corpus releases the text once the cases are built."""
     with open(path, "rb") as handle:
         return parse_corpus(utf8(handle.read(), "corpus"))
 

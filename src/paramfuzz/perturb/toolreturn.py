@@ -17,10 +17,11 @@ rename or prefix comes back as it was, and apply_return_operator reports
 a return that renders unchanged as a NoEffect skip.
 
 FK, CK and UK are one key walker, _respell_keys, with a different new
-name for each key; it recurses through every nested object and array.
-The recursive walks are module-level functions that take their output
-lists as arguments: a nested function that calls itself is a reference
-cycle, which would keep each walk's records until the cyclic GC runs.
+name for each key; it recurses through every nested object and array,
+and copies a scalar without a call. The recursive walks are module-level
+functions that take their output lists as arguments: a nested function
+that calls itself is a reference cycle, which would keep each walk's
+records until the cyclic GC runs.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ KeyPath = tuple[object, ...]
 _DEFAULT_ID_KEY = re.compile(r"(?i:^id$)|.*(_id|Id|ID)$")
 
 _KEY_CHUNK = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+|\d+")
+
+# The walks recurse into these alone; a payload is decoded JSON, so every
+# object is a dict and every array a list.
+_CONTAINERS = (dict, list)
 
 
 def _require_json(ret: ToolReturn, operator: str) -> object:
@@ -99,17 +104,21 @@ def prefix_id_values(ret: ToolReturn) -> tuple[ToolReturn, PerturbationRecord]:
 def _prefix_ids(value: object, path: KeyPath, modified: list[list[object]]) -> object:
     """value with each ID-keyed value under it prefixed; appends each
     prefixed key's path to modified."""
-    if isinstance(value, dict):
+    if type(value) is dict:
         out = {}
         for key, item in value.items():
             if _DEFAULT_ID_KEY.fullmatch(key):
                 modified.append(list(path) + [key])
-                out[key] = "ID_" + (item if isinstance(item, str) else canonical_json(item))
-            else:
-                out[key] = _prefix_ids(item, path + (key,), modified)
+                item = "ID_" + (item if isinstance(item, str) else canonical_json(item))
+            elif type(item) in _CONTAINERS:
+                item = _prefix_ids(item, path + (key,), modified)
+            out[key] = item
         return out
-    if isinstance(value, list):
-        return [_prefix_ids(item, path + (i,), modified) for i, item in enumerate(value)]
+    if type(value) is list:
+        return [
+            _prefix_ids(item, path + (i,), modified) if type(item) in _CONTAINERS else item
+            for i, item in enumerate(value)
+        ]
     return value
 
 
@@ -136,7 +145,7 @@ def _respelled(
 ) -> object:
     """value with every key under it respelled; appends each rename and
     each collision to its list."""
-    if isinstance(value, dict):
+    if type(value) is dict:
         out = {}
         for index, (key, item) in enumerate(value.items()):
             new_key = respell(index, key)
@@ -144,10 +153,15 @@ def _respelled(
                 renames.append({"path": list(path), "from": key, "to": new_key})
             if new_key in out:
                 collisions.append({"path": list(path), "key": new_key})
-            out[new_key] = _respelled(item, path + (key,), respell, renames, collisions)
+            if type(item) in _CONTAINERS:
+                item = _respelled(item, path + (key,), respell, renames, collisions)
+            out[new_key] = item
         return out
-    if isinstance(value, list):
-        return [_respelled(item, path + (i,), respell, renames, collisions) for i, item in enumerate(value)]
+    if type(value) is list:
+        return [
+            _respelled(item, path + (i,), respell, renames, collisions) if type(item) in _CONTAINERS else item
+            for i, item in enumerate(value)
+        ]
     return value
 
 

@@ -42,6 +42,7 @@ import dataclasses
 import functools
 import json
 import re
+import sys
 import types
 import typing
 
@@ -373,10 +374,19 @@ def loads(text: str) -> object:
         document = json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError("arrays and objects nest too deeply", text, _deepest(text)) from None
-    for match in _SURROGATE_ESCAPE.finditer(text):
-        if match.group(1):
-            raise json.JSONDecodeError(f"lone surrogate escape \\u{match.group(1)}", text, match.start())
+    lone = lone_surrogate(text)
+    if lone is not None:
+        raise json.JSONDecodeError(f"lone surrogate escape \\u{lone.group(1)}", text, lone.start())
     return document
+
+
+def lone_surrogate(text: str, start: int = 0, end: int = sys.maxsize) -> re.Match | None:
+    """The first lone surrogate escape in text[start:end], which must begin
+    outside a string; its group 1 holds the escape's four hex digits."""
+    for match in _SURROGATE_ESCAPE.finditer(text, start, end):
+        if match.group(1):
+            return match
+    return None
 
 
 def utf8(raw: bytes, what: str) -> str:

@@ -140,11 +140,18 @@ DEPTH_SLICE_CASES = 12
 
 
 @pytest.fixture
-def depth_slice(tmp_path, monkeypatch) -> tuple[dict, dict]:
+def depth_workload(tmp_path, monkeypatch):
+    """The benchmark's depth workload at seed 3; its files[0] is the corpus
+    and files[1] the script book."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    return importlib.import_module("workloads").generate_depth(3, str(tmp_path / "depth"))
+
+
+@pytest.fixture
+def depth_slice(depth_workload) -> tuple[dict, dict]:
     """The first DEPTH_SLICE_CASES cases of the benchmark's depth workload
     at seed 3, as a corpus document, and the script book of those cases."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    generated = importlib.import_module("workloads").generate_depth(3, str(tmp_path / "depth"))
+    generated = depth_workload
     corpus = json.loads(Path(generated.files[0]).read_text(encoding="utf-8"))
     corpus["cases"] = corpus["cases"][:DEPTH_SLICE_CASES]
     kept = {case["case_id"] for case in corpus["cases"]}

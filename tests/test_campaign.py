@@ -764,7 +764,8 @@ def test_mock_campaign_classifies_each_distinct_outcome_once(tmp_path, monkeypat
 def test_depth_slice_shares_each_wd_draw_and_each_rendering(tmp_path, depth_slice, monkeypatch):
     """run --report at seed 3 draws one WD shuffle per WD pair, whose four
     tools' pools are equally long, and renders each scripted return at
-    most once, however many pairs see it."""
+    most once, however many pairs see it: once, when its corpus is read,
+    and every pair that looks it up is handed that one text."""
     shuffled = []
 
     class CountingRandom(random.Random):
@@ -772,35 +773,52 @@ def test_depth_slice_shares_each_wd_draw_and_each_rendering(tmp_path, depth_slic
             shuffled.append(len(x))
             super().shuffle(x)
 
+    # The text of each rendering of a JSON return, kept so that no two
+    # renderings share an id.
     rendered = []
 
-    def dumps(obj, **options):
-        rendered.append(obj)
-        return json.dumps(obj, **options)
+    def render(obj):
+        rendered.append(json.dumps(obj, separators=(", ", ": "), ensure_ascii=False))
+        return rendered[-1]
 
     loaded = []
 
     def load_corpus(path):
-        loaded.append(corpus_module.load_corpus(path))
-        return loaded[-1]
+        start = len(rendered)
+        loaded.append((corpus_module.load_corpus(path), rendered[start:]))
+        return loaded[-1][0]
 
+    hits = []
+
+    def scripted_lookup(case, tool_name, arguments):
+        hits.append(lookup(case, tool_name, arguments))
+        return hits[-1]
+
+    lookup = corpus_module.TestCase.scripted_lookup
     monkeypatch.setattr(document, "random", types.SimpleNamespace(Random=CountingRandom))
-    monkeypatch.setattr(corpus_module, "json", types.SimpleNamespace(dumps=dumps))
+    monkeypatch.setattr(corpus_module, "_RENDER", render)
     monkeypatch.setattr(campaign, "load_corpus", load_corpus)
+    monkeypatch.setattr(corpus_module.TestCase, "scripted_lookup", scripted_lookup)
     document._shuffled_order.cache_clear()
     book = tmp_path / "scripts.json"
     book.write_text(json.dumps(depth_slice[1]), encoding="utf-8")
     Path(tmp_path / "corpus.json").write_text(json.dumps(depth_slice[0]), encoding="utf-8")
     _run_report(tmp_path / "corpus.json", book, tmp_path / "out", seed=3)
-    cases = loaded[0]
+    cases = loaded[0][0]
     pool = sum(1 for case in cases for tool in case.tools for p in tool.parameters if p.description)
     assert pool == len(cases) * 4 * 10
     assert shuffled.count(pool - 10) == len(cases)
     assert [n for n in shuffled if n != pool - 10] == [10] * (len(shuffled) - len(cases))
-    scripted = {id(entry.value.payload) for case in cases for entry in case.scripted_returns}
-    renderings = collections.Counter(id(obj) for obj in rendered if id(obj) in scripted)
-    assert len(renderings) >= len(cases) * 4
-    assert max(renderings.values()) == 1
+    assert len(loaded) == 2
+    for read, renderings in loaded:
+        scripted = [entry.value for case in read for entry in case.scripted_returns]
+        assert all(ret.is_json for ret in scripted)
+        assert len(renderings) == len(scripted)
+        made = {id(text) for text in renderings}
+        assert all(id(ret.rendered()) in made for ret in scripted)
+    seen = {id(ret) for ret in hits if ret is not None}
+    assert len(seen) >= len(cases) * 4
+    assert seen <= {id(entry.value) for case in cases for entry in case.scripted_returns}
 
 
 @pytest.mark.parametrize("source", ["mock_campaign", "depth_slice"])

@@ -33,7 +33,7 @@ from paramfuzz.classify import AlignedLabel, FailureLabel, ObservedInvocation
 from paramfuzz.driver import EndpointConfig, SkipNote, Trajectory, TrajectoryStep, TruncationEvent
 from paramfuzz.errors import MalformedInput, SchemaViolation, SpanMismatch
 from paramfuzz.perturb import PerturbationRecord
-from paramfuzz.records import JsonRecord, json_keys, loads
+from paramfuzz.records import JsonRecord, json_document, json_keys, loads
 
 
 class TestCanonicalJson:
@@ -181,6 +181,34 @@ class TestModelInvariants:
     def test_rendered_payload_is_readable_json(self):
         ret = ToolReturn(payload={"b": 1, "a": [True, None]})
         assert json.loads(ret.rendered()) == {"b": 1, "a": [True, None]}
+
+    @pytest.mark.parametrize(
+        ("payload", "text"),
+        [
+            (float("nan"), "NaN"),
+            (-0.0, "-0.0"),
+            (1e300, "1e+300"),
+            ("naïve 東京 😀", '"naïve 東京 😀"'),
+            ({"b": [1, 2.5, {"ü": None}], "a": {"x": [True, -0.0]}}, '{"b": [1, 2.5, {"ü": null}], "a": {"x": [true, -0.0]}}'),
+        ],
+    )
+    def test_rendering_and_payload_round_trip(self, payload, text):
+        """A JSON return renders as before, and its payload, the JSON of its
+        corpus form and a return built from that payload all give back an
+        equal value and the same text."""
+        ret = ToolReturn(payload=payload)
+        assert ret.rendered() == text
+        assert json.dumps(ret.payload) == json.dumps(payload)
+        assert repr(ret.payload) == repr(payload)
+        assert ToolReturn(payload=ret.payload).rendered() == text
+        again = ToolReturn.from_json(json.loads(json.dumps(ret.to_json())), "return")
+        assert again.rendered() == text and repr(again) == repr(ret)
+
+    def test_payload_is_a_fresh_value_each_time(self):
+        ret = ToolReturn(payload={"items": [1, 2]})
+        ret.payload["items"].append(3)
+        assert ret.payload == {"items": [1, 2]}
+        assert ret.rendered() == '{"items": [1, 2]}'
 
 
 class TestParseAndSerialize:
@@ -463,30 +491,65 @@ class TestShippedCorpora:
             assert lint_case(case) == []
         assert serialize_corpus(cases) == text
 
-    def test_load_corpus_drops_the_text_before_building_the_cases(self, tmp_path, monkeypatch):
-        """The corpus is padded with 4 MB of trailing whitespace, which
-        leaves its JSON tree as it was; when the cases start to be built,
-        far less than the padding is still traced."""
-        root = importlib.resources.files("paramfuzz").joinpath("data", "mock_campaign")
-        text = (root / "corpus.json").read_text(encoding="utf-8")
-        padding = 4_000_000
-        path = tmp_path / "corpus.json"
-        path.write_text(text + " " * padding, encoding="utf-8")
-        build = corpus.Corpus.from_json
-        traced = []
-
-        def from_json(values, where):
-            traced.append(tracemalloc.get_traced_memory()[0])
-            return build(values, where)
-
-        monkeypatch.setattr(corpus.Corpus, "from_json", from_json)
+    def test_load_corpus_holds_one_case_tree_at_a_time(self, depth_workload):
+        """The benchmark's seed-3 depth corpus (1.83 MB) is read one case at
+        a time, and each JSON return is held as its text. A reader that
+        builds the whole document's JSON tree first, holding each payload
+        as a tree, peaks at 9.6 MB traced and holds 7.8 MB once done."""
         tracemalloc.start()
         try:
-            cases = load_corpus(str(path))
+            cases = load_corpus(depth_workload.files[0])
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert serialize_corpus(cases) == text
-        assert len(traced) == 1 and traced[0] < padding // 2, traced
+        assert len(cases) == 60
+        assert peak < 8_000_000 and held < 6_000_000, (peak, held)
+
+    @pytest.mark.parametrize("name", ["demo", "mock_campaign", "depth"])
+    def test_the_streamed_parse_is_the_whole_document_parse(self, name, request, monkeypatch):
+        """An accepted corpus never reaches the whole-document reader, and
+        gives the cases that reader gives."""
+        if name == "depth":
+            path = request.getfixturevalue("depth_workload").files[0]
+        else:
+            path = importlib.resources.files("paramfuzz").joinpath("data", name, "corpus.json")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        whole = list(corpus.Corpus.from_json(json_document(text, "corpus"), "corpus").cases)
+        monkeypatch.setattr(corpus, "json_document", None)
+        streamed = parse_corpus(text)
+        assert streamed == whole
+        assert serialize_corpus(streamed) == serialize_corpus(whole)
+        assert [ret.rendered() for case in streamed for ret in _returns(case)] == [
+            ret.rendered() for case in whole for ret in _returns(case)
+        ]
+
+
+    @pytest.mark.parametrize(("levels", "whole_document"), [(MAX_NESTING, False), (MAX_NESTING + 1, True)])
+    def test_an_example_nested_deeper_than_max_nesting_goes_to_the_whole_document_reader(
+        self, levels, whole_document, monkeypatch
+    ):
+        """The decoder's depth limit depends on the caller's stack, so only
+        the whole-document reader decides whether it can follow a value the
+        records leave unlimited."""
+        doc = _demo_document()
+        spec = doc["cases"][0]["tools"][0]["parameters"][0]
+        spec.pop("enum_values", None)
+        spec["example"] = json.loads("[" * levels + "]" * levels)
+        read = []
+
+        def spy(raw, what):
+            read.append(what)
+            return json_document(raw, what)
+
+        monkeypatch.setattr(corpus, "json_document", spy)
+        cases = parse_corpus(json.dumps(doc))
+        assert cases[0].tools[0].parameters[0].example == spec["example"]
+        assert read == (["corpus"] if whole_document else [])
+
+
+def _returns(case):
+    return [entry.value for entry in case.scripted_returns]
 
 
 # ------------------------------------------------------------ golden errors
@@ -805,6 +868,69 @@ def test_golden_malformed_input_offsets():
     assert (str(err.value), err.value.byte_offset) == (
         "corpus is not valid JSON at byte 300: Expecting property name enclosed in double quotes", 300
     )
+
+
+def _broken_demo():
+    """The demo document whose first case breaks a schema rule."""
+    doc = _demo_document()
+    doc["cases"][0]["solvable"] = "yes"
+    return doc
+
+
+def _schema_then_syntax():
+    text = json.dumps(_broken_demo(), ensure_ascii=False)
+    return text[:-2] + ",]}"
+
+
+def _schema_then_surrogate():
+    doc = _broken_demo()
+    doc["cases"][-1]["query"]["text"] += "\ud800"
+    return json.dumps(doc)
+
+
+def _twice(first, last):
+    return '{"schema_version": 1, "cases": %s, "cases": %s}' % (json.dumps(first["cases"]), json.dumps(last["cases"]))
+
+
+# A refusal is reported as the whole document's reader reports it: a text
+# that is not JSON before any schema rule, the top level before the cases,
+# and a duplicate key by its last value, as json.loads reads it.
+REFUSALS = {
+    "schema_then_syntax": (
+        _schema_then_syntax,
+        (MalformedInput, "corpus is not valid JSON at byte 6381: Expecting value", 6381, None, None),
+    ),
+    "schema_then_lone_surrogate": (
+        _schema_then_surrogate,
+        (MalformedInput, "corpus is not valid JSON at byte 5351: lone surrogate escape \\ud800", 5351, None, None),
+    ),
+    "cases_before_unsupported_schema_version": (
+        lambda: json.dumps({"cases": _broken_demo()["cases"], "schema_version": 2}),
+        (SchemaViolation, "unsupported schema_version 2; this reader understands 1", None, "schema_version", None),
+    ),
+    "duplicate_cases_last_is_broken": (
+        lambda: _twice(_demo_document(), _broken_demo()),
+        (SchemaViolation, "solvable must be a boolean, got string", None, "solvable", "d1_unknown_kwarg"),
+    ),
+    "trailing_data": (
+        lambda: json.dumps(_demo_document()) + " {}",
+        (MalformedInput, "corpus is not valid JSON at byte 6382: Extra data", 6382, None, None),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refusal_is_reported_as_the_whole_document_reader_reports_it(name):
+    text, expected = REFUSALS[name]
+    with pytest.raises((MalformedInput, SchemaViolation)) as err:
+        parse_corpus(text())
+    exc = err.value
+    got = (type(exc), str(exc), getattr(exc, "byte_offset", None), getattr(exc, "field", None), getattr(exc, "case_id", None))
+    assert got == expected
+
+
+def test_the_last_of_duplicate_cases_keys_wins():
+    assert parse_corpus(_twice(_broken_demo(), _demo_document())) == parse_corpus(json.dumps(_demo_document()))
 
 
 # The key tables that the log reader and EndpointConfig used before they were
