@@ -32,11 +32,13 @@ must match the header's corpus hash, seed, driver and operators.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import hashlib
 import json
 import os
 import sys
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from paramfuzz import __version__
@@ -59,11 +61,18 @@ from paramfuzz.driver import (
     Trajectory,
     run_case,
 )
-from paramfuzz.errors import CampaignError, DriverError, MalformedInput
+from paramfuzz.errors import AuthFailure, CampaignError, DriverError, MalformedInput
 from paramfuzz.perturb import ALL_OPERATORS, donor_pool
 from paramfuzz.records import JsonRecord, check_record, json_document, loads, utf8, violation
 
 LOG_FILE_NAME = "campaign.jsonl"
+
+# Pairs an http run keeps submitted per worker. The log is written in job
+# order, so a pair slowed by backoff at the head of the window holds back
+# the writes behind it; with twice as many pairs as workers, the other
+# workers still run one window ahead meanwhile. The window, not the pair
+# count, bounds what a campaign holds in flight.
+_WINDOW_PER_WORKER = 2
 
 
 def derived_seed(campaign_seed: int, operator: str, case_id: str) -> int:
@@ -135,6 +144,8 @@ def _event_line(record: JsonRecord) -> str:
 
 
 Key = tuple[str, str]
+# (operator, case, derived seed): one pair for run_campaign to run.
+Job = tuple[str, TestCase, int]
 
 
 def _pair(key: Key) -> str:
@@ -461,8 +472,13 @@ def run_campaign(config: CampaignConfig, *, index: bool = True) -> CampaignLog:
     any other bad line is read_log's error.
 
     With the http driver and more than one worker, trajectories are
-    computed by a bounded thread pool; they are always written in job
-    order, so the log is deterministic for any worker count.
+    computed by a thread pool that holds at most 2 x workers pairs in
+    flight (_in_order); they are always written in job order, so the log
+    is deterministic for any worker count. A driver error ends its pair in
+    a TrajectoryError record, except AuthFailure: a rejected credential
+    fails every pair alike, so it stops the run, the records already
+    written stay, the window's pairs not yet begun are cancelled, and a
+    resume runs the rest.
     """
     cases = filter_cases(load_corpus(config.corpus_path))
     if not cases:
@@ -499,14 +515,14 @@ def run_campaign(config: CampaignConfig, *, index: bool = True) -> CampaignLog:
     done = {*log.trajectories, *log.errors}
     if not index:
         log = CampaignLog(log_path, log.header)
-    jobs = [
+    jobs = (
         (operator, case, derived_seed(config.seed, operator, case.case_id))
         for operator in config.ordered_operators
         for case in cases
         if (operator, case.case_id) not in done
-    ]
+    )
 
-    def execute(job: tuple[str, TestCase, int]) -> Trajectory | TrajectoryError:
+    def execute(job: Job) -> Trajectory | TrajectoryError:
         operator, case, seed = job
         if shared_http is not None:
             agent = shared_http
@@ -522,6 +538,8 @@ def run_campaign(config: CampaignConfig, *, index: bool = True) -> CampaignLog:
                 step_limit=config.step_limit,
                 max_observation_length=config.max_observation_length,
             )
+        except AuthFailure:
+            raise
         except DriverError as exc:
             return TrajectoryError(operator, case.case_id, seed, type(exc).__name__, str(exc))
 
@@ -532,17 +550,38 @@ def run_campaign(config: CampaignConfig, *, index: bool = True) -> CampaignLog:
             if not resumed:
                 handle.write(_event_line(meta))
                 handle.flush()
-            records = map(execute, jobs) if config.workers == 1 else pool.map(execute, jobs)
+            if config.workers == 1:
+                records = map(execute, jobs)
+            else:
+                records = _in_order(pool, execute, jobs, _WINDOW_PER_WORKER * config.workers)
             for record in records:
                 handle.write(_event_line(record))
                 handle.flush()
                 if index:
                     log.add(record)
         finally:
-            # pool.map queues every pair at once; a run stopped by a failed
-            # write or a Ctrl-C starts none of those not yet begun.
+            # A run stopped by an auth failure, a failed write or a Ctrl-C
+            # starts none of the window's pairs not yet begun.
             pool.shutdown(cancel_futures=True)
     return log
+
+
+def _in_order(
+    pool: concurrent.futures.Executor,
+    execute: Callable[[Job], Trajectory | TrajectoryError],
+    jobs: Iterable[Job],
+    window: int,
+) -> Iterator[Trajectory | TrajectoryError]:
+    """execute(job) of each job, run on the pool and yielded in job order.
+    At most window jobs are submitted and not yet yielded: the next is
+    submitted only once the oldest has been handed on."""
+    pending: collections.deque[concurrent.futures.Future] = collections.deque()
+    for job in jobs:
+        if len(pending) == window:
+            yield pending.popleft().result()
+        pending.append(pool.submit(execute, job))
+    while pending:
+        yield pending.popleft().result()
 
 
 def classify_log(log: CampaignLog, corpus_path: str) -> int:

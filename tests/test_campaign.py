@@ -1,6 +1,7 @@
 """Campaign loop tests: logging, seeding, resume, and parallelism."""
 
 import collections
+import concurrent.futures
 import copy
 import errno
 import gc
@@ -10,6 +11,7 @@ import itertools
 import json
 import random
 import re
+import threading
 import time
 import types
 from pathlib import Path
@@ -106,6 +108,9 @@ class OracleHttp:
 
         self.tmp_path = tmp_path
         self.corpus = corpus or two_case_corpus(tmp_path)
+        # Seconds to hold each answer, from its request's messages; none
+        # unless a test sets it.
+        self.delay = None
         oracles = {case.tools[0].tool_name: case.oracle for case in load_corpus(self.corpus)}
 
         class Response:
@@ -120,6 +125,8 @@ class OracleHttp:
 
         def answer_the_oracle(url, headers=None, json=None, timeout=None):
             messages = json["messages"]
+            if self.delay is not None:
+                time.sleep(self.delay(messages))
             tool = re.search(r'"tool_name":\s*"([^"]+)"', messages[0]["content"]).group(1)
             step = sum(1 for message in messages if message["role"] == "assistant")
             if step >= len(oracles[tool]):
@@ -858,17 +865,79 @@ def test_http_depth_slice_log_is_the_same_for_1_and_4_workers(tmp_path, depth_sl
     wd = [event for event in trajectories if event["operator"] == "WD"]
     assert [len(event["perturbations"]) for event in wd] == [4] * DEPTH_SLICE_CASES
     assert Path(http.run("parallel", 4)).read_bytes() == Path(serial).read_bytes()
+    # 0-3 ms per answer, fixed by the request's messages, so that pairs
+    # finish out of job order.
+    http.delay = lambda messages: hashlib.sha256(repr(messages).encode()).digest()[0] % 4 / 1000
+    assert Path(http.run("delayed", 4)).read_bytes() == Path(serial).read_bytes()
+
+
+_DONE = {"choices": [{"message": {"content": "Thought: t\nFinal Answer: Done."}}]}
+
+
+def _mock_http_config(out, workers):
+    data = importlib.resources.files("paramfuzz").joinpath("data", "mock_campaign")
+    return CampaignConfig(
+        corpus_path=str(data / "corpus.json"),
+        out_dir=str(out),
+        driver="http",
+        workers=workers,
+        endpoint=EndpointConfig(base_url="http://fake", model="m", rate_per_minute=0),
+    )
+
+
+def test_an_http_run_keeps_at_most_2_x_workers_pairs_in_flight(tmp_path, monkeypatch):
+    """While every worker waits on its endpoint, the run has started or
+    queued at most 2 x workers of mock_campaign's 300 pairs; once the
+    endpoint answers, it runs them all."""
+    workers = 3
+    release, started, submitted, failed = threading.Event(), [], [], []
+
+    def endpoint(url, headers, payload, timeout):
+        started.append(url)
+        release.wait(timeout=60)
+        return 200, _DONE
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    def run():
+        try:
+            run_campaign(_mock_http_config(tmp_path / "out", workers))
+        except BaseException as exc:
+            failed.append(exc)
+
+    monkeypatch.setattr(driver, "_requests_transport", endpoint)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    runner = threading.Thread(target=run)
+    runner.start()
+    try:
+        deadline = time.monotonic() + 30
+        while len(started) < workers and time.monotonic() < deadline:
+            time.sleep(0.01)
+        # Time for the run to queue more pairs, if it would.
+        time.sleep(0.2)
+        assert len(started) == workers
+        assert len(submitted) <= 2 * workers
+    finally:
+        release.set()
+        runner.join(timeout=60)
+    assert not runner.is_alive() and not failed
+    assert len(read_log(str(tmp_path / "out" / LOG_FILE_NAME)).trajectories) == 300
+    assert len(submitted) == len(started) == 300
 
 
 def test_a_run_stopped_by_a_failed_write_starts_no_more_pairs(tmp_path, monkeypatch):
-    # pool.map queues all 300 mock_campaign pairs at once; those no worker
-    # has begun when a write fails must not reach the endpoint.
+    # An http run submits at most 2 x workers pairs ahead of the log;
+    # those no worker has begun when a write fails must not reach the
+    # endpoint.
     calls = []
 
     def endpoint(url, headers, payload, timeout):
         calls.append(url)
         time.sleep(0.01)
-        return 200, {"choices": [{"message": {"content": "Thought: t\nFinal Answer: Done."}}]}
+        return 200, _DONE
 
     lines, real_log_line = itertools.count(), campaign.log_line
 
@@ -879,19 +948,54 @@ def test_a_run_stopped_by_a_failed_write_starts_no_more_pairs(tmp_path, monkeypa
 
     monkeypatch.setattr(driver, "_requests_transport", endpoint)
     monkeypatch.setattr(campaign, "log_line", full_disk)
-    data = importlib.resources.files("paramfuzz").joinpath("data", "mock_campaign")
-    config = CampaignConfig(
-        corpus_path=str(data / "corpus.json"),
-        out_dir=str(tmp_path / "out"),
-        driver="http",
-        workers=2,
-        endpoint=EndpointConfig(base_url="http://fake", model="m", rate_per_minute=0),
-    )
     with pytest.raises(OSError, match="No space left"):
-        run_campaign(config)
-    # The header and 4 records were written, the 5th record's write failed,
-    # and each of the 2 workers may have begun one more pair.
-    assert len(calls) <= 5 + 2 + 2
+        run_campaign(_mock_http_config(tmp_path / "out", 2))
+    # The header and 4 records were written and the 5th record's write
+    # failed: 5 pairs had been handed to the log, and at most 2 x 2 - 1
+    # more were submitted behind them.
+    assert len(calls) <= 5 + 2 * 2 - 1
+
+
+def test_a_rejected_credential_stops_the_run_and_a_resume_finishes_it(tmp_path, monkeypatch, capsys):
+    """The endpoint takes 20 requests, then answers 401 to every one: the
+    run exits 2 after at most 2 x workers more requests, keeps the 20
+    pairs it logged, and a resume with a working endpoint writes what an
+    uninterrupted run writes."""
+    workers, accepted = 2, [20]
+    lock, statuses = threading.Lock(), []
+
+    def endpoint(url, headers, payload, timeout):
+        with lock:
+            statuses.append(200 if len(statuses) < accepted[0] else 401)
+            status = statuses[-1]
+        return (200, _DONE) if status == 200 else (401, {"error": "bad key"})
+
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"endpoint": {"base_url": "http://fake", "model": "m", "rate_per_minute": 0}}),
+        encoding="utf-8",
+    )
+    data = importlib.resources.files("paramfuzz").joinpath("data", "mock_campaign")
+
+    def run(out):
+        argv = ["run", "--corpus", str(data / "corpus.json"), "--out", str(tmp_path / out)]
+        return cli.main(argv + ["--driver", "http", "--config", str(config), "--workers", str(workers), "--report"])
+
+    monkeypatch.setattr(driver, "_requests_transport", endpoint)
+    assert run("stopped") == cli.EXIT_CAMPAIGN
+    assert capsys.readouterr().err == "campaign error: endpoint rejected the credential (HTTP 401)\n"
+    assert statuses.index(401) == 20
+    assert len(statuses) - 21 <= 2 * workers
+    stopped = (tmp_path / "stopped" / LOG_FILE_NAME).read_bytes()
+    assert stopped.count(b"\n") == 21
+    assert not (tmp_path / "stopped" / "report.json").exists()
+
+    accepted[0] = float("inf")
+    assert run("whole") == run("stopped") == cli.EXIT_OK
+    whole = (tmp_path / "whole" / LOG_FILE_NAME).read_bytes()
+    assert whole.startswith(stopped)
+    for name in (LOG_FILE_NAME, "report.json", "report_table.csv", "report.md"):
+        assert (tmp_path / "stopped" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
 
 
 # ------------------------------------------------------- single-pass reports
