@@ -27,7 +27,8 @@ index; classify and report start from it, and a resumed run reads the
 existing log through it.
 Runs are resumable: pairs already present in the log are skipped, a
 final line left unfinished by a stopped run is dropped, and a resumed run
-must match the header's corpus hash, seed, driver and operators.
+must match the header's corpus hash, seed, driver, operators, step limit
+and observation limit.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from paramfuzz.driver import (
 )
 from paramfuzz.errors import AuthFailure, CampaignError, DriverError, MalformedInput
 from paramfuzz.perturb import ALL_OPERATORS, donor_pool
-from paramfuzz.records import JsonRecord, check_record, json_document, loads, utf8, violation
+from paramfuzz.records import JsonRecord, json_document, loads, utf8, violation
 
 LOG_FILE_NAME = "campaign.jsonl"
 
@@ -298,6 +299,14 @@ def read_log(path: str) -> CampaignLog:
 
 
 @dataclass(frozen=True)
+class ScriptBookFile(JsonRecord):
+    """A script book file: its one key, scripts, maps each script key to
+    an array of ScriptStep records."""
+
+    scripts: dict[str, object]
+
+
+@dataclass(frozen=True)
 class ScriptBook:
     """Scripted agent behaviors for replay campaigns.
 
@@ -340,15 +349,8 @@ class ScriptBook:
 
     @classmethod
     def from_json(cls, obj: object) -> "ScriptBook":
-        if not isinstance(obj, dict) or not isinstance(obj.get("scripts"), dict):
-            raise MalformedInput("script book needs a top-level 'scripts' object")
-        raw = check_record(obj, (("scripts", "object", True),), "script book")["scripts"]
-        return cls(
-            scripts={
-                key: ScriptedBehavior.from_json(steps, f"scripts.{key}")
-                for key, steps in raw.items()
-            }
-        )
+        scripts = ScriptBookFile.from_json(obj, "script book").scripts
+        return cls(scripts={key: ScriptedBehavior.from_json(steps, f"scripts.{key}") for key, steps in scripts.items()})
 
     @classmethod
     def load(cls, path: str) -> "ScriptBook":

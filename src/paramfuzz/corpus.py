@@ -144,8 +144,9 @@ class ParameterSpec(JsonRecord, omit_none=True):
     @classmethod
     def check_json(cls, values: dict, where: str) -> None:
         """Check what the model does not: the format is a regex, the range
-        is a pair of numbers on a numeric parameter, and the example is an
-        enum member."""
+        is a pair of numbers on a numeric parameter, the example and each
+        enum member nest at most MAX_NESTING levels deep, and the example
+        is an enum member."""
         if values.get("format") is not None:
             try:
                 re.compile(values["format"])
@@ -161,6 +162,10 @@ class ParameterSpec(JsonRecord, omit_none=True):
                     f"is only meaningful for numeric parameters, not ptype {values['ptype']!r}",
                 )
         example, enum_values = values.get("example"), values.get("enum_values")
+        for i, value in enumerate((example, *(enum_values or ()))):
+            if type(value) in (dict, list) and _nests_too_deep(value):
+                key = f"enum_values[{i - 1}]" if i else "example"
+                raise SchemaViolation(_TOO_DEEP, field=f"{where}.{key}")
         if example is not None and enum_values is not None:
             if not any(values_equal(example, member) for member in enum_values):
                 raise violation(f"{where}.example", f"{canonical_json(example)} is not an enum member")
@@ -502,18 +507,6 @@ def _streamed_cases(text: str) -> tuple[TestCase, ...]:
         raise ValueError("not a corpus of this schema")
     if _SPACE.match(text, pos + 1).end() != len(text):
         raise ValueError("extra data")
-    # The decoder's depth limit depends on the caller's stack, so a value
-    # the records do not limit to MAX_NESTING is left to the whole-document
-    # reader when it nests deeper.
-    if any(
-        _nests_too_deep(value)
-        for case in cases
-        for tool in case.tools
-        for spec in tool.parameters
-        for value in (spec.example, *(spec.enum_values or ()))
-        if type(value) in (dict, list)
-    ):
-        raise ValueError("nests too deeply")
     return cases
 
 

@@ -1,6 +1,6 @@
 """Agent drivers and the perturbed case-execution loop.
 
-A driver produces one agent step from an AgentContext. Two ship here:
+A driver produces one TrajectoryStep from an AgentContext. Two ship here:
 
   * ReplayDriver plays back a ScriptedBehavior, making every campaign
     fully deterministic and network-free.
@@ -38,7 +38,7 @@ from paramfuzz.perturb import (
     PerturbationRecord,
     apply_operator,
 )
-from paramfuzz.records import JsonRecord, array_of, build, check_record, loads, violation
+from paramfuzz.records import JsonRecord, array_of, build, loads, violation
 
 DEFAULT_STEP_LIMIT = 8
 DEFAULT_MAX_OBSERVATION_LENGTH = 1024
@@ -105,81 +105,82 @@ class AgentContext:
 
 
 @dataclass(frozen=True)
-class AgentStep:
-    """One driver output: either a tool invocation or a final answer."""
+class TrajectoryStep(JsonRecord):
+    """One agent step: a tool invocation or a final answer. A driver gives
+    it with no observation; run_case logs an invocation with what the
+    agent observed, and a final answer as the driver gave it."""
 
     thought: str = ""
     invocation: ObservedInvocation | None = None
+    observation: str | None = None
     final_answer: str | None = None
 
     def __post_init__(self) -> None:
         if (self.invocation is None) == (self.final_answer is None):
-            raise SchemaViolation(
-                "a step is exactly one of: tool invocation, final answer"
-            )
+            raise SchemaViolation("a step is exactly one of: tool invocation, final answer")
 
     @property
     def is_final(self) -> bool:
         return self.final_answer is not None
 
 
-_STEP_KEYS = (
-    ("thought", "string", False),
-    ("action", "object", False),
-    ("final_answer", "string", False),
-)
-_ACTION_KEYS = (("tool_name", "string", True), ("arguments", "object", True))
+@dataclass(frozen=True)
+class ScriptAction(JsonRecord):
+    """The action object of a scripted step: the tool to call and its
+    arguments."""
+
+    tool_name: str
+    arguments: dict[str, object]
 
 
-def _parse_step(obj: object, where: str) -> AgentStep:
-    obj = check_record(obj, _STEP_KEYS, where)
-    invocation = None
-    if obj.get("action") is not None:
-        action = check_record(obj["action"], _ACTION_KEYS, f"{where}.action")
-        invocation = build(ObservedInvocation.of, f"{where}.action.arguments", **action)
-    return build(
-        AgentStep,
-        where,
-        thought=obj.get("thought") or "",
-        invocation=invocation,
-        final_answer=obj.get("final_answer"),
-    )
+@dataclass(frozen=True)
+class ScriptStep(JsonRecord, optional=("thought",)):
+    """One step of a script as a script book writes it: a thought, which
+    may be left out, and exactly one of an action or a final answer."""
+
+    thought: str = ""
+    action: ScriptAction | None = None
+    final_answer: str | None = None
+
+    @classmethod
+    def from_json(cls, obj: object, where: str) -> TrajectoryStep:
+        """Decode the step as the TrajectoryStep a driver gives."""
+        step = super().from_json(obj, where)
+        action = step.action and build(ObservedInvocation.of, f"{where}.action.arguments", **vars(step.action))
+        return build(TrajectoryStep, where, thought=step.thought, invocation=action, final_answer=step.final_answer)
 
 
 @dataclass(frozen=True)
 class ScriptedBehavior:
     """A pre-written sequence of agent steps ending in a final answer."""
 
-    steps: tuple[AgentStep, ...]
+    steps: tuple[TrajectoryStep, ...]
 
     def __post_init__(self) -> None:
-        if not self.steps:
+        finals = [step.is_final for step in self.steps]
+        if not finals:
             raise SchemaViolation("a script needs at least one step")
-        if not self.steps[-1].is_final:
+        if not finals[-1]:
             raise SchemaViolation("the last scripted step must be a final answer")
-        for step in self.steps[:-1]:
-            if step.is_final:
-                raise SchemaViolation(
-                    "a final answer may only appear as the last scripted step"
-                )
+        if any(finals[:-1]):
+            raise SchemaViolation("a final answer may only appear as the last scripted step")
 
     @classmethod
     def from_json(cls, steps: object, where: str = "script") -> "ScriptedBehavior":
-        """Parse a script: a JSON array of steps, each a thought plus
-        exactly one of an action or a final answer."""
-        return build(cls, where, steps=array_of(_parse_step, steps, where))
+        """Parse a script: a JSON array of ScriptStep records."""
+        return build(cls, where, steps=array_of(ScriptStep.from_json, steps, where))
 
     @classmethod
     def replaying(cls, case: TestCase) -> "ScriptedBehavior":
         """The script that reproduces the case's own oracle trajectory."""
         steps = [
-            AgentStep(
+            TrajectoryStep(
                 thought=f"Call {inv.tool_name} as the task requires.",
                 invocation=ObservedInvocation.of(inv.tool_name, dict(inv.arguments)),
             )
             for inv in case.oracle
         ]
-        steps.append(AgentStep(thought="The task is complete.", final_answer="Done."))
+        steps.append(TrajectoryStep(thought="The task is complete.", final_answer="Done."))
         return cls(steps=tuple(steps))
 
 
@@ -195,7 +196,7 @@ class ReplayDriver:
     def __init__(self, script: ScriptedBehavior) -> None:
         self.script = script
 
-    def next_step(self, ctx: AgentContext) -> AgentStep:
+    def next_step(self, ctx: AgentContext) -> TrajectoryStep:
         index = min(len(ctx.history), len(self.script.steps) - 1)
         return self.script.steps[index]
 
@@ -281,8 +282,8 @@ _THOUGHT = re.compile(r"^[ \t]*Thought:[ \t]*(.*?)[ \t]*$", re.MULTILINE)
 _JSON_OBJECT = re.compile(r"\{.*\}", re.DOTALL)
 
 
-def parse_react_step(content: str) -> AgentStep:
-    """Parse one model completion into an AgentStep, best-effort.
+def parse_react_step(content: str) -> TrajectoryStep:
+    """Parse one model completion into a TrajectoryStep, best-effort.
 
     Malformed action input is preserved in the invocation's raw_text with
     empty arguments rather than dropped; content with neither an action
@@ -303,7 +304,7 @@ def parse_react_step(content: str) -> AgentStep:
             parsed = _best_effort_json(raw_args)
             if isinstance(parsed, dict):
                 arguments = parsed
-        return AgentStep(
+        return TrajectoryStep(
             thought=thought,
             invocation=ObservedInvocation(
                 tool_name=tool_name,
@@ -312,8 +313,8 @@ def parse_react_step(content: str) -> AgentStep:
             ),
         )
     if final_match:
-        return AgentStep(thought=thought, final_answer=content[final_match.end() :].strip())
-    return AgentStep(thought=thought, final_answer=content.strip())
+        return TrajectoryStep(thought=thought, final_answer=content[final_match.end() :].strip())
+    return TrajectoryStep(thought=thought, final_answer=content.strip())
 
 
 def _decoded(text: str) -> object:
@@ -359,7 +360,7 @@ class HttpDriver:
         self._limiter = _RateLimiter(config.rate_per_minute)
         self._prompt = threading.local()
 
-    def next_step(self, ctx: AgentContext) -> AgentStep:
+    def next_step(self, ctx: AgentContext) -> TrajectoryStep:
         content = self._complete(self._messages(ctx))
         return parse_react_step(content)
 
@@ -428,16 +429,6 @@ class HttpDriver:
             return content
         assert last_error is not None
         raise last_error
-
-
-@dataclass(frozen=True)
-class TrajectoryStep(JsonRecord):
-    """One executed step: the agent's output plus what it observed."""
-
-    thought: str = ""
-    invocation: ObservedInvocation | None = None
-    observation: str | None = None
-    final_answer: str | None = None
 
 
 @dataclass(frozen=True)
@@ -534,11 +525,10 @@ def run_case(
     for step_index in range(step_limit):
         step = driver.next_step(AgentContext(query=query_text, tools=tools, history=history))
         if step.is_final:
-            steps.append(TrajectoryStep(thought=step.thought, final_answer=step.final_answer))
+            steps.append(step)
             outcome = "answered"
             break
         invocation = step.invocation
-        assert invocation is not None
         returned = case.scripted_lookup(invocation.tool_name, invocation.arguments)
         if returned is None:
             returned = ToolReturn(

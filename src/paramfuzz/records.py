@@ -367,13 +367,24 @@ def _deepest(text: str) -> int:
     return offset
 
 
+_SPACE = re.compile(r"[ \t\n\r]*")
+
+
 def loads(text: str) -> object:
     """Decode one JSON text. A lone surrogate escape, or nesting deeper than
-    the decoder can follow, is a JSONDecodeError at its position."""
+    the decoder can follow, is a JSONDecodeError at its position. Every
+    error reads alike on each Python version."""
     try:
         document = json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError("arrays and objects nest too deeply", text, _deepest(text)) from None
+    except json.JSONDecodeError as exc:
+        # Python 3.13 names a trailing comma at the comma; 3.10 to 3.12 name
+        # the token that should follow it, where that token is.
+        if not exc.msg.startswith("Illegal trailing comma"):
+            raise
+        expected = "property name enclosed in double quotes" if exc.msg.endswith("object") else "value"
+        raise json.JSONDecodeError(f"Expecting {expected}", text, _SPACE.match(text, exc.pos + 1).end()) from None
     lone = lone_surrogate(text)
     if lone is not None:
         raise json.JSONDecodeError(f"lone surrogate escape \\u{lone.group(1)}", text, lone.start())

@@ -30,7 +30,6 @@ from paramfuzz.cli import EXIT_OK, main
 from paramfuzz.corpus import ToolReturn
 from paramfuzz.driver import (
     AgentContext,
-    AgentStep,
     ReplayDriver,
     ScriptedBehavior,
     TruncationEvent,

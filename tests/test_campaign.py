@@ -52,7 +52,7 @@ from paramfuzz.corpus import (
     serialize_corpus,
 )
 from paramfuzz.driver import EndpointConfig, ReplayDriver, ScriptedBehavior, run_case
-from paramfuzz.errors import CampaignError, MalformedInput, ParamFuzzError
+from paramfuzz.errors import CampaignError, MalformedInput, ParamFuzzError, SchemaViolation
 from paramfuzz.perturb import ALL_OPERATORS, document, donor_pool
 from paramfuzz.reporting import emit_report
 
@@ -281,8 +281,12 @@ class TestScriptBook:
         assert book.resolve(first, case) is book.resolve(second, case)
 
     def test_from_json_requires_scripts_object(self):
-        with pytest.raises(MalformedInput):
+        # Changed: the codec checks the book, so this is a SchemaViolation,
+        # no longer MalformedInput; both exit 1.
+        with pytest.raises(SchemaViolation, match="^script book is missing required key 'scripts'$"):
             ScriptBook.from_json({"not_scripts": {}})
+        with pytest.raises(SchemaViolation, match="^script book.scripts must be a JSON object, got array$"):
+            ScriptBook.from_json({"scripts": []})
 
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "scripts.json"
@@ -957,17 +961,20 @@ def test_a_run_stopped_by_a_failed_write_starts_no_more_pairs(tmp_path, monkeypa
 
 
 def test_a_rejected_credential_stops_the_run_and_a_resume_finishes_it(tmp_path, monkeypatch, capsys):
-    """The endpoint takes 20 requests, then answers 401 to every one: the
-    run exits 2 after at most 2 x workers more requests, keeps the 20
-    pairs it logged, and a resume with a working endpoint writes what an
-    uninterrupted run writes."""
-    workers, accepted = 2, [20]
-    lock, statuses = threading.Lock(), []
+    """The endpoint answers 200 to a query it has not seen and 401 to a
+    repeat, so exactly the 20 RD pairs, whose queries are distinct, pass
+    whatever order the workers send them in: the run exits 2 after at most
+    2 x workers more requests, keeps the 20 pairs it logged, and a resume
+    with a working endpoint writes what an uninterrupted run writes."""
+    workers, lock = 2, threading.Lock()
+    statuses, seen, rejecting = [], set(), [True]
 
     def endpoint(url, headers, payload, timeout):
+        query = payload["messages"][1]["content"]
         with lock:
-            statuses.append(200 if len(statuses) < accepted[0] else 401)
-            status = statuses[-1]
+            status = 401 if rejecting[0] and query in seen else 200
+            seen.add(query)
+            statuses.append(status)
         return (200, _DONE) if status == 200 else (401, {"error": "bad key"})
 
     config = tmp_path / "config.json"
@@ -984,13 +991,13 @@ def test_a_rejected_credential_stops_the_run_and_a_resume_finishes_it(tmp_path, 
     monkeypatch.setattr(driver, "_requests_transport", endpoint)
     assert run("stopped") == cli.EXIT_CAMPAIGN
     assert capsys.readouterr().err == "campaign error: endpoint rejected the credential (HTTP 401)\n"
-    assert statuses.index(401) == 20
+    assert statuses.count(200) == 20
     assert len(statuses) - 21 <= 2 * workers
     stopped = (tmp_path / "stopped" / LOG_FILE_NAME).read_bytes()
     assert stopped.count(b"\n") == 21
     assert not (tmp_path / "stopped" / "report.json").exists()
 
-    accepted[0] = float("inf")
+    rejecting[0] = False
     assert run("whole") == run("stopped") == cli.EXIT_OK
     whole = (tmp_path / "whole" / LOG_FILE_NAME).read_bytes()
     assert whole.startswith(stopped)
@@ -1236,6 +1243,8 @@ LOG_MUTATIONS = {
     "step_missing_key": _drop(T, STEP + ".thought"),
     "step_unknown_key": _set(T, STEP + ".tokens", 12),
     "step_not_object": _set(T, STEP, "Calling svc_01."),
+    "step_with_invocation_and_answer": _set(T, STEP + ".final_answer", "Done."),
+    "step_with_neither": _set(T, INVOCATION, None),
     "invocation_missing_key": _drop(T, INVOCATION + ".tool_name"),
     "invocation_unknown_key": _set(T, INVOCATION + ".id", "call_1"),
     "invocation_arguments_string": _set(T, INVOCATION + ".arguments", "mode=full"),
@@ -1310,6 +1319,9 @@ LOG_GOLDEN = {
     "skip_missing_key": ('SchemaViolation', "log line 2.skips[0] is missing required key 'message'", 'log line 2.skips[0].message'),
     "step_missing_key": ('SchemaViolation', "log line 2.steps[0] is missing required key 'thought'", 'log line 2.steps[0].thought'),
     "step_not_object": ('SchemaViolation', 'log line 2.steps[0] must be a JSON object, got string', 'log line 2.steps[0]'),
+    # New: a logged step holds exactly one of an invocation and a final answer.
+    "step_with_invocation_and_answer": ('SchemaViolation', 'a step is exactly one of: tool invocation, final answer', 'log line 2.steps[0]'),
+    "step_with_neither": ('SchemaViolation', 'a step is exactly one of: tool invocation, final answer', 'log line 2.steps[0]'),
     "step_unknown_key": ('SchemaViolation', "log line 2.steps[0] has unknown key 'tokens'", 'log line 2.steps[0].tokens'),
     "trajectory_applied_string": ('SchemaViolation', 'log line 2.perturbation_applied must be a boolean, got string', 'log line 2.perturbation_applied'),
     "trajectory_applied_contradicts_perturbations": ('SchemaViolation', 'log line 2.perturbation_applied must be true, as the perturbations say', 'log line 2.perturbation_applied'),

@@ -19,7 +19,8 @@ from conftest import (
     make_tool,
     scripted_return,
 )
-from paramfuzz.cli import EXIT_CAMPAIGN, EXIT_OK, EXIT_VALIDATION, build_parser, main
+from paramfuzz import cli
+from paramfuzz.cli import EXIT_CAMPAIGN, EXIT_DEMO, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from paramfuzz.campaign import CampaignConfig, log_line
 from paramfuzz.corpus import OracleInvocation, filter_cases, load_corpus, serialize_corpus
 from paramfuzz.perturb import ALL_OPERATORS
@@ -671,6 +672,19 @@ class TestDemo:
         assert "5/5 fixtures classified as intended" in out
         assert out.count("pass ") == 5
         assert "FAIL" not in out
+
+    def test_a_fixture_whose_flags_differ_from_its_manifest_fails(self, tmp_path, monkeypatch, capsys):
+        for name in ("corpus.json", "scripts.json", "manifest.json"):
+            (tmp_path / name).write_bytes((packaged("demo") / name).read_bytes())
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        manifest["cases"][0]["exact_flags"] = ["task_deviation"]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        monkeypatch.setattr(cli, "_demo_dir", lambda: tmp_path)
+        assert main(["demo"]) == EXIT_DEMO
+        out = capsys.readouterr().out
+        assert "FAIL d1_unknown_kwarg [hallucination_name]: flagged ['hallucination_name'], wanted ['task_deviation']\n" in out
+        assert out.count("pass ") == 4
+        assert out.endswith("4/5 fixtures classified as intended\n")
 
 
 class TestEntryPoint:

@@ -529,9 +529,9 @@ class TestShippedCorpora:
     def test_an_example_nested_deeper_than_max_nesting_goes_to_the_whole_document_reader(
         self, levels, whole_document, monkeypatch
     ):
-        """The decoder's depth limit depends on the caller's stack, so only
-        the whole-document reader decides whether it can follow a value the
-        records leave unlimited."""
+        """An example nested MAX_NESTING levels deep is read by the streamed
+        reader alone. One nested deeper is refused, and as every refusal, it
+        is reported by the whole-document reader."""
         doc = _demo_document()
         spec = doc["cases"][0]["tools"][0]["parameters"][0]
         spec.pop("enum_values", None)
@@ -543,8 +543,14 @@ class TestShippedCorpora:
             return json_document(raw, what)
 
         monkeypatch.setattr(corpus, "json_document", spy)
-        cases = parse_corpus(json.dumps(doc))
-        assert cases[0].tools[0].parameters[0].example == spec["example"]
+        if whole_document:
+            # Changed: the records now limit the example to MAX_NESTING.
+            with pytest.raises(SchemaViolation) as err:
+                parse_corpus(json.dumps(doc))
+            assert err.value.field == "tools[0].parameters[0].example"
+        else:
+            cases = parse_corpus(json.dumps(doc))
+            assert cases[0].tools[0].parameters[0].example == spec["example"]
         assert read == (["corpus"] if whole_document else [])
 
 
@@ -609,6 +615,10 @@ M = Q + ".mentions.0"
 O = "cases.0.oracle.0"
 S0 = "cases.0.scripted_returns.0"
 S1 = "cases.0.scripted_returns.1"
+
+
+# One level deeper than the records accept.
+_DEEPER_THAN_MAX = json.loads("[" * (MAX_NESTING + 1) + "]" * (MAX_NESTING + 1))
 
 
 def _redefined_tool_case(doc):
@@ -682,6 +692,8 @@ MUTATIONS = {
     "param_range_on_string": _set(P0 + ".range", [1, 2]),
     "param_range_inverted": _update(P0, ptype="integer", range=[9, 1]),
     "param_example_not_in_enum": _set(P1 + ".example", "top"),
+    "param_example_too_deep": _set(P0 + ".example", _DEEPER_THAN_MAX),
+    "param_enum_member_too_deep": _set(P1 + ".enum_values.0", _DEEPER_THAN_MAX),
     "query_missing_text": _drop(Q + ".text"),
     "query_missing_mentions": _drop(Q + ".mentions"),
     "query_unknown_key": _set(Q + ".lang", "en"),
@@ -788,6 +800,8 @@ GOLDEN = {
     "param_description_not_string": ("SchemaViolation", "tools[0].parameters[0].description must be a string, got integer", "tools[0].parameters[0].description", "d1_unknown_kwarg"),
     "param_empty_enum": ("SchemaViolation", "parameter 'sort' has an empty enum", "tools[0].parameters[1]", "d1_unknown_kwarg"),
     "param_enum_not_array": ("SchemaViolation", "tools[0].parameters[1].enum_values must be a JSON array, got string", "tools[0].parameters[1].enum_values", "d1_unknown_kwarg"),
+    "param_example_too_deep": ("SchemaViolation", "arrays and objects nest more than 100 levels deep", "tools[0].parameters[0].example", "d1_unknown_kwarg"),
+    "param_enum_member_too_deep": ("SchemaViolation", "arrays and objects nest more than 100 levels deep", "tools[0].parameters[1].enum_values[0]", "d1_unknown_kwarg"),
     "param_example_not_in_enum": ("SchemaViolation", "tools[0].parameters[1].example \"top\" is not an enum member", "tools[0].parameters[1].example", "d1_unknown_kwarg"),
     "param_format_bad_regex": ("SchemaViolation", "tools[0].parameters[0].format is not a valid regex: missing ), unterminated subpattern at position 0", "tools[0].parameters[0].format", "d1_unknown_kwarg"),
     "param_format_not_string": ("SchemaViolation", "tools[0].parameters[0].format must be a string, got integer", "tools[0].parameters[0].format", "d1_unknown_kwarg"),
@@ -868,6 +882,22 @@ def test_golden_malformed_input_offsets():
     assert (str(err.value), err.value.byte_offset) == (
         "corpus is not valid JSON at byte 300: Expecting property name enclosed in double quotes", 300
     )
+
+
+@pytest.mark.parametrize(
+    ("text", "error"),
+    [
+        ('{"a": 1, }', ("Expecting property name enclosed in double quotes", 9)),
+        ("[1, 2 ,\n ]", ("Expecting value", 9)),
+        ('{"a": [1,]}', ("Expecting value", 9)),
+    ],
+)
+def test_a_trailing_comma_reads_alike_on_every_python(text, error):
+    """Python 3.13 words a trailing comma as an error of its own, at the
+    comma; loads reports it as 3.10 to 3.12 do, at the token after it."""
+    with pytest.raises(json.JSONDecodeError) as err:
+        loads(text)
+    assert (err.value.msg, err.value.pos) == error
 
 
 def _broken_demo():

@@ -9,10 +9,10 @@ from conftest import make_case, make_param, make_query, make_tool, random_tool, 
 from paramfuzz.classify import ObservedInvocation
 from paramfuzz.driver import (
     AgentContext,
-    AgentStep,
     ReplayDriver,
     ScriptedBehavior,
     Trajectory,
+    TrajectoryStep,
     TruncationEvent,
     render_function_declarations,
     run_case,
@@ -22,7 +22,7 @@ from paramfuzz.errors import SchemaViolation
 
 
 def invocation_step(tool_name, arguments, thought="step"):
-    return AgentStep(thought=thought, invocation=ObservedInvocation.of(tool_name, arguments))
+    return TrajectoryStep(thought=thought, invocation=ObservedInvocation.of(tool_name, arguments))
 
 
 class TestTruncateObservation:
@@ -61,18 +61,18 @@ class TestTruncateObservation:
         assert (cut_text, cut) == ("abc", 3)
 
 
-class TestAgentStep:
+class TestTrajectoryStep:
     def test_exactly_one_of_invocation_or_answer(self):
         with pytest.raises(SchemaViolation):
-            AgentStep(thought="t")
+            TrajectoryStep(thought="t")
         with pytest.raises(SchemaViolation):
-            AgentStep(
+            TrajectoryStep(
                 invocation=ObservedInvocation.of("t", {}),
                 final_answer="done",
             )
 
     def test_is_final(self):
-        assert AgentStep(final_answer="ok").is_final
+        assert TrajectoryStep(final_answer="ok").is_final
         assert not invocation_step("t", {}).is_final
 
 
@@ -85,8 +85,8 @@ class TestScriptedBehavior:
         with pytest.raises(SchemaViolation):
             ScriptedBehavior(
                 steps=(
-                    AgentStep(final_answer="early"),
-                    AgentStep(final_answer="late"),
+                    TrajectoryStep(final_answer="early"),
+                    TrajectoryStep(final_answer="late"),
                 )
             )
 
@@ -131,7 +131,7 @@ class TestReplayDriver:
             steps=(
                 invocation_step("a", {"n": 1}),
                 invocation_step("a", {"n": 2}),
-                AgentStep(final_answer="done"),
+                TrajectoryStep(final_answer="done"),
             )
         )
         driver = ReplayDriver(behavior)
@@ -146,7 +146,7 @@ class TestReplayDriver:
         assert driver.next_step(one).invocation.arguments == {"n": 2}
 
     def test_history_overflow_clamps_to_last_step(self):
-        behavior = ScriptedBehavior(steps=(AgentStep(final_answer="only"),))
+        behavior = ScriptedBehavior(steps=(TrajectoryStep(final_answer="only"),))
         driver = ReplayDriver(behavior)
         history = tuple(
             ("t", ObservedInvocation.of("a", {"i": i}), "obs") for i in range(5)
@@ -186,6 +186,15 @@ class TestRunCase:
         assert trajectory.steps[0].observation == '{"hits": 3}'
         assert trajectory.steps[-1].final_answer is not None
 
+    def test_a_final_step_is_logged_as_the_driver_gave_it(self):
+        case = make_case()
+        behavior = ScriptedBehavior.from_json([{"final_answer": "Nothing to do."}])
+        trajectory = run_case(case, "RD", ReplayDriver(behavior))
+        assert trajectory.steps[0] is behavior.steps[0]
+        assert trajectory.steps[0].to_json() == {
+            "thought": "", "invocation": None, "observation": None, "final_answer": "Nothing to do."
+        }
+
     def test_step_limit_exceeded(self):
         case = make_case(
             scripted=(
@@ -195,7 +204,7 @@ class TestRunCase:
         behavior = ScriptedBehavior(
             steps=(
                 invocation_step("searcher", {"query": "loop"}),
-                AgentStep(final_answer="never reached"),
+                TrajectoryStep(final_answer="never reached"),
             )
         )
 
@@ -225,7 +234,7 @@ class TestRunCase:
             def next_step(self, ctx):
                 seen.append(tuple(t.tool_name for t in ctx.tools))
                 seen.append(tuple(p.description for t in ctx.tools for p in t.parameters))
-                return AgentStep(final_answer="done")
+                return TrajectoryStep(final_answer="done")
 
         trajectory = run_case(case, "RD", ProbeDriver(), seed=1)
         assert trajectory.perturbation_applied
@@ -257,7 +266,7 @@ class TestRunCase:
 
             def next_step(self, ctx):
                 seen.append(ctx.query)
-                return AgentStep(final_answer="done")
+                return TrajectoryStep(final_answer="done")
 
         trajectory = run_case(case, "RPF", ProbeDriver())
         assert trajectory.perturbation_applied
@@ -273,7 +282,7 @@ class TestRunCase:
 
             def next_step(self, ctx):
                 seen.append(ctx.query)
-                return AgentStep(final_answer="done")
+                return TrajectoryStep(final_answer="done")
 
         trajectory = run_case(case, "RPF", ProbeDriver())
         assert not trajectory.perturbation_applied
@@ -291,7 +300,7 @@ class TestRunCase:
             steps=(
                 invocation_step("searcher", {"query": "a"}),
                 invocation_step("searcher", {"query": "b"}),
-                AgentStep(final_answer="done"),
+                TrajectoryStep(final_answer="done"),
             )
         )
         trajectory = run_case(case, "AP", ReplayDriver(behavior))
@@ -305,7 +314,7 @@ class TestRunCase:
         behavior = ScriptedBehavior(
             steps=(
                 invocation_step("searcher", {"query": "unplanned"}),
-                AgentStep(final_answer="done"),
+                TrajectoryStep(final_answer="done"),
             )
         )
         trajectory = run_case(case, "RD", ReplayDriver(behavior))

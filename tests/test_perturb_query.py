@@ -72,6 +72,19 @@ class TestExcision:
         assert out.text == "beta"
         assert out.mentions[0].start == 0
 
+    def test_mention_inside_a_word_joins_its_neighbours(self):
+        query = make_query("abcXYZdef", spans=[("XYZ", "p", "t")])
+        out, record = remove_first_mention(query)
+        assert out.text == "abcdef"
+        assert record.details["shift"] == 3
+
+    def test_left_neighbour_ending_in_whitespace_keeps_it(self):
+        # The left mention's own trailing space separates the two texts.
+        query = make_query("go x y now", spans=[("x ", "p", "t"), ("y", "q", "t")])
+        out, _ = remove_last_mention(query)
+        assert out.text == "go x now"
+        assert out.mentions == query.mentions[:1]
+
     def test_empty_mentions_skip(self):
         with pytest.raises(NoMentions):
             remove_first_mention(make_query("No annotations here.", spans=[]))
