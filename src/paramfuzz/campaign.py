@@ -370,7 +370,7 @@ class CampaignConfig(
     object, with the run flags copied over it, and each field's default
     here is the only one. corpus and out may be left out of the file but
     not of the run. workers apply to the http driver alone; replay runs in
-    one thread.
+    one thread, and scripts apply to replay alone.
     """
 
     corpus_path: str
@@ -401,6 +401,8 @@ class CampaignConfig(
             raise CampaignError(f"driver must be 'replay' or 'http', not {self.driver!r}")
         if self.driver == "http" and self.endpoint is None:
             raise CampaignError("the http driver needs an endpoint config")
+        if self.driver == "http" and self.scripts_path is not None:
+            raise CampaignError("scripts apply only to the replay driver; the http driver asks its endpoint")
         if self.workers < 1:
             raise CampaignError("workers must be at least 1")
         if self.driver == "replay" and self.workers > 1:

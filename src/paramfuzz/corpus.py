@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from paramfuzz.errors import SchemaViolation, SpanMismatch
-from paramfuzz.records import JSON_TYPES, JsonRecord, json_document, json_type_name, lone_surrogate, utf8, violation
+from paramfuzz.records import JSON_TYPES, JsonRecord, expect, json_document, json_type_name, lone_surrogate, utf8, violation
 
 SCHEMA_VERSION = 1
 
@@ -208,14 +208,28 @@ class ToolDocument(JsonRecord, optional=("usage_examples",)):
 
 
 @dataclass(frozen=True)
-class Mention(JsonRecord, pair={"span": ("start", "end")}):
-    """One annotated parameter-information span inside the query text."""
+class Mention(JsonRecord):
+    """One annotated parameter-information span inside the query text:
+    span is its [start, end) in code points."""
 
-    start: int
-    end: int
+    span: tuple[int, int]
     param_name: str
     tool_name: str
     value_text: str
+
+    @property
+    def start(self) -> int:
+        return self.span[0]
+
+    @property
+    def end(self) -> int:
+        return self.span[1]
+
+    @classmethod
+    def check_json(cls, values: dict, where: str) -> None:
+        span = values["span"]
+        if len(span) != 2 or not all(type(bound) is int for bound in span):
+            raise violation(f"{where}.span", "must be a [start, end) pair of integers")
 
     def __post_init__(self) -> None:
         if self.start < 0 or self.start >= self.end:
@@ -261,8 +275,9 @@ class AnnotatedQuery(JsonRecord, located=False):
 # when the return is made; its payload is decoded from that text on each
 # access, so payload is a field that the instance does not hold.
 @dataclass(frozen=True, init=False)
-class ToolReturn(JsonRecord, exclusive=("payload", "raw_text")):
-    """A tool's response: either JSON or raw unparseable text."""
+class ToolReturn(JsonRecord):
+    """A tool's response: either JSON or raw unparseable text, written as
+    an object with exactly one of the keys "payload" or "raw_text"."""
 
     payload: Any
     raw_text: str | None
@@ -285,11 +300,21 @@ class ToolReturn(JsonRecord, exclusive=("payload", "raw_text")):
         return self.raw_text is None
 
     @classmethod
-    def check_json(cls, values: dict, where: str) -> None:
-        """Refuse a payload nested more than MAX_NESTING levels deep, as
-        arguments are refused: the return operators walk it recursively."""
-        if _nests_too_deep(values.get("payload")):
+    def from_json(cls, obj: object, where: str) -> "ToolReturn":
+        """Decode a return. raw_text must be a string; a payload may be any
+        value nested at most MAX_NESTING levels deep, as arguments are: the
+        return operators walk it recursively."""
+        if type(obj) is not dict or len(obj) != 1 or ("payload" not in obj and "raw_text" not in obj):
+            expect("object", obj, where)
+            raise violation(where, "must have exactly one of the keys 'payload' or 'raw_text'")
+        if "raw_text" in obj:
+            return cls(raw_text=expect("string", obj["raw_text"], f"{where}.raw_text"))
+        if _nests_too_deep(obj["payload"]):
             raise SchemaViolation(_TOO_DEEP, field=f"{where}.payload")
+        return cls(payload=obj["payload"])
+
+    def to_json(self) -> dict[str, object]:
+        return {"payload": self.payload} if self.raw_text is None else {"raw_text": self.raw_text}
 
     def rendered(self) -> str:
         """The observation string an agent would actually see."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import threading
 import time
@@ -92,19 +93,6 @@ def truncate_observation(text: str, budget: int) -> tuple[str, int | None]:
 
 
 @dataclass(frozen=True)
-class AgentContext:
-    """Everything a driver may look at to produce the next step.
-
-    run_case passes the same ``tools`` tuple object to every step of one
-    trajectory, so a driver may key per-trajectory work on its identity.
-    """
-
-    query: str
-    tools: tuple[ToolDocument, ...]
-    history: tuple[tuple[str, ObservedInvocation, str], ...] = ()
-
-
-@dataclass(frozen=True)
 class TrajectoryStep(JsonRecord):
     """One agent step: a tool invocation or a final answer. A driver gives
     it with no observation; run_case logs an invocation with what the
@@ -122,6 +110,21 @@ class TrajectoryStep(JsonRecord):
     @property
     def is_final(self) -> bool:
         return self.final_answer is not None
+
+
+@dataclass(frozen=True)
+class AgentContext:
+    """Everything a driver may look at to produce the next step: the
+    query, the tools, and the steps logged so far, each an invocation with
+    what the agent observed.
+
+    run_case passes the same ``tools`` tuple object to every step of one
+    trajectory, so a driver may key per-trajectory work on its identity.
+    """
+
+    query: str
+    tools: tuple[ToolDocument, ...]
+    history: tuple[TrajectoryStep, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -351,11 +354,9 @@ class HttpDriver:
 
     driver_id = "http"
 
-    def __init__(self, config: EndpointConfig, credential: str | None = None, transport=None) -> None:
-        import os
-
+    def __init__(self, config: EndpointConfig, transport=None) -> None:
         self.config = config
-        self.credential = credential if credential is not None else os.environ.get(config.credential_env, "")
+        self.credential = os.environ.get(config.credential_env, "")
         self._transport = transport if transport is not None else _requests_transport
         self._limiter = _RateLimiter(config.rate_per_minute)
         self._prompt = threading.local()
@@ -376,18 +377,18 @@ class HttpDriver:
             {"role": "system", "content": memo.system},
             {"role": "user", "content": ctx.query},
         ]
-        for thought, invocation, observation in ctx.history:
+        for step in ctx.history:
             messages.append(
                 {
                     "role": "assistant",
                     "content": (
-                        f"Thought: {thought}\n"
-                        f"Action: {invocation.tool_name}\n"
-                        f"Action Input: {canonical_json(invocation.arguments)}"
+                        f"Thought: {step.thought}\n"
+                        f"Action: {step.invocation.tool_name}\n"
+                        f"Action Input: {canonical_json(step.invocation.arguments)}"
                     ),
                 }
             )
-            messages.append({"role": "user", "content": f"Observation: {observation}"})
+            messages.append({"role": "user", "content": f"Observation: {step.observation}"})
         return messages
 
     def _complete(self, messages: list[dict[str, str]]) -> str:
@@ -471,12 +472,24 @@ class Trajectory(JsonRecord):
     @classmethod
     def check_json(cls, values: dict, where: str) -> None:
         """Refuse an applied flag that the perturbations contradict: a run
-        applied its operator exactly when it records a perturbation."""
+        applied its operator exactly when it records a perturbation. Refuse
+        a step whose observation contradicts it: an invocation step records
+        what the agent observed, and a final step records nothing."""
         applied = bool(values["perturbations"])
         if values["perturbation_applied"] != applied:
             raise violation(
                 f"{where}.perturbation_applied", f"must be {str(applied).lower()}, as the perturbations say"
             )
+        for i, step in enumerate(values["steps"]):
+            if type(step) is not dict:
+                continue
+            invoked, final = step.get("invocation") is not None, step.get("final_answer") is not None
+            # A step that is not exactly one of the two is TrajectoryStep's to refuse.
+            if invoked != final and invoked != (step.get("observation") is not None):
+                raise violation(
+                    f"{where}.steps[{i}].observation",
+                    "must be a string for a tool invocation" if invoked else "must be null for a final answer",
+                )
 
 
 def run_case(
@@ -519,11 +532,10 @@ def run_case(
     elif source == "query":
         query_text = perturb(case.query, "query").text
     steps: list[TrajectoryStep] = []
-    history: tuple[tuple[str, ObservedInvocation, str], ...] = ()
     truncations: list[TruncationEvent] = []
     outcome = "step_limit_exceeded"
     for step_index in range(step_limit):
-        step = driver.next_step(AgentContext(query=query_text, tools=tools, history=history))
+        step = driver.next_step(AgentContext(query=query_text, tools=tools, history=tuple(steps)))
         if step.is_final:
             steps.append(step)
             outcome = "answered"
@@ -552,7 +564,6 @@ def run_case(
                 )
             )
         steps.append(TrajectoryStep(thought=step.thought, invocation=invocation, observation=truncated))
-        history += ((step.thought, invocation, truncated),)
     return Trajectory(
         case_id=case.case_id,
         operator=operator,

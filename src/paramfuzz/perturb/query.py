@@ -88,7 +88,7 @@ def _excise(
         if m is target:
             continue
         if m.start >= right:
-            survivors.append(replace(m, start=m.start - shift, end=m.end - shift))
+            survivors.append(replace(m, span=(m.start - shift, m.end - shift)))
         else:
             survivors.append(m)
     details = {
@@ -133,8 +133,7 @@ def complicate_mentions(query: AnnotatedQuery) -> tuple[AnnotatedQuery, Perturba
         pieces.append(replacement)
         mentions.append(
             Mention(
-                start=start,
-                end=start + len(replacement),
+                span=(start, start + len(replacement)),
                 param_name=m.param_name,
                 tool_name=m.tool_name,
                 value_text=replacement,

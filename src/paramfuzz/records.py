@@ -6,29 +6,29 @@ A record class is a dataclass that subclasses JsonRecord. Its key table
 field is a string, integer, number or boolean, a tuple or frozenset an
 array, a dict or a record an object, and Any any value. from_json checks
 each item of a tuple[T, ...] or frozenset[T] at where.key[i], decoding it
-when T is a record. A key is optional when its field admits None, as Any
-does; an optional key may be absent or null, and either way the field
-takes its default, or None when it has none. to_json writes a frozenset
-sorted.
+when T is a record; the items of a fixed-length tuple, such as a
+mention's span, are its record's check_json to check. A key is optional
+when its field admits None, as Any does; an optional key may be absent or
+null, and either way the field takes its default, or None when it has
+none. to_json writes a frozenset sorted.
 
 Where the JSON shape differs from the fields, the class declares each
 difference once, as a class keyword:
 
-    keys={"value": "return"}           the field value is stored as "return";
-                                       a renamed key may be optional
-    pair={"span": ("start", "end")}    "span" holds [start, end] of two fields
-    exclusive=("payload", "raw_text")  exactly one key is present; to_json
-                                       writes the first not None, else the first
-    optional=("usage_examples",)       optional though the field admits no None
-    omit_none=True                     to_json leaves out a None value (the
-                                       corpus), not writing null (the log)
-    bare=("tools", ...)                located by bare key ("tools[0]"), not
-                                       under the record ("cases[0].tools[0]")
-    located=False                      the constructor's errors keep the field
-                                       they name, not located under the record
+    keys={"value": "return"}      the field value is stored as "return";
+                                  a renamed key may be optional
+    optional=("usage_examples",)  optional though the field admits no None
+    omit_none=True                to_json leaves out a None value (the
+                                  corpus), not writing null (the log)
+    bare=("tools", ...)           located by bare key ("tools[0]"), not
+                                  under the record ("cases[0].tools[0]")
+    located=False                 the constructor's errors keep the field
+                                  they name, not located under the record
 
 A class may also define a classmethod check_json(values, where), which
-checks what the key table let through before it is decoded and built.
+checks what the key table let through before it is decoded and built. A
+shape that only one record has, such as a tool return's one key of two,
+is stated by that record's own from_json and to_json.
 
 Every input is decoded by loads, through json_document for a whole file
 and directly for each log line. Besides the decoder's own errors, loads
@@ -134,12 +134,6 @@ def build(model, where: str, /, **values):
         raise
 
 
-def _pair(names: tuple[str, str], jtype: str, value: list, where: str) -> list:
-    if len(value) != 2 or not all(type(item) in JSON_TYPES[jtype][0] for item in value):
-        raise violation(where, f"must be a [{names[0]}, {names[1]}) pair of {jtype}s")
-    return value
-
-
 # Annotation -> JSON type, for json_keys: a field holds the Python type of
 # its JSON type, except that an array is an immutable tuple or frozenset,
 # and Any is any value. A JsonRecord is an object too.
@@ -187,9 +181,8 @@ class _Plan:
     keys: tuple  # json_keys; a bare key has no type, as from_json checks it where it decodes it
     decodes: tuple  # (key, decode, bare, required) for each value that from_json converts
     fills: tuple  # (key, value) for each optional key whose None means another value
-    renames: tuple  # (key, field name or names) for each key that is not its field's name
+    renames: tuple  # (key, field name) for each key that is not its field's name
     write: object  # to_json's body, compiled
-    exclusive: tuple
     located: bool
     check: object
 
@@ -198,8 +191,6 @@ class _Plan:
 def _plan(model: type) -> _Plan:
     rules = getattr(model, "json_rules", {})
     keys_of = rules.get("keys", {})
-    pair_of = {names[0]: (key, names) for key, names in rules.get("pair", {}).items()}
-    paired = {name for _, names in pair_of.values() for name in names}
     optional, bare = rules.get("optional", ()), rules.get("bare", ())
     hints = typing.get_type_hints(model)
     keys, decodes, fills, renames, writes = [], [], [], [], []
@@ -214,14 +205,7 @@ def _plan(model: type) -> _Plan:
         # value is the Python expression whose result to_json writes.
         key, decode, attribute = keys_of.get(name, name), None, f"self.{name}"
         value = attribute
-        if name in pair_of:
-            key, names = pair_of[name]
-            decode = functools.partial(_pair, names, jtype)
-            value = f"[{', '.join(f'self.{part}' for part in names)}]"
-            jtype, name = "array", names
-        elif name in paired:
-            continue
-        elif _is_record(origin):
+        if _is_record(origin):
             decode, value = origin.from_json, f"{attribute}.to_json()"
         elif origin in (tuple, frozenset):
             item = _item(hint)
@@ -254,7 +238,6 @@ def _plan(model: type) -> _Plan:
         fills=tuple(fills),
         renames=tuple(renames),
         write=_writer(writes, rules.get("omit_none", False)),
-        exclusive=rules.get("exclusive", ()),
         located=rules.get("located", True),
         check=getattr(model, "check_json", None),
     )
@@ -283,7 +266,7 @@ def json_keys(model: type) -> tuple[tuple[str, str | None, bool], ...]:
     return _plan(model).keys
 
 
-_RULES = ("keys", "pair", "exclusive", "optional", "omit_none", "bare", "located")
+_RULES = ("keys", "optional", "omit_none", "bare", "located")
 
 
 class JsonRecord:
@@ -297,14 +280,7 @@ class JsonRecord:
         cls.json_rules = rules
 
     def to_json(self) -> dict[str, object]:
-        plan = _plan(type(self))
-        record = plan.write(self)
-        if plan.exclusive:
-            written = next((key for key in plan.exclusive if record[key] is not None), plan.exclusive[0])
-            for key in plan.exclusive:
-                if key != written:
-                    del record[key]
-        return record
+        return _plan(type(self)).write(self)
 
     @classmethod
     def from_json(cls, obj: object, where: str):
@@ -313,15 +289,7 @@ class JsonRecord:
         at where.key or where.key[i]; any other array becomes a tuple, or a
         frozenset for a frozenset field."""
         plan = _plan(cls)
-        keys = plan.keys
-        if plan.exclusive:
-            expect("object", obj, where)
-            if len(obj) != 1 or next(iter(obj)) not in plan.exclusive:
-                names = " or ".join(repr(key) for key in plan.exclusive)
-                raise violation(where, f"must have exactly one of the keys {names}")
-            # The one key present is required, so it may not be null.
-            keys = tuple((key, jtype, key in obj) for key, jtype, _ in keys)
-        values = check_record(obj, keys, where)
+        values = check_record(obj, plan.keys, where)
         if plan.check is not None:
             plan.check(values, where)
         if plan.decodes or plan.fills or plan.renames:
@@ -335,13 +303,8 @@ class JsonRecord:
                     values[key] = default
             for key, name in plan.renames:
                 # An absent optional key leaves its field to the default.
-                if key not in values:
-                    continue
-                value = values.pop(key)
-                if type(name) is tuple:
-                    values.update(zip(name, value))
-                else:
-                    values[name] = value
+                if key in values:
+                    values[name] = values.pop(key)
         return build(cls, where if plan.located else "", **values)
 
 

@@ -75,8 +75,7 @@ def make_query(text="Search for books about whales.", spans=None) -> AnnotatedQu
         start = text.index(needle)
         mentions.append(
             Mention(
-                start=start,
-                end=start + len(needle),
+                span=(start, start + len(needle)),
                 param_name=param_name,
                 tool_name=tool_name,
                 value_text=needle,
@@ -230,8 +229,7 @@ def random_query(rng: random.Random, min_mentions: int = 0) -> AnnotatedQuery:
             ordinal = mention_slots.index(i)
             mentions.append(
                 Mention(
-                    start=offset,
-                    end=offset + len(word),
+                    span=(offset, offset + len(word)),
                     param_name=param_names[ordinal],
                     tool_name="tool_under_test",
                     value_text=word,

@@ -285,8 +285,8 @@ def test_gate_observations_truncate_to_1024_with_logged_event():
             self.script = script
 
         def next_step(self, ctx: AgentContext):
-            for _, _, observation in ctx.history:
-                seen_by_driver.append(observation)
+            for step in ctx.history:
+                seen_by_driver.append(step.observation)
             index = min(len(ctx.history), len(self.script.steps) - 1)
             return self.script.steps[index]
 

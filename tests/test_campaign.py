@@ -314,6 +314,24 @@ class TestCampaignConfig:
             endpoint=EndpointConfig(base_url="http://h", model="m"),
         )
 
+    def test_scripts_are_refused_with_the_http_driver(self, tmp_path, capsys, monkeypatch):
+        import requests
+
+        def no_request(*args, **kwargs):
+            raise AssertionError("the run sent a request")
+
+        monkeypatch.setattr(requests, "post", no_request)
+        data = importlib.resources.files("paramfuzz").joinpath("data", "mock_campaign")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"endpoint": {"base_url": "http://h", "model": "m"}}), encoding="utf-8")
+        argv = ["run", "--corpus", str(data / "corpus.json"), "--scripts", str(data / "scripts.json"),
+                "--driver", "http", "--config", str(config), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_CAMPAIGN
+        assert capsys.readouterr().err == (
+            "campaign error: scripts apply only to the replay driver; the http driver asks its endpoint\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_bad_driver_and_bounds(self, tmp_path):
         with pytest.raises(CampaignError):
             CampaignConfig(corpus_path="c", out_dir=str(tmp_path), driver="carrier_pigeon")
@@ -1245,6 +1263,8 @@ LOG_MUTATIONS = {
     "step_not_object": _set(T, STEP, "Calling svc_01."),
     "step_with_invocation_and_answer": _set(T, STEP + ".final_answer", "Done."),
     "step_with_neither": _set(T, INVOCATION, None),
+    "invocation_step_without_observation": _set(T, STEP + ".observation", None),
+    "final_step_with_observation": _set(T, "steps.1.observation", "ghost"),
     "invocation_missing_key": _drop(T, INVOCATION + ".tool_name"),
     "invocation_unknown_key": _set(T, INVOCATION + ".id", "call_1"),
     "invocation_arguments_string": _set(T, INVOCATION + ".arguments", "mode=full"),
@@ -1323,6 +1343,9 @@ LOG_GOLDEN = {
     "step_with_invocation_and_answer": ('SchemaViolation', 'a step is exactly one of: tool invocation, final answer', 'log line 2.steps[0]'),
     "step_with_neither": ('SchemaViolation', 'a step is exactly one of: tool invocation, final answer', 'log line 2.steps[0]'),
     "step_unknown_key": ('SchemaViolation', "log line 2.steps[0] has unknown key 'tokens'", 'log line 2.steps[0].tokens'),
+    # New: an invocation step records what the agent observed, a final step nothing.
+    "invocation_step_without_observation": ('SchemaViolation', 'log line 2.steps[0].observation must be a string for a tool invocation', 'log line 2.steps[0].observation'),
+    "final_step_with_observation": ('SchemaViolation', 'log line 2.steps[1].observation must be null for a final answer', 'log line 2.steps[1].observation'),
     "trajectory_applied_string": ('SchemaViolation', 'log line 2.perturbation_applied must be a boolean, got string', 'log line 2.perturbation_applied'),
     "trajectory_applied_contradicts_perturbations": ('SchemaViolation', 'log line 2.perturbation_applied must be true, as the perturbations say', 'log line 2.perturbation_applied'),
     "trajectory_applied_without_perturbations": ('SchemaViolation', 'log line 2.perturbation_applied must be false, as the perturbations say', 'log line 2.perturbation_applied'),

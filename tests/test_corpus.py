@@ -97,18 +97,18 @@ class TestCanonicalJson:
 class TestModelInvariants:
     def test_mention_rejects_empty_span(self):
         with pytest.raises(SpanMismatch):
-            Mention(start=3, end=3, param_name="p", tool_name="t", value_text="")
+            Mention(span=(3, 3), param_name="p", tool_name="t", value_text="")
 
     def test_mention_rejects_negative_span(self):
         with pytest.raises(SpanMismatch):
-            Mention(start=5, end=2, param_name="p", tool_name="t", value_text="x")
+            Mention(span=(5, 2), param_name="p", tool_name="t", value_text="x")
 
     def test_query_rejects_span_text_disagreement(self):
         with pytest.raises(SpanMismatch):
             AnnotatedQuery(
                 text="find things",
                 mentions=(
-                    Mention(start=0, end=4, param_name="p", tool_name="t", value_text="bind"),
+                    Mention(span=(0, 4), param_name="p", tool_name="t", value_text="bind"),
                 ),
             )
 
@@ -117,8 +117,8 @@ class TestModelInvariants:
             AnnotatedQuery(
                 text="abcdef",
                 mentions=(
-                    Mention(start=0, end=4, param_name="p", tool_name="t", value_text="abcd"),
-                    Mention(start=2, end=6, param_name="q", tool_name="t", value_text="cdef"),
+                    Mention(span=(0, 4), param_name="p", tool_name="t", value_text="abcd"),
+                    Mention(span=(2, 6), param_name="q", tool_name="t", value_text="cdef"),
                 ),
             )
 
@@ -127,7 +127,7 @@ class TestModelInvariants:
             AnnotatedQuery(
                 text="ab",
                 mentions=(
-                    Mention(start=0, end=5, param_name="p", tool_name="t", value_text="ab..."),
+                    Mention(span=(0, 5), param_name="p", tool_name="t", value_text="ab..."),
                 ),
             )
 

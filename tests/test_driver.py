@@ -138,18 +138,16 @@ class TestReplayDriver:
         tools = (make_tool("a", parameters=()),)
         empty = AgentContext(query="q", tools=tools)
         assert driver.next_step(empty).invocation.arguments == {"n": 1}
-        one = AgentContext(
-            query="q",
-            tools=tools,
-            history=((("t"), ObservedInvocation.of("a", {"n": 1}), "obs"),),
-        )
+        logged = TrajectoryStep(thought="t", invocation=ObservedInvocation.of("a", {"n": 1}), observation="obs")
+        one = AgentContext(query="q", tools=tools, history=(logged,))
         assert driver.next_step(one).invocation.arguments == {"n": 2}
 
     def test_history_overflow_clamps_to_last_step(self):
         behavior = ScriptedBehavior(steps=(TrajectoryStep(final_answer="only"),))
         driver = ReplayDriver(behavior)
         history = tuple(
-            ("t", ObservedInvocation.of("a", {"i": i}), "obs") for i in range(5)
+            TrajectoryStep(thought="t", invocation=ObservedInvocation.of("a", {"i": i}), observation="obs")
+            for i in range(5)
         )
         ctx = AgentContext(query="q", tools=(), history=history)
         assert driver.next_step(ctx).final_answer == "only"

@@ -21,6 +21,7 @@ from paramfuzz.driver import (
     AgentContext,
     EndpointConfig,
     HttpDriver,
+    TrajectoryStep,
     _RateLimiter,
     _requests_transport,
     parse_react_step,
@@ -201,10 +202,18 @@ def simple_context():
     return AgentContext(query="Find whales.", tools=(make_tool(),))
 
 
+@pytest.fixture(autouse=True)
+def no_credential(monkeypatch):
+    """HttpDriver reads its credential from the variable credential_env
+    names: each test starts with none set."""
+    monkeypatch.delenv(fast_config().credential_env, raising=False)
+
+
 class TestHttpDriver:
-    def test_happy_path(self):
+    def test_happy_path(self, monkeypatch):
+        monkeypatch.setenv(fast_config().credential_env, "sk-test")
         transport = FakeTransport([completion("Final Answer: done")])
-        driver = HttpDriver(fast_config(), credential="sk-test", transport=transport)
+        driver = HttpDriver(fast_config(), transport=transport)
         step = driver.next_step(simple_context())
         assert step.final_answer == "done"
         url, headers, payload, timeout = transport.requests[0]
@@ -216,21 +225,20 @@ class TestHttpDriver:
 
     def test_no_credential_means_no_auth_header(self):
         transport = FakeTransport([completion("Final Answer: x")])
-        driver = HttpDriver(fast_config(), credential="", transport=transport)
+        driver = HttpDriver(fast_config(), transport=transport)
         driver.next_step(simple_context())
         assert "Authorization" not in transport.requests[0][1]
 
     def test_messages_structure(self):
         transport = FakeTransport([completion("Final Answer: x")])
-        driver = HttpDriver(fast_config(), credential="", transport=transport)
+        driver = HttpDriver(fast_config(), transport=transport)
         from paramfuzz.classify import ObservedInvocation
 
+        invocation = ObservedInvocation.of("searcher", {"query": "whales"})
         ctx = AgentContext(
             query="Find whales.",
             tools=(make_tool(),),
-            history=(
-                ("look it up", ObservedInvocation.of("searcher", {"query": "whales"}), "3 hits"),
-            ),
+            history=(TrajectoryStep(thought="look it up", invocation=invocation, observation="3 hits"),),
         )
         driver.next_step(ctx)
         messages = transport.requests[0][2]["messages"]
@@ -243,33 +251,33 @@ class TestHttpDriver:
 
     def test_auth_failure_is_immediate(self):
         transport = FakeTransport([(401, {"error": "bad key"})])
-        driver = HttpDriver(fast_config(), credential="sk-bad", transport=transport)
+        driver = HttpDriver(fast_config(), transport=transport)
         with pytest.raises(AuthFailure):
             driver.next_step(simple_context())
         assert len(transport.requests) == 1
 
     def test_forbidden_is_immediate(self):
         transport = FakeTransport([(403, "")])
-        driver = HttpDriver(fast_config(), credential="sk", transport=transport)
+        driver = HttpDriver(fast_config(), transport=transport)
         with pytest.raises(AuthFailure):
             driver.next_step(simple_context())
 
     def test_rate_limit_retries_then_succeeds(self):
         transport = FakeTransport([(429, ""), (429, ""), completion("Final Answer: ok")])
-        driver = HttpDriver(fast_config(), credential="sk", transport=transport)
+        driver = HttpDriver(fast_config(), transport=transport)
         assert driver.next_step(simple_context()).final_answer == "ok"
         assert len(transport.requests) == 3
 
     def test_rate_limit_exhausts_retries(self):
         transport = FakeTransport([(429, "")] * 3)
-        driver = HttpDriver(fast_config(max_retries=2), credential="sk", transport=transport)
+        driver = HttpDriver(fast_config(max_retries=2), transport=transport)
         with pytest.raises(RateLimited):
             driver.next_step(simple_context())
         assert len(transport.requests) == 3
 
     def test_server_errors_retry_then_surface(self):
         transport = FakeTransport([(500, ""), (503, ""), (502, "")])
-        driver = HttpDriver(fast_config(max_retries=2), credential="sk", transport=transport)
+        driver = HttpDriver(fast_config(max_retries=2), transport=transport)
         with pytest.raises(TransportError):
             driver.next_step(simple_context())
         assert len(transport.requests) == 3
@@ -278,19 +286,19 @@ class TestHttpDriver:
         transport = FakeTransport(
             [TransportError("connection reset"), completion("Final Answer: ok")]
         )
-        driver = HttpDriver(fast_config(), credential="sk", transport=transport)
+        driver = HttpDriver(fast_config(), transport=transport)
         assert driver.next_step(simple_context()).final_answer == "ok"
 
     def test_unexpected_status_fails_immediately(self):
         transport = FakeTransport([(418, "short and stout")])
-        driver = HttpDriver(fast_config(), credential="sk", transport=transport)
+        driver = HttpDriver(fast_config(), transport=transport)
         with pytest.raises(TransportError):
             driver.next_step(simple_context())
         assert len(transport.requests) == 1
 
     def test_malformed_completion_body(self):
         transport = FakeTransport([(200, {"choices": []})])
-        driver = HttpDriver(fast_config(), credential="sk", transport=transport)
+        driver = HttpDriver(fast_config(), transport=transport)
         with pytest.raises(TransportError):
             driver.next_step(simple_context())
 
@@ -346,7 +354,7 @@ def test_prompt_bytes_are_pinned_per_template_version():
     digests = {}
     for operator in ("WD", "AN", "CK"):
         transport = OracleTransport(case)
-        driver = HttpDriver(fast_config(), credential="", transport=transport)
+        driver = HttpDriver(fast_config(), transport=transport)
         trajectory = run_case(case, operator, driver, seed=derived_seed(0, operator, case.case_id), donors=donors)
         assert trajectory.perturbation_applied and trajectory.outcome == "answered"
         digests[operator] = [
@@ -369,7 +377,7 @@ class TestMisbehavingCompletion:
     )
     def test_undecodable_action_input_is_malformed_input(self, action_input):
         transport = FakeTransport([completion(f"Action: searcher\nAction Input: {action_input}")])
-        driver = HttpDriver(fast_config(), credential="", transport=transport)
+        driver = HttpDriver(fast_config(), transport=transport)
         step = driver.next_step(simple_context())
         assert step.invocation.arguments == {}
         assert step.invocation.raw_text == f"Action: searcher\nAction Input: {action_input}"
@@ -387,7 +395,7 @@ class TestMisbehavingCompletion:
             completion(f"Action: {tool}\nAction Input: {action_input}"),
             completion("Final Answer: Done."),
         ])
-        driver = HttpDriver(fast_config(), credential="", transport=transport)
+        driver = HttpDriver(fast_config(), transport=transport)
         trajectory = run_case(case, "RD", driver, seed=0, donors=donor_pool(all_tools(cases)))
         assert [(i.arguments, i.raw_text) for i in trajectory.invocations] == [
             ({}, f"Action: {tool}\nAction Input: {action_input}")
@@ -395,7 +403,7 @@ class TestMisbehavingCompletion:
 
     def test_content_that_is_not_utf8_is_a_malformed_body(self):
         transport = FakeTransport([completion("Thought: \ud800\nFinal Answer: x")])
-        driver = HttpDriver(fast_config(), credential="", transport=transport)
+        driver = HttpDriver(fast_config(), transport=transport)
         with pytest.raises(TransportError, match="^malformed completion body: .*surrogates not allowed"):
             driver.next_step(simple_context())
         assert len(transport.requests) == 1
