@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from paramfuzz.corpus import (
     OracleInvocation,
@@ -90,17 +89,15 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
 def rouge_l(candidate: list[str], reference: list[str]) -> float:
     """Rouge-L F1 over the longest common subsequence of two token lists.
 
-    P = LCS/|candidate|, R = LCS/|reference|, F = 2PR/(P+R); zero whenever
-    the LCS is empty, one only for identical non-empty sequences.
+    F = 2·LCS/(|candidate|+|reference|), which is 2PR/(P+R) for
+    P = LCS/|candidate| and R = LCS/|reference|; zero whenever the LCS is
+    empty, one only for identical non-empty sequences. One division of two
+    integers, so the float is the correctly rounded value of F.
     """
     lcs = _lcs_length(candidate, reference)
     if lcs == 0:
         return 0.0
-    precision = Fraction(lcs, len(candidate))
-    recall = Fraction(lcs, len(reference))
-    # Exact rational arithmetic, rounded to a float exactly once, so two
-    # algebraically equal formulations can never disagree in the last bit.
-    return float(2 * precision * recall / (precision + recall))
+    return 2 * lcs / (len(candidate) + len(reference))
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,9 @@ from paramfuzz.perturb import (
     donor_pool,
 )
 from paramfuzz.records import expect, json_document, json_keys
-from paramfuzz.reporting import collect_results, emit_report
+
+# The report layer (paramfuzz.reporting, with fractions) is imported by the
+# commands that report, where they report, so a bare run never loads it.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -125,6 +127,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         appended = classify_log(log, config.corpus_path)
         print(f"classified {appended} trajectory(ies)")
         if args.report:
+            from paramfuzz.reporting import emit_report
+
             paths = emit_report(log, config.out_dir)
             for kind in ("json", "csv", "md"):
                 print(f"report {kind}: {paths[kind]}")
@@ -138,6 +142,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from paramfuzz.reporting import emit_report
+
     paths = emit_report(read_log(args.log), args.out)
     for kind in ("json", "csv", "md"):
         print(f"report {kind}: {paths[kind]}")
@@ -149,6 +155,8 @@ def _demo_dir():
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    from paramfuzz.reporting import collect_results
+
     data = _demo_dir()
     with importlib.resources.as_file(data) as root:
         manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))

@@ -86,7 +86,14 @@ def fuzz_keys(ret: ToolReturn) -> tuple[ToolReturn, PerturbationRecord]:
     Numbering restarts inside each object. Values are untouched, so the
     multiset of leaf values survives exactly.
     """
-    return _respell_keys(ret, "FK", lambda index, key: f"Object_{index + 1}")
+    return _respell_keys(ret, "FK", lambda index, key: _object_key(index))
+
+
+@functools.cache
+def _object_key(index: int) -> str:
+    """FK's name for the key at index: one string per index, shared by
+    every payload and record that uses it."""
+    return f"Object_{index + 1}"
 
 
 def prefix_id_values(ret: ToolReturn) -> tuple[ToolReturn, PerturbationRecord]:
@@ -144,15 +151,17 @@ def _respelled(
     collisions: list[dict[str, object]],
 ) -> object:
     """value with every key under it respelled; appends each rename and
-    each collision to its list."""
+    each collision to its list. The renames and collisions of one object
+    share one path list; nothing mutates a record's details."""
     if type(value) is dict:
         out = {}
+        shared_path = list(path)
         for index, (key, item) in enumerate(value.items()):
             new_key = respell(index, key)
             if new_key != key:
-                renames.append({"path": list(path), "from": key, "to": new_key})
+                renames.append({"path": shared_path, "from": key, "to": new_key})
             if new_key in out:
-                collisions.append({"path": list(path), "key": new_key})
+                collisions.append({"path": shared_path, "key": new_key})
             if type(item) in _CONTAINERS:
                 item = _respelled(item, path + (key,), respell, renames, collisions)
             out[new_key] = item

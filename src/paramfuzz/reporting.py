@@ -14,9 +14,9 @@ so each distinct entry of an operator is rendered once.
 
 Failure Rate is case-level: FR = 1 - N_pass/N_total, computed in exact
 rational arithmetic and rendered as a percentage with two decimals,
-half-up. A cell with an empty denominator is null in report.json and
-"n/a" in the grid, never 0.00, so "no failures" cannot be confused with
-"no data".
+rounded half-up in integer arithmetic. A cell with an empty denominator
+is null in report.json and "n/a" in the grid, never 0.00, so "no
+failures" cannot be confused with "no data".
 
 Trajectories whose perturbation could not be applied (typed skips) and
 trajectories that died in the driver are excluded from every
@@ -30,7 +30,6 @@ import io
 import json
 import os
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from typing import TextIO
 
@@ -58,9 +57,10 @@ def failure_rate(n_pass: int, n_total: int) -> Fraction:
 
 
 def percent_string(value: Fraction) -> str:
-    """Render a rate as a percentage with two decimals, half-up."""
-    scaled = Decimal(value.numerator * 100) / Decimal(value.denominator)
-    return str(scaled.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    """Render a rate in [0, 1] as a percentage with two decimals, half-up,
+    in exact integer arithmetic."""
+    hundredths = (value.numerator * 20000 + value.denominator) // (2 * value.denominator)
+    return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
 @dataclass(frozen=True)

@@ -525,6 +525,34 @@ def test_mock_campaign_outputs_are_pinned(tmp_path):
     assert digests == MOCK_CAMPAIGN_SHA256
 
 
+def test_a_bare_run_does_not_load_the_report_layer(tmp_path):
+    """A fresh interpreter runs `run` alone on mock_campaign; the report
+    layer and the rational and decimal modules it uses stay unloaded."""
+    import os
+    import subprocess
+    import sys
+
+    import paramfuzz
+
+    src = str(Path(paramfuzz.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "from paramfuzz.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(sorted(m for m in ('paramfuzz.reporting', 'fractions', 'decimal') if m in sys.modules))\n"
+        "sys.exit(code)\n"
+    )
+    with importlib.resources.as_file(packaged("mock_campaign")) as root:
+        result = subprocess.run(
+            [sys.executable, "-c", script, "run", "--corpus", str(root / "corpus.json"),
+             "--scripts", str(root / "scripts.json"), "--out", str(tmp_path), "--seed", "0"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+    assert result.returncode == EXIT_OK, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "campaign.jsonl").stat().st_size > 0
+
+
 _FINAL = {"thought": "done", "final_answer": "Done."}
 
 

@@ -87,6 +87,16 @@ class TestFuzzKeys:
         out, _ = fuzz_keys(ret)
         assert out.payload == [{"Object_1": 1}, 2, [{"Object_1": 3}]]
 
+    def test_one_objects_renames_share_one_path_list(self):
+        ret = ToolReturn(payload={"a": {"x": 1, "y": 2}, "b": [{"z": 3}]})
+        _, record = fuzz_keys(ret)
+        renames = record.details["renames"]
+        assert [r["path"] for r in renames] == [[], ["a"], ["a"], [], ["b", 0]]
+        assert renames[1]["path"] is renames[2]["path"]
+        assert renames[0]["path"] is renames[3]["path"]
+        assert renames[0]["to"] is renames[1]["to"]
+        assert json.loads(json.dumps(record.to_json())) == record.to_json()
+
     def test_no_objects_skips(self):
         ret = ToolReturn(payload=[1, 2, 3])
         assert fuzz_keys(ret)[0] == ret

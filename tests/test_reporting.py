@@ -1,10 +1,12 @@
 """Aggregation and report rendering tests."""
 
 import csv
+import decimal
 import importlib.resources
 import io
 import json
 import os
+import random
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -95,6 +97,23 @@ class TestPercentString:
         # 1/800 is exactly 0.125%; half-even would print "0.12".
         assert percent_string(Fraction(1, 800)) == "0.13"
         assert percent_string(Fraction(3, 800)) == "0.38"
+
+    def test_the_callers_decimal_context_does_not_matter(self):
+        with decimal.localcontext() as context:
+            context.prec = 3
+            assert percent_string(Fraction(1, 3)) == "33.33"
+            assert percent_string(Fraction(1, 800)) == "0.13"
+            assert percent_string(Fraction(1)) == "100.00"
+
+    def test_matches_a_decimal_half_up_oracle(self):
+        rng = random.Random(34)
+        exact = decimal.Context(prec=50)
+        for _ in range(5_000):
+            d = rng.randint(1, 5_000)
+            value = Fraction(rng.randint(0, d), d)
+            scaled = exact.divide(decimal.Decimal(value.numerator * 100), decimal.Decimal(value.denominator))
+            oracle = str(scaled.quantize(decimal.Decimal("0.01"), rounding=decimal.ROUND_HALF_UP))
+            assert percent_string(value) == oracle, value
 
 
 def report_of(*outcomes, error_counts=None):
